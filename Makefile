@@ -59,7 +59,7 @@ bench-xml:
 bench-batch:
 	$(CARGO) bench -p cube-bench --bench batch_reduce
 
-## Fused-vs-unfused-vs-per-operator kernel comparison (EXPERIMENTS.md).
+## Fused-vs-per-operator kernel comparison (EXPERIMENTS.md).
 bench-fused:
 	$(CARGO) bench -p cube-bench --bench fused_kernels
 

@@ -24,17 +24,18 @@
 //!    directly; the rare operand with structurally equal siblings
 //!    (a non-injective mapping) falls back to one cached zero-extended
 //!    copy.
-//! 3. **Reduce in one pass.** [`BatchPlan::reduce`] evaluates an n-ary
-//!    [`Reduction`] — `sum`, `mean`, `min`, `max`, `variance`,
-//!    `stddev` — by streaming over the integrated severity rows once,
-//!    accumulating across all operands per row. Row blocks are
-//!    distributed over Rayon above the same element-count threshold the
-//!    element-wise kernels in [`crate::ops`] use.
+//! 3. **Evaluate in one pass.** [`BatchPlan::eval`] lowers an [`Expr`]
+//!    tree — an n-ary [`Reduction`] (`sum`, `mean`, `min`, `max`,
+//!    `variance`, `stddev`), or a composite such as the paper's
+//!    "difference of averaged data" — into one [`crate::kernel`]
+//!    program and runs it in a single traversal of the operands. Direct
+//!    and extended operands are read in place; gathered ones are
+//!    zero-extended a block at a time through their gather tables into
+//!    kernel scratch.
 //!
-//! Composite expressions — the paper's "difference of averaged data" —
-//! are evaluated by [`BatchPlan::eval`] over an [`Expr`] tree on the
-//! *same* integrated metadata, so `diff(mean(A…), mean(B…))` costs one
-//! integration total instead of three.
+//! Every expression shares the *same* integrated metadata, so
+//! `diff(mean(A…), mean(B…))` costs one integration total instead of
+//! three.
 //!
 //! The pre-batch evaluation path is kept verbatim in [`pairwise`] as a
 //! differential oracle: `BatchPlan` results are tested value-identical
@@ -90,16 +91,13 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use cube_model::{Experiment, Metadata, Provenance, Severity};
 
 use crate::error::AlgebraError;
 use crate::extend::extend_severity_values;
 use crate::integrate::{integrate_metadata, Integrated};
-use crate::kernel;
+use crate::kernel::{self, BlockFill, KernelProgram, SlotInput};
 use crate::mapping::OperandMap;
-use crate::ops::PAR_THRESHOLD;
 use crate::options::{FailurePolicy, MergeOptions};
 
 /// Sentinel in gather tables: this integrated id has no preimage in the
@@ -153,8 +151,8 @@ impl BatchOperand for Experiment {
 }
 
 /// Borrowed severity pages of one operand, resolved once at plan build
-/// so the per-row hot paths index plain slices instead of re-entering
-/// the trait object on every row.
+/// so kernel inputs and block fills index plain slices instead of
+/// re-entering the trait object on every row.
 #[derive(Clone, Copy)]
 struct OperandView<'a> {
     values: &'a [f64],
@@ -322,64 +320,62 @@ enum Source {
     Extended(Severity),
 }
 
-/// One operand's contribution to an integrated `(metric, call node)`
-/// row.
-enum RowRef<'p> {
-    /// A full integrated-width slice.
-    Dense(&'p [f64]),
-    /// The leading values of the row; positions beyond are zero.
-    Prefix(&'p [f64]),
-    /// Per-thread gather: `idx[t]` indexes into `src`, [`ABSENT`] = 0.
-    Gather { src: &'p [f64], idx: &'p [u32] },
-    /// The operand defines nothing on this row: all zeros.
-    Zero,
+/// The kernel's zero-extending load for one [`Source::Gather`]
+/// operand: writes any flat range of the operand's values on the
+/// integrated shape, reading through the cached gather tables. Ranges
+/// need not align with rows. Absent positions read as 0.0 — they must,
+/// for selections like `min`, where a missing measurement still
+/// competes as zero.
+struct GatherFill<'p> {
+    map: &'p GatherMap,
+    view: OperandView<'p>,
+    /// The integrated shape.
+    shape: (usize, usize, usize),
 }
 
-/// `dst = row`, materializing zero-extension.
-fn assign_row(dst: &mut [f64], row: &RowRef<'_>) {
-    match row {
-        RowRef::Dense(s) => dst.copy_from_slice(s),
-        RowRef::Prefix(s) => {
-            dst[..s.len()].copy_from_slice(s);
-            dst[s.len()..].fill(0.0);
+impl GatherFill<'_> {
+    /// Fills `dst` with integrated row `(m, c)` from thread `t0` on.
+    fn fill_row(&self, m: usize, c: usize, t0: usize, dst: &mut [f64]) {
+        let (im, ic) = (self.map.metric[m], self.map.call[c]);
+        if im == ABSENT || ic == ABSENT {
+            // The operand defines nothing on this row.
+            dst.fill(0.0);
+            return;
         }
-        RowRef::Gather { src, idx } => {
-            for (d, &j) in dst.iter_mut().zip(idx.iter()) {
+        let src = self.view.row(im as usize * self.view.shape.1 + ic as usize);
+        if self.map.thread_prefix.is_some() {
+            // The operand's threads lead the row; the rest are absent.
+            let head = src.get(t0..).unwrap_or_default();
+            let k = head.len().min(dst.len());
+            dst[..k].copy_from_slice(&head[..k]);
+            dst[k..].fill(0.0);
+        } else {
+            for (d, &j) in dst.iter_mut().zip(&self.map.thread[t0..]) {
                 *d = if j == ABSENT { 0.0 } else { src[j as usize] };
             }
         }
-        RowRef::Zero => dst.fill(0.0),
     }
 }
 
-/// `dst[t] = f(dst[t], row[t])` with `row`'s zero-extension applied —
-/// absent positions combine with 0.0 (they must, for selections like
-/// `min`, where a missing measurement still competes as zero).
-fn combine_row(dst: &mut [f64], row: &RowRef<'_>, f: impl Fn(f64, f64) -> f64) {
-    match row {
-        RowRef::Dense(s) => {
-            for (d, &v) in dst.iter_mut().zip(s.iter()) {
-                *d = f(*d, v);
-            }
+impl BlockFill for GatherFill<'_> {
+    fn fill(&self, at: usize, dst: &mut [f64]) {
+        let (_, nc, nt) = self.shape;
+        if dst.is_empty() {
+            return;
         }
-        RowRef::Prefix(s) => {
-            let (head, tail) = dst.split_at_mut(s.len());
-            for (d, &v) in head.iter_mut().zip(s.iter()) {
-                *d = f(*d, v);
-            }
-            for d in tail {
-                *d = f(*d, 0.0);
-            }
-        }
-        RowRef::Gather { src, idx } => {
-            for (d, &j) in dst.iter_mut().zip(idx.iter()) {
-                let v = if j == ABSENT { 0.0 } else { src[j as usize] };
-                *d = f(*d, v);
-            }
-        }
-        RowRef::Zero => {
-            for d in dst {
-                *d = f(*d, 0.0);
+        // Divide once per block; the row walk below only increments.
+        let (r, mut t0) = (at / nt, at % nt);
+        let (mut m, mut c) = (r / nc, r % nc);
+        let mut done = 0;
+        while done < dst.len() {
+            let n = (nt - t0).min(dst.len() - done);
+            self.fill_row(m, c, t0, &mut dst[done..done + n]);
+            done += n;
+            t0 = 0;
+            c += 1;
+            if c == nc {
+                c = 0;
+                m += 1;
             }
         }
     }
@@ -686,278 +682,70 @@ impl<'a> BatchPlan<'a> {
     /// over the integrated metadata.
     pub fn eval(&self, expr: &Expr) -> Result<Experiment, AlgebraError> {
         let values = self.eval_values(expr)?;
-        let severity = Severity::from_values(
-            self.tables.shape.0,
-            self.tables.shape.1,
-            self.tables.shape.2,
-            values,
-        );
-        let result = Experiment::new_unchecked(
+        Ok(derived(
             self.tables.metadata.clone(),
-            severity,
+            values,
             self.provenance_of(expr),
-        );
-        crate::invariant::debug_assert_closed(&result, "batch eval");
-        Ok(result)
+        ))
+    }
+
+    /// [`Self::eval`] for a plan used once: the result takes the
+    /// integrated metadata instead of a copy when no other plan shares
+    /// the tables.
+    pub fn into_eval(self, expr: &Expr) -> Result<Experiment, AlgebraError> {
+        let values = self.eval_values(expr)?;
+        let provenance = self.provenance_of(expr);
+        let metadata = match Arc::try_unwrap(self.tables) {
+            Ok(tables) => tables.metadata,
+            Err(shared) => shared.metadata.clone(),
+        };
+        Ok(derived(metadata, values, provenance))
     }
 
     // -- expression evaluation ---------------------------------------------
 
-    fn check_index(&self, i: usize) -> Result<(), AlgebraError> {
-        if i >= self.operands.len() {
-            return Err(AlgebraError::OperandOutOfRange {
-                index: i,
-                len: self.operands.len(),
-            });
-        }
-        Ok(())
-    }
-
+    /// Lowers the whole tree into one kernel program and runs it in a
+    /// single traversal ([`crate::kernel`]). Each referenced operand is
+    /// bound once: read in place when it needs no gathering, through a
+    /// [`GatherFill`] over its cached tables otherwise. Malformed trees
+    /// fail to compile with the error `eval` reports.
     fn eval_values(&self, expr: &Expr) -> Result<Vec<f64>, AlgebraError> {
-        if let Some(out) = self.eval_fused(expr) {
-            return Ok(out);
-        }
-        match expr {
-            Expr::Operand(i) => {
-                self.check_index(*i)?;
-                let mut out = self.zeroed();
-                self.for_each_row(&mut out, |m, c, row| {
-                    assign_row(row, &self.operand_row(*i, m, c));
-                });
-                Ok(out)
-            }
-            Expr::Reduce(r, idxs) => self.reduce_values(*r, idxs),
-            Expr::Diff(a, b) => {
-                // The two sides are independent whole-plan evaluations
-                // (e.g. `diff(mean(A…), mean(B…))`), so fork them; each
-                // side's own kernels are deterministic, and the results
-                // land positionally, so the fork cannot change values.
-                let (x, y) = rayon::join(|| self.eval_values(a), || self.eval_values(b));
-                let mut x = x?;
-                zip_sub(&mut x, &y?);
-                Ok(x)
-            }
-            Expr::Scale(inner, factor) => {
-                let mut x = self.eval_values(inner)?;
-                let f = *factor;
-                map_values(&mut x, |v| v * f);
-                Ok(x)
-            }
-            Expr::Zero => Ok(self.zeroed()),
-        }
-    }
-
-    /// Fused single-pass evaluation ([`crate::kernel`]): lowers the
-    /// whole tree into one kernel program and runs it in one traversal
-    /// of the operand arrays. Returns `None` — falling back to the
-    /// unfused tree walk — when fusion is switched off, when the tree
-    /// fails to compile (the unfused walk then re-diagnoses the same
-    /// error), or when a referenced operand needs gathering; in the
-    /// last case the `Diff`/`Scale` recursion still retries fusion on
-    /// each gather-free subtree. Results are byte-identical to the
-    /// unfused path at every thread count (see `docs/KERNELS.md`).
-    fn eval_fused(&self, expr: &Expr) -> Option<Vec<f64>> {
-        if !kernel::fusion_enabled() {
-            return None;
-        }
-        let prog = kernel::KernelProgram::compile(expr, self.operands.len()).ok()?;
-        let sources = prog
+        let prog = KernelProgram::compile(expr, self.operands.len())?;
+        let fills: Vec<Option<GatherFill<'_>>> = prog
             .slots()
             .iter()
-            .map(|&i| self.dense_values(i))
-            .collect::<Option<Vec<_>>>()?;
-        let mut out = self.zeroed();
-        kernel::eval_fused(&prog, &sources, &mut out);
-        Some(out)
-    }
-
-    /// Whether [`Self::eval`] would route `expr` through the fused
-    /// single-pass kernel program at the top level: fusion is enabled,
-    /// the tree compiles, and every referenced operand is gather-free.
-    /// Exposed so tests and CI gates can assert which path an
-    /// evaluation takes.
-    pub fn fusible(&self, expr: &Expr) -> bool {
-        kernel::fusion_enabled()
-            && kernel::KernelProgram::compile(expr, self.operands.len())
-                .map(|p| p.slots().iter().all(|&i| self.dense_values(i).is_some()))
-                .unwrap_or(false)
-    }
-
-    fn reduce_values(&self, r: Reduction, idxs: &[usize]) -> Result<Vec<f64>, AlgebraError> {
-        let Some((&first, rest)) = idxs.split_first() else {
-            return Err(AlgebraError::EmptyOperandList { operator: r.name() });
-        };
-        for &i in idxs {
-            self.check_index(i)?;
-        }
-        let k = idxs.len() as f64;
-        let mut out = self.zeroed();
-        match r {
-            Reduction::Sum | Reduction::Mean => {
-                let scale = if r == Reduction::Mean { 1.0 / k } else { 1.0 };
-                self.fold_rows(&mut out, first, rest, |x, y| x + y, scale);
-            }
-            Reduction::Min => self.fold_rows(&mut out, first, rest, f64::min, 1.0),
-            Reduction::Max => self.fold_rows(&mut out, first, rest, f64::max, 1.0),
-            Reduction::Variance | Reduction::Stddev => {
-                // Two blocked passes: the element-wise mean, then the
-                // averaged squared deviations against it. Divisions (not
-                // reciprocal multiplies) keep results bit-identical to
-                // the pairwise oracle.
-                let mut mean = self.zeroed();
-                self.fold_rows(&mut mean, first, rest, |x, y| x + y, 1.0);
-                map_values(&mut mean, |v| v / k);
-                if self.all_dense(idxs) {
-                    for &i in idxs {
-                        let src = self.dense_values(i).expect("checked dense");
-                        accumulate_sqdev_dense(&mut out, src, &mean);
-                    }
-                } else {
-                    let nt = self.tables.shape.2;
-                    self.for_each_row(&mut out, |m, c, row| {
-                        let r0 = m * self.tables.shape.1 + c;
-                        let mrow = &mean[r0 * nt..(r0 + 1) * nt];
-                        for &i in idxs {
-                            accumulate_sqdev(row, &self.operand_row(i, m, c), mrow);
-                        }
-                    });
-                }
-                map_values(&mut out, |v| v / k);
-                if r == Reduction::Stddev {
-                    map_values(&mut out, f64::sqrt);
-                }
-            }
-        }
+            .map(|&i| match &self.tables.sources[i] {
+                Source::Gather(map) => Some(GatherFill {
+                    map,
+                    view: self.views[i],
+                    shape: self.tables.shape,
+                }),
+                Source::Direct | Source::Extended(_) => None,
+            })
+            .collect();
+        let inputs: Vec<SlotInput<'_>> = prog
+            .slots()
+            .iter()
+            .zip(&fills)
+            .map(|(&i, fill)| match (fill, &self.tables.sources[i]) {
+                (Some(fill), _) => SlotInput::Fill(fill),
+                (None, Source::Extended(sev)) => SlotInput::Dense(sev.values()),
+                (None, _) => SlotInput::Dense(self.views[i].values),
+            })
+            .collect();
+        let (nm, nc, nt) = self.tables.shape;
+        let mut out = vec![0.0; nm * nc * nt];
+        kernel::eval_fused(&prog, &inputs, &mut out);
         Ok(out)
     }
 
-    /// Copy-first fold: `out = op_first`, then `out = f(out, op_i)` per
-    /// remaining operand, one blocked pass over the integrated rows,
-    /// finally multiplied by `scale` (1.0 = untouched). Generic in `f`
-    /// so the per-element combine inlines (a `dyn` closure here costs a
-    /// dynamic call per element and dominates the whole reduction).
-    fn fold_rows(
-        &self,
-        out: &mut [f64],
-        first: usize,
-        rest: &[usize],
-        f: impl Fn(f64, f64) -> f64 + Sync + Copy,
-        scale: f64,
-    ) {
-        // Dense fast path: when no operand needs gathering, the fold is
-        // a straight sweep over contiguous full-size arrays — no
-        // per-row source dispatch (which otherwise dominates at small
-        // thread counts). Same fold order, so results are identical.
-        if self.all_dense(&[first]) && self.all_dense(rest) {
-            out.copy_from_slice(self.dense_values(first).expect("checked dense"));
-            // Two operands per sweep halve the accumulator traffic;
-            // per element the applications stay in operand order, so
-            // the result is bit-identical to a one-by-one fold.
-            for pair in rest.chunks(2) {
-                let s1 = self.dense_values(pair[0]).expect("checked dense");
-                if let Some(&i2) = pair.get(1) {
-                    let s2 = self.dense_values(i2).expect("checked dense");
-                    if out.len() >= PAR_THRESHOLD {
-                        out.par_iter_mut()
-                            .zip(s1.par_iter().zip(s2.par_iter()))
-                            .for_each(|(d, (a, b))| *d = f(f(*d, *a), *b));
-                    } else {
-                        for (d, (a, b)) in out.iter_mut().zip(s1.iter().zip(s2)) {
-                            *d = f(f(*d, *a), *b);
-                        }
-                    }
-                } else if out.len() >= PAR_THRESHOLD {
-                    out.par_iter_mut()
-                        .zip(s1.par_iter())
-                        .for_each(|(d, s)| *d = f(*d, *s));
-                } else {
-                    for (d, s) in out.iter_mut().zip(s1) {
-                        *d = f(*d, *s);
-                    }
-                }
-            }
-            if scale != 1.0 {
-                map_values(out, |v| v * scale);
-            }
-            return;
-        }
-        self.for_each_row(out, |m, c, row| {
-            assign_row(row, &self.operand_row(first, m, c));
-            for &i in rest {
-                combine_row(row, &self.operand_row(i, m, c), f);
-            }
-            if scale != 1.0 {
-                for v in row {
-                    *v *= scale;
-                }
-            }
-        });
-    }
-
-    /// Whole-array view of an operand whose source needs no gathering.
-    fn dense_values(&self, i: usize) -> Option<&[f64]> {
-        match &self.tables.sources[i] {
-            Source::Direct => Some(self.views[i].values),
-            Source::Extended(s) => Some(s.values()),
-            Source::Gather(_) => None,
-        }
-    }
-
-    fn all_dense(&self, idxs: &[usize]) -> bool {
-        idxs.iter().all(|&i| self.dense_values(i).is_some())
-    }
-
-    fn zeroed(&self) -> Vec<f64> {
-        vec![0.0; self.tables.shape.0 * self.tables.shape.1 * self.tables.shape.2]
-    }
-
-    /// Runs `f(metric, call, row)` for every integrated row, in blocks
-    /// of rows distributed over Rayon above the element threshold.
-    fn for_each_row(&self, values: &mut [f64], f: impl Fn(usize, usize, &mut [f64]) + Sync) {
-        let (_, nc, nt) = self.tables.shape;
-        if values.is_empty() || nt == 0 {
-            return;
-        }
-        let run = |start_row: usize, block: &mut [f64]| {
-            for (i, row) in block.chunks_mut(nt).enumerate() {
-                let r = start_row + i;
-                f(r / nc, r % nc, row);
-            }
-        };
-        if values.len() >= PAR_THRESHOLD {
-            let rows_per_block = (PAR_THRESHOLD / nt).max(1);
-            values
-                .par_chunks_mut(rows_per_block * nt)
-                .enumerate()
-                .for_each(|(bi, block)| run(bi * rows_per_block, block));
-        } else {
-            run(0, values);
-        }
-    }
-
-    /// The operand's contribution to integrated row `(m, c)`, read
-    /// through the cached source — no allocation, no copies.
-    fn operand_row(&self, i: usize, m: usize, c: usize) -> RowRef<'_> {
-        match &self.tables.sources[i] {
-            Source::Direct => RowRef::Dense(self.views[i].row(m * self.tables.shape.1 + c)),
-            Source::Extended(sev) => RowRef::Dense(sev.row_at(m * self.tables.shape.1 + c)),
-            Source::Gather(g) => {
-                let (im, ic) = (g.metric[m], g.call[c]);
-                if im == ABSENT || ic == ABSENT {
-                    return RowRef::Zero;
-                }
-                let view = &self.views[i];
-                let onc = view.shape.1;
-                let src = view.row(im as usize * onc + ic as usize);
-                match g.thread_prefix {
-                    Some(_) => RowRef::Prefix(src),
-                    None => RowRef::Gather {
-                        src,
-                        idx: &g.thread,
-                    },
-                }
-            }
-        }
+    /// Whether [`Self::eval`] can evaluate `expr`: the tree compiles to
+    /// a kernel program. Every plan runs the fused kernel, gathered
+    /// operands included, so this is `false` only for the malformed
+    /// trees `eval` rejects (an empty reduction, an out-of-range
+    /// operand index).
+    pub fn fusible(&self, expr: &Expr) -> bool {
+        KernelProgram::compile(expr, self.operands.len()).is_ok()
     }
 
     // -- provenance ---------------------------------------------------------
@@ -986,72 +774,14 @@ impl<'a> BatchPlan<'a> {
     }
 }
 
-/// `dst[i] = f(dst[i])`, parallel above the element threshold.
-fn map_values(dst: &mut [f64], f: impl Fn(f64) -> f64 + Sync) {
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut().for_each(|v| *v = f(*v));
-    } else {
-        for v in dst {
-            *v = f(*v);
-        }
-    }
-}
-
-fn zip_sub(dst: &mut [f64], src: &[f64]) {
-    debug_assert_eq!(dst.len(), src.len());
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(src.par_iter())
-            .for_each(|(d, s)| *d -= *s);
-    } else {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d -= *s;
-        }
-    }
-}
-
-/// `dst[i] += (src[i] − mean[i])²` over whole dense arrays, parallel
-/// above the element threshold.
-fn accumulate_sqdev_dense(dst: &mut [f64], src: &[f64], mean: &[f64]) {
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(src.par_iter().zip(mean.par_iter()))
-            .for_each(|(d, (&v, &m))| *d += (v - m) * (v - m));
-    } else {
-        for (d, (&v, &m)) in dst.iter_mut().zip(src.iter().zip(mean)) {
-            *d += (v - m) * (v - m);
-        }
-    }
-}
-
-/// `dst[t] += (row[t] − mean[t])²` with zero-extension applied.
-fn accumulate_sqdev(dst: &mut [f64], row: &RowRef<'_>, mean: &[f64]) {
-    match row {
-        RowRef::Dense(s) => {
-            for ((d, &v), &m) in dst.iter_mut().zip(s.iter()).zip(mean) {
-                *d += (v - m) * (v - m);
-            }
-        }
-        RowRef::Prefix(s) => {
-            for ((d, &v), &m) in dst.iter_mut().zip(s.iter()).zip(mean) {
-                *d += (v - m) * (v - m);
-            }
-            for (d, &m) in dst.iter_mut().zip(mean).skip(s.len()) {
-                *d += m * m;
-            }
-        }
-        RowRef::Gather { src, idx } => {
-            for ((d, &j), &m) in dst.iter_mut().zip(idx.iter()).zip(mean) {
-                let v = if j == ABSENT { 0.0 } else { src[j as usize] };
-                *d += (v - m) * (v - m);
-            }
-        }
-        RowRef::Zero => {
-            for (d, &m) in dst.iter_mut().zip(mean) {
-                *d += m * m;
-            }
-        }
-    }
+/// Wraps evaluated values in the derived experiment they define over
+/// `metadata`.
+fn derived(metadata: Metadata, values: Vec<f64>, provenance: Provenance) -> Experiment {
+    let (nm, nc, nt) = metadata.shape();
+    let severity = Severity::from_values(nm, nc, nt, values);
+    let result = Experiment::new_unchecked(metadata, severity, provenance);
+    crate::invariant::debug_assert_closed(&result, "batch eval");
+    result
 }
 
 // ---------------------------------------------------------------------------

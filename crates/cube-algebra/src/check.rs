@@ -181,15 +181,14 @@ pub struct CostEstimate {
     /// two expressions with equal keys share one metadata integration.
     pub plan_key: String,
     /// Shape of the fused kernel program ([`crate::kernel`]) the
-    /// evaluator runs for this tree when every operand is gather-free:
-    /// `None` when the tree does not compile (an error-level finding
-    /// explains why).
+    /// evaluator runs for this tree: `None` when the tree does not
+    /// compile (an error-level finding explains why).
     pub fused: Option<FusedCost>,
 }
 
-/// Static shape of a fused kernel program: with fusion on, the
-/// [`CostEstimate::reductions`]-many blocked severity passes collapse
-/// into **one** traversal running this program per element.
+/// Static shape of a fused kernel program: the
+/// [`CostEstimate::reductions`]-many reductions run as **one**
+/// traversal executing this program per element.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FusedCost {
     /// Program steps per element.

@@ -1,19 +1,19 @@
 //! Fused SIMD evaluation kernels: one pass over the data per expression.
 //!
-//! BENCH_5.json shows the 1M-element element-wise layer is
-//! memory-bound: the rayon and serial kernels run at the same speed, so
-//! threading no longer pays and the remaining lever is *fewer passes*
-//! over the severity arrays and *wider* per-element operations. This
-//! module supplies both:
+//! This is the one evaluator behind [`crate::batch::BatchPlan::eval`],
+//! and so behind every n-ary operator, `ops::diff`, `cube stats`, and
+//! `/eval`. BENCH_5.json shows the 1M-element element-wise layer is
+//! memory-bound, so the levers are *fewer passes* over the severity
+//! arrays and *wider* per-element operations. This module supplies
+//! both, plus the zero-extension the algebra needs:
 //!
 //! 1. **A fusion planner.** [`KernelProgram::compile`] lowers a checked
 //!    [`Expr`] tree into a flat program over a small virtual register
 //!    file — one `Load` per *distinct* operand, then pure register
 //!    arithmetic. Evaluating the program is a single traversal of the
 //!    operand arrays: `diff(mean(A,B),mean(C,D))` reads A, B, C, D once
-//!    each and writes the result once, where the tree-walking evaluator
-//!    in [`crate::batch`] makes one full-array pass (plus an
-//!    intermediate allocation) per operator node.
+//!    each and writes the result once, with no intermediate array per
+//!    operator node.
 //! 2. **Explicit-width lane kernels.** [`eval_fused`] interprets the
 //!    program over register *tiles* of [`TILE`] elements; each
 //!    instruction's inner loop is written over [`LANE`]-wide chunks
@@ -21,25 +21,32 @@
 //!    LLVM reliably turns into packed `f64x4` vector code. Instruction
 //!    dispatch is amortized over the whole tile, so interpreter
 //!    overhead is ~1/[`TILE`] of a branch per element.
+//! 3. **A gather load.** Each program slot is bound to a [`SlotInput`]:
+//!    a dense array read in place, or a [`BlockFill`] that writes one
+//!    block of the operand's *zero-extended* values into scratch before
+//!    the block's tiles run. The plan supplies fills for operands whose
+//!    metadata differs from the integrated schema.
 //!
 //! A plain per-element scalar interpreter, [`eval_scalar`], is kept as
-//! the **differential oracle**: `kernel_props.rs` pins
-//! `eval_fused == eval_scalar` *bitwise* across tail lengths and NaN
-//! cases, and the CI kernel stage byte-compares whole CLI runs between
-//! `--fusion on` and `--fusion off`.
+//! the **test oracle**: `kernel_props.rs` pins `eval_fused ==
+//! eval_scalar` *bitwise* across tail lengths and NaN cases, and — for
+//! whole plans — against `eval_scalar` over operands zero-extended with
+//! [`crate::extend::extend_severity_values`].
 //!
 //! # Determinism contract
 //!
-//! Fused results are **byte-identical** to the unfused evaluator at
-//! every thread count. This is what keeps `cube serve`'s result caches
-//! sound when fusion is toggled, and it holds by construction:
+//! Results are **byte-identical** at every thread count, and equal to
+//! zero-extending every operand first and then applying each operator
+//! element-wise (the paper's §3). This is what keeps `cube serve`'s
+//! result caches sound, and it holds by construction:
 //!
-//! * Every `Expr` node lowers to the *exact* per-element operation
-//!   sequence the unfused path applies — reductions are left folds in
-//!   operand order, `mean` multiplies by a precomputed `1/k` (skipped
-//!   when `k == 1`, as the unfused scale-skip does), the moments divide
-//!   by `k` (true division, not a reciprocal multiply), `stddev` takes
-//!   one final square root.
+//! * Every `Expr` node lowers to a fixed per-element operation
+//!   sequence — reductions are left folds in operand order, `mean`
+//!   multiplies by a precomputed `1/k` (skipped when `k == 1`), the
+//!   moments divide by `k` (true division, not a reciprocal multiply),
+//!   `stddev` takes one final square root.
+//! * A fill feeds exactly the zero-extended inputs: the operand's own
+//!   value, bit for bit, where it defines the tuple, `0.0` where not.
 //! * All of those operations are element-wise, so block and tile
 //!   boundaries — and therefore the worker count — cannot change any
 //!   bit of any element.
@@ -51,24 +58,24 @@
 //!
 //! # Page-granular streaming
 //!
-//! The parallel driver splits the output into blocks of
-//! [`BLOCK_VALUES`] elements — exactly one `.cubec` severity page
-//! (32 KiB of `f64`, see `docs/STORE.md`) — so a fused evaluation over
-//! columnar operands streams the decoded pages through the cache in
-//! page order, one page-sized working set per worker at a time.
-//!
-//! Fusion is on by default; `cube --fusion off` (or `CUBE_FUSION=off`
-//! in the environment) routes evaluation through the unfused tree
-//! walker, which the CI differential gate uses as the reference.
+//! The driver splits the output into blocks of [`BLOCK_VALUES`]
+//! elements — exactly one `.cubec` severity page (32 KiB of `f64`, see
+//! `docs/STORE.md`) — so a fused evaluation over columnar operands
+//! streams the decoded pages through the cache in page order, one
+//! page-sized working set per worker at a time. Blocks run serially
+//! below 64Ki elements and, in tasks of eight, on the worker pool above
+//! it; a fill's scratch is one block per worker.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::cell::Cell;
 
 use rayon::prelude::*;
 
 use crate::batch::{Expr, Reduction};
 use crate::error::AlgebraError;
-use crate::ops::PAR_THRESHOLD;
+
+/// Below this element count evaluation stays serial; the fork/join
+/// overhead would dominate (see the `par_elementwise` bench).
+pub(crate) const PAR_THRESHOLD: usize = 1 << 16;
 
 /// Lane width of the chunked kernels: four `f64`s, one AVX2 register
 /// (and two NEON registers). Tail elements past the last full lane are
@@ -81,52 +88,17 @@ pub const LANE: usize = 4;
 /// the register file (`num_regs × TILE × 8` bytes) L1-resident.
 pub const TILE: usize = 64;
 
-/// Elements per parallel block: one `.cubec` severity page (32 KiB of
-/// `f64`). Workers claim whole pages, so fused evaluation over
-/// columnar operands streams the store's decode granularity.
+/// Elements per block: one `.cubec` severity page (32 KiB of `f64`).
+/// Workers claim whole pages, so fused evaluation over columnar
+/// operands streams the store's decode granularity.
 pub const BLOCK_VALUES: usize = 4096;
-
-// ---------------------------------------------------------------------------
-// the fusion switch
-// ---------------------------------------------------------------------------
-
-/// Process-wide fusion switch, seeded once from `CUBE_FUSION` (any of
-/// `0`/`off`/`false`/`no` disables; everything else — including the
-/// variable being unset — enables).
-fn fusion_cell() -> &'static AtomicBool {
-    static FUSION: OnceLock<AtomicBool> = OnceLock::new();
-    FUSION.get_or_init(|| {
-        let on = match std::env::var("CUBE_FUSION") {
-            Ok(v) => !matches!(
-                v.to_ascii_lowercase().as_str(),
-                "0" | "off" | "false" | "no"
-            ),
-            Err(_) => true,
-        };
-        AtomicBool::new(on)
-    })
-}
-
-/// Whether [`crate::batch::BatchPlan::eval`] routes fusable expressions
-/// through the fused kernels. Defaults to `true`; results are
-/// byte-identical either way — the switch exists for differential
-/// testing and benchmarking.
-pub fn fusion_enabled() -> bool {
-    fusion_cell().load(Ordering::Relaxed)
-}
-
-/// Turns the fused evaluation path on or off process-wide (the CLI's
-/// global `--fusion on|off` flag lands here, overriding `CUBE_FUSION`).
-pub fn set_fusion(on: bool) {
-    fusion_cell().store(on, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // the program
 // ---------------------------------------------------------------------------
 
-/// The fold applied by a [`Instr::Fold`] step, in unfused operand
-/// order: `dst = op(dst, operand)`.
+/// The fold applied by a [`Instr::Fold`] step, in operand order:
+/// `dst = op(dst, operand)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FoldOp {
     /// `dst + v` (sum, mean, and the moments' inner sums).
@@ -163,8 +135,8 @@ pub enum Instr {
     SubAssign { dst: usize, src: usize },
     /// `r[dst] *= factor` (`scale`, and `mean`'s `1/k`).
     MulConst { dst: usize, factor: f64 },
-    /// `r[dst] /= divisor` (the moments divide — bit-compatible with
-    /// the unfused path, which never rewrites `/k` as `× (1/k)`).
+    /// `r[dst] /= divisor` (the moments divide; `/k` is never
+    /// rewritten as `× (1/k)`, which rounds differently).
     DivConst { dst: usize, divisor: f64 },
     /// `r[dst] += (operand[slot] − r[mean])²` (variance accumulation).
     SqDevAcc {
@@ -194,10 +166,10 @@ impl KernelProgram {
     /// Lowers an expression over `num_operands` plan operands into a
     /// fused program.
     ///
-    /// Fails with the same diagnosis the unfused evaluator would reach
-    /// — [`AlgebraError::EmptyOperandList`] for an empty reduction,
-    /// [`AlgebraError::OperandOutOfRange`] for a bad operand index — so
-    /// a compile failure never changes which error a caller reports.
+    /// Fails with [`AlgebraError::EmptyOperandList`] for an empty
+    /// reduction and [`AlgebraError::OperandOutOfRange`] for a bad
+    /// operand index, reporting the first one in left-to-right order;
+    /// [`crate::batch::BatchPlan::eval`] returns these errors as is.
     pub fn compile(expr: &Expr, num_operands: usize) -> Result<Self, AlgebraError> {
         let mut c = Compiler {
             num_operands,
@@ -283,8 +255,7 @@ impl Compiler {
     }
 
     /// Lowers one node, returning the register holding its value. The
-    /// walk order (left before right, operands in list order) matches
-    /// the unfused evaluator, so the *first* error agrees too.
+    /// walk goes left before right, operands in list order.
     fn lower(&mut self, expr: &Expr) -> Result<usize, AlgebraError> {
         match expr {
             Expr::Operand(i) => {
@@ -309,8 +280,8 @@ impl Compiler {
             }
             Expr::Scale(inner, factor) => {
                 let dst = self.lower(inner)?;
-                // The unfused path multiplies unconditionally (even by
-                // 1.0); mirror it exactly.
+                // Multiply unconditionally, even by 1.0, exactly as
+                // `ops::scale` does.
                 self.instrs.push(Instr::MulConst {
                     dst,
                     factor: *factor,
@@ -342,8 +313,7 @@ impl Compiler {
                     let slot = self.slot(i);
                     self.instrs.push(Instr::Fold { dst, slot, op });
                 }
-                // `fold_rows` skips its scale pass when the factor is
-                // exactly 1.0 (k == 1); skip the instruction likewise.
+                // A single-operand mean is the operand itself: no scale.
                 let scale = if r == Reduction::Mean { 1.0 / k } else { 1.0 };
                 if scale != 1.0 {
                     self.instrs.push(Instr::MulConst { dst, factor: scale });
@@ -351,7 +321,7 @@ impl Compiler {
                 Ok(dst)
             }
             Reduction::Variance | Reduction::Stddev => {
-                // The unfused two-pass moment, collapsed per element:
+                // The two-pass moment, collapsed per element:
                 // mean = (Σ vᵢ) / k, then acc = (Σ (vᵢ − mean)²) / k.
                 let mean = self.alloc();
                 let slot = self.slot(first);
@@ -539,36 +509,103 @@ fn run_tile(
     out[..n].copy_from_slice(&regs[prog.out][..n]);
 }
 
-/// Evaluates a fused program with the tiled lane kernels, in parallel
-/// blocks of [`BLOCK_VALUES`] elements above the element threshold.
+/// A zero-extending operand source, produced one block at a time.
 ///
-/// `sources` are the operand severity arrays in [`KernelProgram::slots`]
-/// order; every source must be exactly `out.len()` long. Results are
-/// bit-identical to [`eval_scalar`] at every thread count.
-pub fn eval_fused(prog: &KernelProgram, sources: &[&[f64]], out: &mut [f64]) {
-    assert_eq!(
-        sources.len(),
-        prog.slots.len(),
-        "one source per program slot"
-    );
-    for s in sources {
-        assert_eq!(s.len(), out.len(), "source length matches the output");
+/// `fill(at, dst)` writes elements `[at, at + dst.len())` of the
+/// operand's values on the output's shape: the operand's own value, bit
+/// for bit, where it defines the element, and `0.0` where it does not.
+/// Blocks for disjoint ranges may be filled concurrently.
+pub trait BlockFill: Sync {
+    /// Writes the zero-extended elements `[at, at + dst.len())`.
+    fn fill(&self, at: usize, dst: &mut [f64]);
+}
+
+/// What one program slot reads.
+#[derive(Clone, Copy)]
+pub enum SlotInput<'a> {
+    /// A full-length array in the output's layout, read in place.
+    Dense(&'a [f64]),
+    /// A block fill, run into scratch before each block's tiles.
+    Fill(&'a dyn BlockFill),
+}
+
+/// Elements per parallel task: eight blocks, run one after another on
+/// one worker, so a task's register file is set up once for all of
+/// them.
+const TASK_VALUES: usize = 8 * BLOCK_VALUES;
+
+thread_local! {
+    /// Per-worker fill scratch, one block per fill, reused across tasks
+    /// and evaluations so a gathered block costs no allocation or
+    /// zeroing. It keeps the largest size the worker has needed.
+    static SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs the program over `chunk` (elements `[base, base + chunk.len())`
+/// of the output), one [`BLOCK_VALUES`] block at a time. Before a
+/// block's tiles run, every slot is bound to the block's range — a
+/// dense slice in place, a fill into its own block-sized stripe of the
+/// worker's scratch.
+fn run_blocks(prog: &KernelProgram, inputs: &[SlotInput<'_>], base: usize, chunk: &mut [f64]) {
+    let fills = inputs
+        .iter()
+        .filter(|i| matches!(i, SlotInput::Fill(_)))
+        .count();
+    let stripe = BLOCK_VALUES.min(chunk.len()).max(1);
+    let mut regs = vec![[0.0f64; TILE]; prog.num_regs.max(1)];
+    // Taken out of the cell, not borrowed, so a fill may itself
+    // evaluate on this thread without aliasing it.
+    let mut scratch = SCRATCH.take();
+    if scratch.len() < fills * stripe {
+        scratch.resize(fills * stripe, 0.0);
     }
-    let run_block = |base: usize, block: &mut [f64]| {
-        let mut regs = vec![[0.0f64; TILE]; prog.num_regs.max(1)];
+    for (b, block) in chunk.chunks_mut(BLOCK_VALUES).enumerate() {
+        let at = base + b * BLOCK_VALUES;
+        let n = block.len();
+        let mut stripes = scratch.chunks_exact_mut(stripe);
+        let sources: Vec<&[f64]> = inputs
+            .iter()
+            .map(|input| match *input {
+                SlotInput::Dense(s) => &s[at..at + n],
+                SlotInput::Fill(f) => {
+                    let stripe = stripes.next().expect("one scratch stripe per fill");
+                    let dst = &mut stripe[..n];
+                    f.fill(at, dst);
+                    &*dst
+                }
+            })
+            .collect();
         let mut off = 0;
-        while off < block.len() {
-            let n = TILE.min(block.len() - off);
-            run_tile(prog, sources, base + off, n, &mut regs, &mut block[off..]);
-            off += n;
+        while off < n {
+            let t = TILE.min(n - off);
+            run_tile(prog, &sources, off, t, &mut regs, &mut block[off..]);
+            off += t;
         }
-    };
+    }
+    SCRATCH.set(scratch);
+}
+
+/// Evaluates a fused program with the tiled lane kernels, one
+/// [`BLOCK_VALUES`] block at a time: serially below the element
+/// threshold, in tasks of eight blocks on the worker pool above it.
+///
+/// `inputs` bind the program's slots in [`KernelProgram::slots`] order;
+/// every dense input must be exactly `out.len()` long. Results are
+/// bit-identical to [`eval_scalar`] over the materialized inputs at
+/// every thread count.
+pub fn eval_fused(prog: &KernelProgram, inputs: &[SlotInput<'_>], out: &mut [f64]) {
+    assert_eq!(inputs.len(), prog.slots.len(), "one input per program slot");
+    for input in inputs {
+        if let SlotInput::Dense(s) = input {
+            assert_eq!(s.len(), out.len(), "dense input length matches the output");
+        }
+    }
     if out.len() >= PAR_THRESHOLD {
-        out.par_chunks_mut(BLOCK_VALUES)
+        out.par_chunks_mut(TASK_VALUES)
             .enumerate()
-            .for_each(|(b, block)| run_block(b * BLOCK_VALUES, block));
+            .for_each(|(t, chunk)| run_blocks(prog, inputs, t * TASK_VALUES, chunk));
     } else {
-        run_block(0, out);
+        run_blocks(prog, inputs, 0, out);
     }
 }
 
@@ -606,28 +643,12 @@ pub fn eval_scalar(prog: &KernelProgram, sources: &[&[f64]], out: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// shared element-wise entry points (the non-expression surfaces)
+// in-place scaling (`ops::scale`, which keeps its operand's metadata)
 // ---------------------------------------------------------------------------
-
-/// `dst[i] -= src[i]` over whole arrays: the `diff` element-wise
-/// kernel, lane-chunked and parallel above the element threshold.
-/// Bit-identical to a serial scalar loop at any thread count.
-pub fn sub_in_place(dst: &mut [f64], src: &[f64]) {
-    debug_assert_eq!(dst.len(), src.len());
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_chunks_mut(BLOCK_VALUES)
-            .enumerate()
-            .for_each(|(b, d)| {
-                let at = b * BLOCK_VALUES;
-                k_sub(d, &src[at..at + d.len()]);
-            });
-    } else {
-        k_sub(dst, src);
-    }
-}
 
 /// `dst[i] *= factor` over whole arrays: the `scale` element-wise
 /// kernel, lane-chunked and parallel above the element threshold.
+/// Bit-identical to a serial scalar loop at any thread count.
 pub fn scale_in_place(dst: &mut [f64], factor: f64) {
     if dst.len() >= PAR_THRESHOLD {
         dst.par_chunks_mut(BLOCK_VALUES)
@@ -659,7 +680,8 @@ mod tests {
     fn run_both(prog: &KernelProgram, sources: &[&[f64]], n: usize) -> (Vec<f64>, Vec<f64>) {
         let mut fused = vec![0.0; n];
         let mut scalar = vec![0.0; n];
-        eval_fused(prog, sources, &mut fused);
+        let inputs: Vec<SlotInput<'_>> = sources.iter().map(|&s| SlotInput::Dense(s)).collect();
+        eval_fused(prog, &inputs, &mut fused);
         eval_scalar(prog, sources, &mut scalar);
         (fused, scalar)
     }
@@ -684,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn compile_reports_unfused_errors() {
+    fn compile_reports_malformed_trees() {
         let empty = Expr::Reduce(Reduction::Mean, Vec::new());
         assert!(matches!(
             KernelProgram::compile(&empty, 2),
@@ -731,16 +753,8 @@ mod tests {
     }
 
     #[test]
-    fn sub_and_scale_kernels_match_scalar_loops() {
+    fn scale_kernel_matches_a_scalar_loop() {
         for n in [0, 1, 3, 4, 5, 1000] {
-            let mut a = values(n, 9);
-            let b = values(n, 10);
-            let mut reference = a.clone();
-            for (d, s) in reference.iter_mut().zip(&b) {
-                *d -= *s;
-            }
-            sub_in_place(&mut a, &b);
-            assert_bits_eq(&a, &reference, &format!("sub at n={n}"));
             let mut c = values(n, 11);
             let mut reference = c.clone();
             for d in reference.iter_mut() {

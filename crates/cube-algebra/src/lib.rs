@@ -87,7 +87,7 @@ pub use check::{
 };
 pub use error::AlgebraError;
 pub use integrate::{integrate, integrate_metadata, Integrated};
-pub use kernel::{fusion_enabled, set_fusion, KernelProgram};
+pub use kernel::KernelProgram;
 pub use mapping::OperandMap;
 pub use options::{CallSiteEq, FailurePolicy, MergeOptions, SystemMergeMode};
 pub use parse::{parse_expr, render_expr, ExprParseError, ParsedExpr, Span, SpanNode};

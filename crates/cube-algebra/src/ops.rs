@@ -21,22 +21,20 @@
 //! difference of means, the merge of a minimum series, ...) are plain
 //! function composition.
 //!
-//! Element-wise loops switch to Rayon data parallelism above a size
-//! threshold — measured in the `par_elementwise` bench.
-
-use rayon::prelude::*;
+//! The arithmetic operators are thin: [`diff`] and the n-ary
+//! reductions evaluate through a [`BatchPlan`], whose fused kernel
+//! ([`crate::kernel`]) zero-extends operands block by block instead of
+//! materializing them, and [`scale`] calls the kernel's in-place scale
+//! directly. [`merge`] is a per-metric selection, not arithmetic, and
+//! keeps its own extend-and-copy body.
 
 use cube_model::{Experiment, Provenance, Severity};
 
-use crate::batch::{BatchPlan, Reduction};
+use crate::batch::{BatchPlan, Expr, Reduction};
 use crate::error::AlgebraError;
 use crate::extend::extend_severity;
 use crate::integrate::integrate;
 use crate::options::MergeOptions;
-
-/// Below this element count the element-wise loops stay serial; the
-/// fork/join overhead would dominate (see the `par_elementwise` bench).
-pub(crate) const PAR_THRESHOLD: usize = 1 << 16;
 
 fn label(e: &Experiment) -> String {
     e.provenance().label()
@@ -86,29 +84,9 @@ pub fn diff_with(
     subtrahend: &Experiment,
     options: MergeOptions,
 ) -> Experiment {
-    let integrated = integrate(&[minuend, subtrahend], options);
-    let shape = integrated.metadata.shape();
-    // The two zero-extensions touch disjoint data; fork them. Each is
-    // computed exactly as before, so values cannot change.
-    let (mut a, b) = rayon::join(
-        || extend_severity(minuend, &integrated.maps[0], shape),
-        || extend_severity(subtrahend, &integrated.maps[1], shape),
-    );
-    // The element-wise subtraction goes through the lane kernels when
-    // fusion is on, the scalar zip when it is off; both are
-    // bit-identical (the CI kernel stage byte-compares them).
-    if crate::kernel::fusion_enabled() {
-        crate::kernel::sub_in_place(a.values_mut(), b.values());
-    } else {
-        zip_in_place(a.values_mut(), b.values(), |x, y| x - y);
-    }
-    let result = Experiment::new_unchecked(
-        integrated.metadata,
-        a,
-        Provenance::derived("difference", vec![label(minuend), label(subtrahend)]),
-    );
-    crate::invariant::debug_assert_closed(&result, "difference");
-    result
+    BatchPlan::with_options(&[minuend, subtrahend], options)
+        .into_eval(&Expr::diff(Expr::Operand(0), Expr::Operand(1)))
+        .expect("a two-operand difference always compiles")
 }
 
 // ---------------------------------------------------------------------------
@@ -284,11 +262,7 @@ pub fn max_with(
 /// operators by hand.
 pub fn scale(e: &Experiment, factor: f64) -> Experiment {
     let mut sev = e.severity().clone();
-    if crate::kernel::fusion_enabled() {
-        crate::kernel::scale_in_place(sev.values_mut(), factor);
-    } else {
-        scale_in_place(sev.values_mut(), factor);
-    }
+    crate::kernel::scale_in_place(sev.values_mut(), factor);
     let result = Experiment::new_unchecked(
         e.metadata().clone(),
         sev,
@@ -296,33 +270,6 @@ pub fn scale(e: &Experiment, factor: f64) -> Experiment {
     );
     crate::invariant::debug_assert_closed(&result, "scale");
     result
-}
-
-// ---------------------------------------------------------------------------
-// element-wise kernels
-// ---------------------------------------------------------------------------
-
-fn zip_in_place(dst: &mut [f64], src: &[f64], f: impl Fn(f64, f64) -> f64 + Sync) {
-    debug_assert_eq!(dst.len(), src.len());
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(src.par_iter())
-            .for_each(|(d, s)| *d = f(*d, *s));
-    } else {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = f(*d, *s);
-        }
-    }
-}
-
-fn scale_in_place(dst: &mut [f64], factor: f64) {
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut().for_each(|d| *d *= factor);
-    } else {
-        for d in dst {
-            *d *= factor;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -394,6 +341,27 @@ mod tests {
         assert_eq!(d.metadata().num_threads(), 3);
         let vals = d.severity().values();
         assert_eq!(vals, &[2.0, 2.0, -3.0]);
+    }
+
+    #[test]
+    fn diff_keeps_a_gathered_negative_zero() {
+        // a (2 ranks) is gathered onto b's 3 ranks. Its stored -0.0 is
+        // read bit for bit, so -0.0 - 0.0 = -0.0 at the shared ranks,
+        // exactly as `BatchPlan` (and so `cube stats` and `/eval`)
+        // computes it; only the absent rank is 0.0 - 0.0 = +0.0.
+        let mut a = uniform("a", 2, 1.0);
+        a.severity_mut().values_mut().fill(-0.0);
+        let b = uniform("b", 3, 0.0);
+        let bits = |e: &Experiment| -> Vec<u64> {
+            e.severity().values().iter().map(|v| v.to_bits()).collect()
+        };
+        let d = diff(&a, &b);
+        let neg = (-0.0f64).to_bits();
+        assert_eq!(bits(&d), [neg, neg, 0]);
+        let plan = BatchPlan::new(&[&a, &b])
+            .eval(&Expr::diff(Expr::Operand(0), Expr::Operand(1)))
+            .unwrap();
+        assert_eq!(bits(&d), bits(&plan));
     }
 
     #[test]
@@ -561,7 +529,7 @@ mod tests {
             b.set_severity(t, c, ts[0], 1.0);
         }
         let big = b.build().unwrap();
-        assert!(big.severity().len() >= PAR_THRESHOLD);
+        assert!(big.severity().len() >= crate::kernel::PAR_THRESHOLD);
         let d = diff(&big, &big);
         assert!(d.severity().values().iter().all(|&v| v == 0.0));
     }

@@ -6,32 +6,31 @@
 //! 1. program level — [`kernel::eval_fused`] (tiled lane kernels)
 //!    against [`kernel::eval_scalar`] (the per-element oracle), across
 //!    every reduction, composite trees, and the SIMD tail lengths
-//!    `0 / 1 / LANE−1 / LANE / LANE+1` plus tile boundaries;
+//!    `0 / 1 / LANE−1 / LANE / LANE+1` plus tile and block boundaries,
+//!    with dense and block-fill inputs;
 //! 2. NaN policy — additive reductions propagate NaN, `min`/`max` drop
 //!    it (Rust `f64::min`/`max` semantics), fused and scalar agreeing
 //!    bit for bit;
-//! 3. plan level — [`BatchPlan::eval`] with fusion on vs off over real
-//!    experiments (dense and gather-fallback operands alike).
+//! 3. plan level — [`BatchPlan::eval`] over real experiments against a
+//!    test-side oracle: every operand zero-extended with
+//!    `extend_severity_values` through `plan.maps()`, then
+//!    `eval_scalar`. Dense, thread-prefix, per-thread-gather, extended
+//!    (non-injective), block-straddling and parallel-sized plans.
 //!
 //! The CI kernel stage runs this suite directly and `make miri` runs it
 //! under the interpreter (sizes shrink under miri; the borrow juggling
 //! in the tile executor is what miri is there to check).
 
-use std::sync::Mutex;
-
 use cube_algebra::batch::BatchOperand;
-use cube_algebra::kernel::{self, KernelProgram, BLOCK_VALUES, LANE, TILE};
+use cube_algebra::extend::extend_severity_values;
+use cube_algebra::kernel::{self, BlockFill, KernelProgram, SlotInput, BLOCK_VALUES, LANE, TILE};
 use cube_algebra::{BatchPlan, Expr, MergeOptions, Reduction};
-use cube_model::builder::single_threaded_system;
-use cube_model::{Experiment, ExperimentBuilder, RegionKind, Unit};
+use cube_model::{Experiment, ExperimentBuilder, RegionKind, Severity, Unit};
 
-/// Serializes the tests that toggle the process-wide fusion switch.
-static FUSION_LOCK: Mutex<()> = Mutex::new(());
-
-/// Elements for the parallel-path test: above the 64Ki threshold so
-/// `eval_fused` splits into [`BLOCK_VALUES`] blocks (shrunk under miri,
-/// where the interpreter makes big sweeps prohibitively slow and the
-/// serial tile loop exercises the same borrows).
+/// Elements for the parallel-path tests: above the 64Ki threshold so
+/// `eval_fused` runs its [`BLOCK_VALUES`] blocks on the pool (shrunk
+/// under miri, where the interpreter makes big sweeps prohibitively
+/// slow and the serial block loop exercises the same borrows).
 const BIG: usize = if cfg!(miri) { 3 * TILE + 7 } else { 80_000 };
 
 const ALL_REDUCTIONS: [Reduction; 6] = [
@@ -71,9 +70,10 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 fn pin(prog: &KernelProgram, data: &[Vec<f64>], what: &str) -> Vec<f64> {
     let n = data.first().map_or(0, Vec::len);
     let sources: Vec<&[f64]> = prog.slots().iter().map(|&i| data[i].as_slice()).collect();
+    let inputs: Vec<SlotInput<'_>> = sources.iter().map(|&s| SlotInput::Dense(s)).collect();
     let mut fused = vec![0.0; n];
     let mut scalar = vec![0.0; n];
-    kernel::eval_fused(prog, &sources, &mut fused);
+    kernel::eval_fused(prog, &inputs, &mut fused);
     kernel::eval_scalar(prog, &sources, &mut scalar);
     assert_bits_eq(&fused, &scalar, what);
     fused
@@ -100,7 +100,7 @@ fn every_reduction_matches_the_scalar_oracle() {
 fn simd_tails_at_lane_and_tile_boundaries() {
     // The lengths the tail rules must get right: empty, sub-lane, the
     // exact lane, lane+1, and the same around the interpreter tile and
-    // a parallel block boundary.
+    // a block boundary.
     let lengths = [
         0,
         1,
@@ -153,6 +153,51 @@ fn operand_loads_are_deduplicated() {
     pin(&prog, &data, "dedup bundle");
 }
 
+/// A block fill that copies from a full array and records every range
+/// it was asked for.
+struct CopyFill<'a> {
+    src: &'a [f64],
+    calls: std::sync::Mutex<Vec<(usize, usize)>>,
+}
+
+impl BlockFill for CopyFill<'_> {
+    fn fill(&self, at: usize, dst: &mut [f64]) {
+        dst.copy_from_slice(&self.src[at..at + dst.len()]);
+        self.calls.lock().unwrap().push((at, dst.len()));
+    }
+}
+
+#[test]
+fn fill_inputs_match_dense_inputs_in_whole_blocks() {
+    // Serial (below the threshold) and parallel (above it): a slot
+    // bound to a fill gives the same bits as the same data bound in
+    // place, and the fill is asked for exactly the BLOCK_VALUES blocks.
+    let expr = Expr::diff(
+        Expr::reduce(Reduction::Stddev, [0, 1]),
+        Expr::reduce(Reduction::Min, [1, 0]),
+    );
+    let prog = KernelProgram::compile(&expr, 2).unwrap();
+    for n in [0, 1, BLOCK_VALUES + 1, 3 * BLOCK_VALUES, BIG] {
+        let data: Vec<Vec<f64>> = (0..2).map(|s| values(n, s + 51)).collect();
+        let dense = pin(&prog, &data, &format!("dense at n={n}"));
+        let fill = CopyFill {
+            src: &data[1],
+            calls: Default::default(),
+        };
+        let inputs = [SlotInput::Dense(&data[0]), SlotInput::Fill(&fill)];
+        let mut out = vec![0.0; n];
+        kernel::eval_fused(&prog, &inputs, &mut out);
+        assert_bits_eq(&out, &dense, &format!("fill at n={n}"));
+        let mut calls = fill.calls.into_inner().unwrap();
+        calls.sort_unstable();
+        let blocks: Vec<(usize, usize)> = (0..n)
+            .step_by(BLOCK_VALUES)
+            .map(|at| (at, BLOCK_VALUES.min(n - at)))
+            .collect();
+        assert_eq!(calls, blocks, "fill ranges at n={n}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // NaN policy
 // ---------------------------------------------------------------------------
@@ -201,12 +246,14 @@ fn nan_in_a_later_operand_loses_the_min_fold() {
 }
 
 // ---------------------------------------------------------------------------
-// plan level: fusion on == fusion off, bitwise, over real experiments
+// plan level: BatchPlan::eval == eval_scalar over zero-extended operands
 // ---------------------------------------------------------------------------
 
-/// `metrics × calls × ranks` experiment filled from the LCG stream,
-/// with optional NaN injection.
-fn experiment(name: &str, metrics: usize, calls: usize, ranks: usize, seed: u64) -> Experiment {
+/// `metrics × calls × ranks` experiment filled from the LCG stream. The
+/// call nodes form a chain; `ranks` are the application-level rank
+/// numbers, so a sparse list (`[0, 2]`) integrates as a per-thread
+/// gather rather than a prefix.
+fn experiment_on(name: &str, metrics: usize, calls: usize, ranks: &[i32], seed: u64) -> Experiment {
     let mut b = ExperimentBuilder::new(name);
     let ms: Vec<_> = (0..metrics)
         .map(|i| b.def_metric(format!("m{i}"), Unit::Seconds, "", None))
@@ -222,8 +269,16 @@ fn experiment(name: &str, metrics: usize, calls: usize, ranks: usize, seed: u64)
             n
         })
         .collect();
-    let ts = single_threaded_system(&mut b, ranks);
-    let vals = values(metrics * calls * ranks, seed);
+    let mach = b.def_machine("machine");
+    let node = b.def_node("node", mach);
+    let ts: Vec<_> = ranks
+        .iter()
+        .map(|&r| {
+            let p = b.def_process(format!("rank {r}"), r, node);
+            b.def_thread(format!("rank {r} thread 0"), 0, p)
+        })
+        .collect();
+    let vals = values(metrics * calls * ranks.len(), seed);
     let mut it = vals.iter();
     for &m in &ms {
         for &c in &cns {
@@ -233,6 +288,12 @@ fn experiment(name: &str, metrics: usize, calls: usize, ranks: usize, seed: u64)
         }
     }
     b.build().unwrap()
+}
+
+/// [`experiment_on`] over ranks `0..ranks`.
+fn experiment(name: &str, metrics: usize, calls: usize, ranks: usize, seed: u64) -> Experiment {
+    let ranks: Vec<i32> = (0..ranks as i32).collect();
+    experiment_on(name, metrics, calls, &ranks, seed)
 }
 
 fn plan_exprs() -> Vec<(&'static str, Expr)> {
@@ -256,105 +317,229 @@ fn plan_exprs() -> Vec<(&'static str, Expr)> {
     exprs
 }
 
-/// Evaluates with fusion forced on and off under the lock, asserting
-/// byte-identical severity values. `expect_fusible: None` skips the
-/// path assertion (mixed dense/gather plans fuse some trees, not all).
-fn pin_plan(operands: &[&dyn BatchOperand], expr: &Expr, expect_fusible: Option<bool>, what: &str) {
-    let _guard = FUSION_LOCK.lock().unwrap();
+/// The test-side oracle: zero-extends every operand onto the plan's
+/// shape through `plan.maps()`, then interprets the program one element
+/// at a time.
+fn oracle(plan: &BatchPlan<'_>, operands: &[&dyn BatchOperand], expr: &Expr) -> Vec<f64> {
+    let prog = KernelProgram::compile(expr, operands.len()).unwrap();
+    let shape = plan.shape();
+    let extended: Vec<Severity> = operands
+        .iter()
+        .zip(plan.maps())
+        .map(|(op, map)| {
+            extend_severity_values(op.severity_values(), op.severity_shape(), map, shape)
+        })
+        .collect();
+    let sources: Vec<&[f64]> = prog.slots().iter().map(|&i| extended[i].values()).collect();
+    let mut out = vec![0.0; shape.0 * shape.1 * shape.2];
+    kernel::eval_scalar(&prog, &sources, &mut out);
+    out
+}
+
+/// Asserts that every expression compiles (`fusible`) and that the plan
+/// reproduces the oracle bit for bit.
+fn pin_plan(operands: &[&dyn BatchOperand], exprs: &[(&str, Expr)], what: &str) {
     let plan = BatchPlan::from_operands(operands, MergeOptions::default());
-    kernel::set_fusion(true);
-    if let Some(expect) = expect_fusible {
-        assert_eq!(plan.fusible(expr), expect, "{what}: fusible()");
+    for (name, expr) in exprs {
+        assert!(plan.fusible(expr), "{what}/{name}: fusible()");
+        let got = plan.eval(expr).unwrap();
+        let want = oracle(&plan, operands, expr);
+        assert_bits_eq(got.severity().values(), &want, &format!("{what}/{name}"));
     }
-    let fused = plan.eval(expr).unwrap();
-    kernel::set_fusion(false);
-    assert!(!plan.fusible(expr), "{what}: fusible() with fusion off");
-    let unfused = plan.eval(expr).unwrap();
-    kernel::set_fusion(true);
-    assert_bits_eq(fused.severity().values(), unfused.severity().values(), what);
-    assert_eq!(
-        fused.provenance().label(),
-        unfused.provenance().label(),
-        "{what}: provenance"
-    );
+}
+
+fn as_operands(exps: &[Experiment]) -> Vec<&dyn BatchOperand> {
+    exps.iter().map(|e| e as &dyn BatchOperand).collect()
+}
+
+/// Whether operand `i` reads through gather tables or an extended copy
+/// rather than in place.
+fn needs_extension(plan: &BatchPlan<'_>, exps: &[Experiment], i: usize) -> bool {
+    exps[i].severity().shape() != plan.shape() || !plan.maps()[i].is_identity()
 }
 
 #[test]
-fn fused_plan_matches_unfused_on_dense_operands() {
+fn plan_matches_oracle_on_dense_operands() {
     let (calls, ranks) = if cfg!(miri) { (3, 5) } else { (9, 31) };
     let exps: Vec<Experiment> = (0..3)
         .map(|i| experiment("dense", 4, calls, ranks, 100 + i))
         .collect();
-    let operands: Vec<&dyn BatchOperand> = exps.iter().map(|e| e as &dyn BatchOperand).collect();
-    for (name, expr) in plan_exprs() {
-        pin_plan(&operands, &expr, Some(true), &format!("dense/{name}"));
-    }
+    pin_plan(&as_operands(&exps), &plan_exprs(), "dense");
 }
 
 #[test]
-fn fused_plan_matches_unfused_with_nan_values() {
+fn plan_matches_oracle_with_nan_values() {
     let mut exps: Vec<Experiment> = (0..3)
         .map(|i| experiment("nan", 2, 4, 5, 200 + i))
         .collect();
-    // Poison a few positions of operand 1 in place.
-    let e = &mut exps[1];
-    let poisoned = {
-        let vals = e.severity_mut().values_mut();
-        vals[0] = f64::NAN;
-        let mid = vals.len() / 2;
-        vals[mid] = f64::NAN;
-        true
-    };
-    assert!(poisoned);
-    let operands: Vec<&dyn BatchOperand> = exps.iter().map(|e| e as &dyn BatchOperand).collect();
-    for (name, expr) in plan_exprs() {
-        pin_plan(&operands, &expr, Some(true), &format!("nan/{name}"));
-    }
+    let vals = exps[1].severity_mut().values_mut();
+    vals[0] = f64::NAN;
+    let mid = vals.len() / 2;
+    vals[mid] = f64::NAN;
+    pin_plan(&as_operands(&exps), &plan_exprs(), "nan");
 }
 
 #[test]
-fn gather_operands_fall_back_and_still_agree() {
-    // Different call-tree depths: integration extends the shallower
-    // operands, and differing thread counts force a Gather source, so
-    // the fused path must decline and the tree walker must answer.
-    let a = experiment("deep", 2, 6, 4, 301);
-    let b = experiment("shallow", 2, 3, 2, 302);
-    let c = experiment("mid", 2, 4, 4, 303);
-    let operands: Vec<&dyn BatchOperand> = [&a, &b, &c]
-        .iter()
-        .map(|e| *e as &dyn BatchOperand)
+fn thread_prefix_plan_matches_oracle() {
+    // Operand 1 has fewer ranks: its rows are a prefix of the
+    // integrated rows, zero beyond.
+    let exps = vec![
+        experiment("a", 2, 4, 5, 301),
+        experiment("b", 2, 4, 3, 302),
+        experiment("c", 2, 4, 5, 303),
+    ];
+    let plan = BatchPlan::new(&exps.iter().collect::<Vec<_>>());
+    assert!(needs_extension(&plan, &exps, 1));
+    assert_eq!(plan.maps()[1].threads.len(), 3);
+    pin_plan(&as_operands(&exps), &plan_exprs(), "prefix");
+}
+
+#[test]
+fn mixed_call_and_thread_gathers_match_oracle() {
+    // Different call-tree depths and thread counts: integration
+    // extends the shallower operands on both dimensions.
+    let exps = vec![
+        experiment("deep", 2, 6, 4, 311),
+        experiment("shallow", 2, 3, 2, 312),
+        experiment("mid", 2, 4, 4, 313),
+    ];
+    let plan = BatchPlan::new(&exps.iter().collect::<Vec<_>>());
+    assert!(needs_extension(&plan, &exps, 1) && needs_extension(&plan, &exps, 2));
+    pin_plan(&as_operands(&exps), &plan_exprs(), "mixed gather");
+}
+
+#[test]
+fn per_thread_gather_plan_matches_oracle() {
+    // Operand 1 defines ranks 0 and 2 of the integrated 0..4, so its
+    // thread table is not a prefix: every row gathers per thread.
+    let exps = vec![
+        experiment_on("full", 2, 3, &[0, 1, 2, 3], 321),
+        experiment_on("sparse", 2, 3, &[0, 2], 322),
+        experiment_on("other", 2, 3, &[0, 1, 2, 3], 323),
+    ];
+    let plan = BatchPlan::new(&exps.iter().collect::<Vec<_>>());
+    let threads: Vec<usize> = plan.maps()[1].threads.iter().map(|t| t.index()).collect();
+    assert_eq!(threads, [0, 2], "a non-prefix thread map");
+    pin_plan(&as_operands(&exps), &plan_exprs(), "per-thread gather");
+}
+
+#[test]
+fn extended_operand_plan_matches_oracle() {
+    // Two structurally equal sibling roots collapse onto one integrated
+    // call node: a non-injective map, evaluated from the plan's cached
+    // zero-extended (accumulated) copy.
+    let mut b = ExperimentBuilder::new("dup");
+    let ms: Vec<_> = (0..2)
+        .map(|i| b.def_metric(format!("m{i}"), Unit::Seconds, "", None))
         .collect();
-    let plan = BatchPlan::from_operands(&operands, MergeOptions::default());
-    let expr = Expr::reduce(Reduction::Mean, 0..3);
-    let fusible = {
-        let _guard = FUSION_LOCK.lock().unwrap();
-        kernel::set_fusion(true);
-        plan.fusible(&expr)
-    };
-    // At least one operand needs gathering here; the plan must say so.
-    assert!(!fusible, "gathered operands cannot fuse");
-    // Trees that only touch dense operands (or none, like zero()) may
-    // still fuse; only the byte-identity is asserted here.
-    for (name, expr) in plan_exprs() {
-        pin_plan(&operands, &expr, None, &format!("gather/{name}"));
+    let module = b.def_module("k.rs", "/k.rs");
+    let region = b.def_region("work", module, RegionKind::Function, 1, 9);
+    let cs = b.def_call_site("k.rs", 2, region);
+    let roots = [b.def_call_node(cs, None), b.def_call_node(cs, None)];
+    let mach = b.def_machine("machine");
+    let node = b.def_node("node", mach);
+    let ts: Vec<_> = (0..3)
+        .map(|r| {
+            let p = b.def_process(format!("rank {r}"), r, node);
+            b.def_thread(format!("rank {r} thread 0"), 0, p)
+        })
+        .collect();
+    let mut vals = values(2 * 2 * 3, 331).into_iter();
+    for &m in &ms {
+        for &c in &roots {
+            for &t in &ts {
+                b.set_severity(m, c, t, vals.next().unwrap());
+            }
+        }
     }
+    let exps = vec![
+        b.build().unwrap(),
+        experiment("single", 2, 1, 3, 332),
+        experiment("other", 2, 1, 3, 333),
+    ];
+    let plan = BatchPlan::new(&exps.iter().collect::<Vec<_>>());
+    let calls = &plan.maps()[0].call_nodes;
+    assert_eq!(calls[0], calls[1], "a non-injective call map");
+    pin_plan(&as_operands(&exps), &plan_exprs(), "extended");
 }
 
 #[test]
-fn fused_plan_parallel_path_matches_unfused() {
-    // One metric, one call node, BIG ranks: crosses the parallel
-    // threshold so the fused block driver and the unfused blocked
-    // kernels both engage.
+fn rows_straddling_blocks_match_oracle() {
+    // 31 threads: no row length divides BLOCK_VALUES, so block
+    // boundaries cut rows; > 1 block per operand. Operand 1 gathers a
+    // thread prefix, operand 2 (even ranks only) gathers per thread.
+    if cfg!(miri) {
+        return; // builder-heavy; the small gather tests cover miri
+    }
+    let even: Vec<i32> = (0..31).step_by(2).collect();
+    let exps = vec![
+        experiment("a", 3, 50, 31, 341),
+        experiment("b", 3, 45, 29, 342),
+        experiment_on("c", 3, 50, &even, 343),
+    ];
+    let plan = BatchPlan::new(&exps.iter().collect::<Vec<_>>());
+    let (nm, nc, nt) = plan.shape();
+    assert!(nt == 31 && nm * nc * nt > BLOCK_VALUES);
+    assert!(needs_extension(&plan, &exps, 1));
+    assert_eq!(
+        plan.maps()[2].threads[1].index(),
+        2,
+        "a non-prefix thread map"
+    );
+    pin_plan(&as_operands(&exps), &plan_exprs(), "straddling");
+}
+
+#[test]
+fn gathered_plan_above_the_parallel_threshold_matches_oracle() {
+    // One metric, two call nodes, BIG/2 ranks: the fused block driver
+    // runs on the pool, and operand 1 (fewer ranks) is gathered.
     if cfg!(miri) {
         return; // builder-heavy; the small dense test covers miri
     }
-    let exps: Vec<Experiment> = (0..2)
-        .map(|i| experiment("big", 1, 1, BIG, 400 + i))
-        .collect();
-    let operands: Vec<&dyn BatchOperand> = exps.iter().map(|e| e as &dyn BatchOperand).collect();
-    let expr = Expr::diff(
-        Expr::reduce(Reduction::Stddev, [0, 1]),
-        Expr::scale(Expr::reduce(Reduction::Sum, [0, 1]), 0.125),
-    );
-    pin_plan(&operands, &expr, Some(true), "big parallel composite");
+    let exps = vec![
+        experiment("big", 1, 2, BIG / 2, 401),
+        experiment("big-short", 1, 2, BIG / 2 - 7, 402),
+        experiment("big-other", 1, 2, BIG / 2, 403),
+    ];
+    let plan = BatchPlan::new(&exps.iter().collect::<Vec<_>>());
+    let (nm, nc, nt) = plan.shape();
+    assert!(nm * nc * nt >= BIG);
+    assert!(needs_extension(&plan, &exps, 1));
+    let exprs = [
+        (
+            "composite",
+            Expr::diff(
+                Expr::reduce(Reduction::Stddev, [0, 1]),
+                Expr::scale(Expr::reduce(Reduction::Sum, [0, 1, 2]), 0.125),
+            ),
+        ),
+        ("min", Expr::reduce(Reduction::Min, [1, 2])),
+    ];
+    pin_plan(&as_operands(&exps), &exprs, "big gathered");
+}
+
+#[test]
+fn nan_in_a_gathered_operand_under_the_moments() {
+    // The kernel squares `0.0 - mean` at absent positions and
+    // `v - mean` at present ones; with a NaN in the gathered operand
+    // both moments must still match the oracle bit for bit.
+    let mut exps = vec![
+        experiment("a", 2, 3, 4, 501),
+        experiment("gathered", 2, 2, 3, 502),
+        experiment("c", 2, 3, 4, 503),
+    ];
+    let vals = exps[1].severity_mut().values_mut();
+    vals[0] = f64::NAN;
+    vals[4] = f64::NAN;
+    let plan = BatchPlan::new(&exps.iter().collect::<Vec<_>>());
+    assert!(needs_extension(&plan, &exps, 1));
+    let exprs = [
+        ("variance", Expr::reduce(Reduction::Variance, 0..3)),
+        ("stddev", Expr::reduce(Reduction::Stddev, 0..3)),
+        ("stddev-pair", Expr::reduce(Reduction::Stddev, [1, 2])),
+    ];
+    pin_plan(&as_operands(&exps), &exprs, "gathered NaN");
+    let v = plan.eval(&exprs[0].1).unwrap();
+    assert!(v.severity().values()[0].is_nan(), "NaN propagates");
+    assert!(v.severity().values().iter().any(|x| x.is_finite()));
 }

@@ -1,26 +1,25 @@
-//! Fused single-pass kernels vs the unfused tree walker vs the
-//! per-operator CLI composition, at 64K and 1M elements.
+//! Fused single-pass kernels vs the per-operator CLI composition, at
+//! 64K and 1M elements.
 //!
 //! The composite under test is the ISSUE-10 acceptance expression —
 //! `diff(mean(A,B), mean(C,D))` — plus a stats-style `stddev` bundle:
 //!
-//! * `composite_fused`      — one `BatchPlan::eval` with fusion on:
-//!   one traversal, four operand streams, no intermediates;
-//! * `composite_unfused`    — the same plan with fusion off: one
-//!   blocked pass (plus an allocation) per operator node;
+//! * `composite_fused`      — one `BatchPlan::eval`: one traversal,
+//!   four operand streams, no intermediates;
 //! * `composite_per_operator` — `ops::mean` + `ops::mean` + `ops::diff`,
 //!   the way a shell pipeline composes the CLI: every step re-integrates
-//!   metadata and materializes a full experiment.
+//!   metadata and materializes a full experiment;
+//! * `stddev_fused`         — one `BatchPlan::eval` of a 4-run stddev.
 //!
 //! The acceptance bar (EXPERIMENTS.md) is fused ≥ 1.5× faster than the
-//! per-operator path at 1M elements; the CI differential gate separately
-//! pins that all three produce byte-identical severity values.
+//! per-operator path at 1M elements; the CI kernel gate separately pins
+//! the evaluator's output bytes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use cube_algebra::batch::{BatchOperand, BatchPlan, Expr, Reduction};
-use cube_algebra::{kernel, ops, MergeOptions};
+use cube_algebra::{ops, MergeOptions};
 use cube_bench::{synthetic_experiment, SyntheticShape};
 use cube_model::Experiment;
 
@@ -65,16 +64,9 @@ fn bench_composite(c: &mut Criterion) {
             runs.iter().map(|e| e as &dyn BatchOperand).collect();
         let plan = BatchPlan::from_operands(&operands, MergeOptions::default());
         let expr = composite_expr();
-        kernel::set_fusion(true);
-        assert!(plan.fusible(&expr), "composite must take the fused path");
         group.bench_with_input(BenchmarkId::new("composite_fused", n), &n, |bench, _| {
             bench.iter(|| plan.eval(black_box(&expr)).unwrap())
         });
-        kernel::set_fusion(false);
-        group.bench_with_input(BenchmarkId::new("composite_unfused", n), &n, |bench, _| {
-            bench.iter(|| plan.eval(black_box(&expr)).unwrap())
-        });
-        kernel::set_fusion(true);
         let refs: Vec<&Experiment> = runs.iter().collect();
         group.bench_with_input(
             BenchmarkId::new("composite_per_operator", n),
@@ -99,16 +91,9 @@ fn bench_stats_bundle(c: &mut Criterion) {
             runs.iter().map(|e| e as &dyn BatchOperand).collect();
         let plan = BatchPlan::from_operands(&operands, MergeOptions::default());
         let expr = Expr::reduce(Reduction::Stddev, 0..4);
-        kernel::set_fusion(true);
-        assert!(plan.fusible(&expr), "stats bundle must take the fused path");
         group.bench_with_input(BenchmarkId::new("stddev_fused", n), &n, |bench, _| {
             bench.iter(|| plan.eval(black_box(&expr)).unwrap())
         });
-        kernel::set_fusion(false);
-        group.bench_with_input(BenchmarkId::new("stddev_unfused", n), &n, |bench, _| {
-            bench.iter(|| plan.eval(black_box(&expr)).unwrap())
-        });
-        kernel::set_fusion(true);
     }
     group.finish();
 }

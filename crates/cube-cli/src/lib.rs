@@ -121,7 +121,6 @@ pub fn run(args: &[String]) -> Result<Outcome, String> {
 fn usage() -> String {
     "usage: cube <diff|merge|mean|sum|min|max|stddev|stats|scale|cut|info|stat|calltree|hotspots|cmp|lint|check|repair|fsck|serve|pack|unpack|view|browse|help> ...\n\
      global flags: --threads N (pool size; default CUBE_THREADS or all cores)\n\
-     \x20             --fusion on|off (fused evaluation kernels; default CUBE_FUSION or on)\n\
      paths ending in .cubec use the columnar store format (docs/STORE.md)\n\
      see the crate documentation for per-subcommand flags"
         .to_string()
@@ -133,12 +132,9 @@ fn usage() -> String {
 ///
 /// `--threads N` retargets the worker pool and wins over the
 /// `CUBE_THREADS` / `RAYON_NUM_THREADS` environment variables
-/// ([`rayon::set_threads`]). `--fusion on|off` switches the fused
-/// evaluation kernels ([`cube_algebra::set_fusion`]), winning over
-/// `CUBE_FUSION`. Results never depend on either flag — the pool size
-/// changes only wall-clock time, and fused results are byte-identical
-/// to unfused ones (docs/KERNELS.md) — which is exactly what the CI
-/// differential gate asserts.
+/// ([`rayon::set_threads`]). Results never depend on it — the pool size
+/// changes only wall-clock time (docs/KERNELS.md) — which is exactly
+/// what the CI determinism and kernel gates assert.
 fn apply_global_flags(args: &[String]) -> Result<Vec<String>, String> {
     let mut out = Vec::with_capacity(args.len());
     let mut it = args.iter();
@@ -151,14 +147,6 @@ fn apply_global_flags(args: &[String]) -> Result<Vec<String>, String> {
                 .filter(|&n| n > 0)
                 .ok_or_else(|| format!("--threads needs a positive integer, got '{v}'"))?;
             rayon::set_threads(n);
-        } else if a == "--fusion" {
-            let v = it.next().ok_or("missing value after --fusion")?;
-            let on = match v.as_str() {
-                "on" => true,
-                "off" => false,
-                other => return Err(format!("--fusion needs 'on' or 'off', got '{other}'")),
-            };
-            cube_algebra::set_fusion(on);
         } else {
             out.push(a.clone());
         }

@@ -187,7 +187,6 @@ fn server_stats(shared: &Shared) -> Response {
         200,
         format!(
             "{{\"experiments\":{},\"requests\":{},\"evals\":{},\"rejected\":{},\
-             \"fusion\":{},\
              \"result_cache\":{{\"hits\":{result_hits},\"misses\":{result_misses},\"entries\":{result_entries}}},\
              \"plan_cache\":{{\"hits\":{plan_hits},\"misses\":{plan_misses},\"entries\":{plan_entries}}},\
              \"deadline_expirations\":{},\"degraded_evals\":{},\"retries\":{},\"read_failures\":{},\
@@ -197,7 +196,6 @@ fn server_stats(shared: &Shared) -> Response {
             shared.requests.load(Ordering::Relaxed),
             shared.evals.load(Ordering::Relaxed),
             shared.rejected.load(Ordering::Relaxed),
-            cube_algebra::fusion_enabled(),
             shared.deadline_expirations.load(Ordering::Relaxed),
             shared.degraded_evals.load(Ordering::Relaxed),
             shared.repo.retries_performed.load(Ordering::Relaxed),
