@@ -597,6 +597,23 @@ stage_kernel() {
             -o "$o/gather-diff.cube" >/dev/null
         $c diff "$kdir/pruned.cube" "$det/corpus/run1.cube" \
             -o "$o/gather-diff-minuend.cube" >/dev/null
+        # The operator subcommands, whose digests were generated with
+        # the build before they shared one loader and one path with
+        # `stats`: each reduction over the dense corpus and the gathered
+        # set, diff over the store, merge with the pruned run, and a
+        # `--keep-going` reduction that skips a nonexistent input (it
+        # must leave the baseline group, not shift the groups).
+        for op in mean stddev min max sum; do
+            $c $op "$det"/corpus/*.cube -o "$o/ops-$op.cube" >/dev/null
+            # shellcheck disable=SC2086
+            $c $op $gathered -o "$o/gather-ops-$op.cube" >/dev/null
+        done
+        $c diff "$det/corpus/run0.cubec" "$det/corpus/run1.cubec" \
+            -o "$o/store-diff.cube" >/dev/null
+        $c merge "$det/corpus/run0.cube" "$kdir/pruned.cube" \
+            -o "$o/gather-merge.cube" >/dev/null
+        $c stats "$o/keep-going-minus.cube" "$det"/corpus/*.cube \
+            "$kdir/missing.cube" --minus 3 --keep-going >/dev/null
         if ! (cd "$o" && sha256sum --check --quiet "$golden"); then
             echo "kernel outputs at --threads $t differ from ci/kernel_golden.txt" >&2
             exit 1

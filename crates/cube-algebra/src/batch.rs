@@ -98,7 +98,7 @@ use crate::extend::extend_severity_values;
 use crate::integrate::{integrate_metadata, Integrated};
 use crate::kernel::{self, BlockFill, KernelProgram, SlotInput};
 use crate::mapping::OperandMap;
-use crate::options::{FailurePolicy, MergeOptions};
+use crate::options::MergeOptions;
 
 /// Sentinel in gather tables: this integrated id has no preimage in the
 /// operand, so the operand's zero-extended value there is 0.0.
@@ -210,6 +210,21 @@ impl Reduction {
             Self::Stddev => "stddev",
         }
     }
+
+    /// The reduction [`Self::name`] names, or `None` for any other
+    /// word. The expression parser and the CLI's `--op` both read
+    /// reducer names through this table.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Some(match name {
+            "sum" => Self::Sum,
+            "mean" => Self::Mean,
+            "min" => Self::Min,
+            "max" => Self::Max,
+            "variance" => Self::Variance,
+            "stddev" => Self::Stddev,
+            _ => return None,
+        })
+    }
 }
 
 /// A composite expression over the operands of one [`BatchPlan`].
@@ -251,6 +266,48 @@ impl Expr {
     /// `factor ×` the sub-expression, element-wise.
     pub fn scale(inner: Expr, factor: f64) -> Self {
         Self::Scale(Box::new(inner), factor)
+    }
+
+    /// The expression over the operands `alive` keeps — the one
+    /// degradation rule shared by the CLI's `--keep-going` and
+    /// `/eval?keep_going=1`.
+    ///
+    /// A dropped operand leaves every reduction list it appears in, so
+    /// `mean` renormalizes over the survivors; survivors are renumbered
+    /// in order, matching a plan built over them alone. `None` when the
+    /// expression cannot lose a dropped operand without changing its
+    /// meaning: a `diff` side, the `scale` operand, or a bare operand is
+    /// structurally required, and a reduction must keep at least one of
+    /// its operands. Indices `>= alive.len()` are left unchanged, so
+    /// evaluation still reports them as
+    /// [`AlgebraError::OperandOutOfRange`].
+    pub fn restrict(&self, alive: &[bool]) -> Option<Expr> {
+        let renumber: Vec<Option<usize>> = alive
+            .iter()
+            .scan(0, |next, &a| {
+                let at = *next;
+                *next += usize::from(a);
+                Some(a.then_some(at))
+            })
+            .collect();
+        self.restrict_to(&renumber)
+    }
+
+    fn restrict_to(&self, renumber: &[Option<usize>]) -> Option<Expr> {
+        let at = |i: usize| renumber.get(i).copied().unwrap_or(Some(i));
+        Some(match self {
+            Expr::Operand(i) => Expr::Operand(at(*i)?),
+            Expr::Reduce(r, idxs) => {
+                let kept: Vec<usize> = idxs.iter().filter_map(|&i| at(i)).collect();
+                if kept.is_empty() && !idxs.is_empty() {
+                    return None;
+                }
+                Expr::Reduce(*r, kept)
+            }
+            Expr::Diff(a, b) => Expr::diff(a.restrict_to(renumber)?, b.restrict_to(renumber)?),
+            Expr::Scale(inner, f) => Expr::scale(inner.restrict_to(renumber)?, *f),
+            Expr::Zero => Expr::Zero,
+        })
     }
 }
 
@@ -379,52 +436,6 @@ impl BlockFill for GatherFill<'_> {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// degraded evaluation
-// ---------------------------------------------------------------------------
-
-/// One operand of a degraded k-ary evaluation: either a usable
-/// experiment or the reason it could not be loaded.
-///
-/// Callers that read operands from disk translate each load failure
-/// into [`PartialOperand::Broken`] so the index positions of the
-/// original argument list are preserved in the error report.
-#[derive(Clone, Copy, Debug)]
-pub enum PartialOperand<'a> {
-    /// The operand loaded fine.
-    Ok(&'a Experiment),
-    /// The operand is unusable; the string says why.
-    Broken(&'a str),
-}
-
-impl<'a> PartialOperand<'a> {
-    /// `true` for a usable operand.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, Self::Ok(_))
-    }
-}
-
-/// A skipped operand of a [`BatchPlan::evaluate_partial`] run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OperandError {
-    /// Zero-based index in the original operand list.
-    pub index: usize,
-    /// Why the operand was skipped.
-    pub reason: String,
-}
-
-/// Result of a degraded k-ary evaluation: the reduction over the
-/// surviving operands plus the per-operand failure report.
-#[derive(Debug)]
-pub struct PartialEvaluation {
-    /// The reduction over the survivors.
-    pub result: Experiment,
-    /// How many operands actually contributed.
-    pub used: usize,
-    /// The operands that were skipped, in argument order.
-    pub skipped: Vec<OperandError>,
 }
 
 // ---------------------------------------------------------------------------
@@ -625,57 +636,6 @@ impl<'a> BatchPlan<'a> {
     /// Evaluates a reduction over **all** operands of the plan.
     pub fn reduce(&self, r: Reduction) -> Result<Experiment, AlgebraError> {
         self.eval(&Expr::reduce(r, 0..self.operands.len()))
-    }
-
-    /// Degraded k-ary evaluation: reduces over the operands that could
-    /// be loaded, skipping the broken ones.
-    ///
-    /// Under [`FailurePolicy::Abort`] the first broken operand fails
-    /// the evaluation with [`AlgebraError::OperandFailed`]. Under
-    /// [`FailurePolicy::KeepGoing`] the plan is built over the
-    /// survivors only, so `mean` renormalizes over them by
-    /// construction — a k-ary mean with one broken operand equals the
-    /// (k−1)-ary mean of the survivors — and every skipped operand is
-    /// recorded in the returned [`PartialEvaluation::skipped`] report.
-    /// All operands broken is still an error: there is nothing to
-    /// reduce over.
-    pub fn evaluate_partial(
-        operands: &[PartialOperand<'a>],
-        reduction: Reduction,
-        options: MergeOptions,
-        policy: FailurePolicy,
-    ) -> Result<PartialEvaluation, AlgebraError> {
-        let mut survivors: Vec<&'a Experiment> = Vec::with_capacity(operands.len());
-        let mut skipped: Vec<OperandError> = Vec::new();
-        for (index, op) in operands.iter().enumerate() {
-            match *op {
-                PartialOperand::Ok(exp) => survivors.push(exp),
-                PartialOperand::Broken(reason) => match policy {
-                    FailurePolicy::Abort => {
-                        return Err(AlgebraError::OperandFailed {
-                            index,
-                            reason: reason.to_string(),
-                        });
-                    }
-                    FailurePolicy::KeepGoing => skipped.push(OperandError {
-                        index,
-                        reason: reason.to_string(),
-                    }),
-                },
-            }
-        }
-        if survivors.is_empty() {
-            return Err(AlgebraError::EmptyOperandList {
-                operator: reduction.name(),
-            });
-        }
-        let plan = BatchPlan::with_options(&survivors, options);
-        let result = plan.reduce(reduction)?;
-        Ok(PartialEvaluation {
-            result,
-            used: survivors.len(),
-            skipped,
-        })
     }
 
     /// Evaluates a composite expression into a full derived experiment
@@ -1204,39 +1164,22 @@ mod tests {
 
     #[test]
     fn keep_going_mean_equals_survivor_mean() {
-        // The differential property: a k-ary mean with one broken
-        // operand under KeepGoing is the (k−1)-ary mean of the
-        // survivors, bit for bit.
+        // The differential property: a k-ary mean restricted to its
+        // survivors is the (k−1)-ary mean of the survivors, bit for bit.
         let a = uniform("a", 2, 2.0);
         let b = uniform("b", 3, 4.0);
         let c = disjoint("c", 2, 6.0);
-        let degraded = BatchPlan::evaluate_partial(
-            &[
-                PartialOperand::Ok(&a),
-                PartialOperand::Broken("truncated mid-row"),
-                PartialOperand::Ok(&c),
-            ],
-            Reduction::Mean,
-            MergeOptions::default(),
-            FailurePolicy::KeepGoing,
-        )
-        .unwrap();
+        let alive = [true, false, true];
+        let restricted = Expr::reduce(Reduction::Mean, 0..3)
+            .restrict(&alive)
+            .unwrap();
+        assert_eq!(restricted, Expr::reduce(Reduction::Mean, 0..2));
+        let degraded = BatchPlan::new(&[&a, &c]).eval(&restricted).unwrap();
         let oracle = BatchPlan::new(&[&a, &c]).reduce(Reduction::Mean).unwrap();
-        assert_eq!(degraded.result.metadata(), oracle.metadata());
-        assert_eq!(
-            degraded.result.severity().values(),
-            oracle.severity().values()
-        );
-        assert_eq!(degraded.result.provenance(), oracle.provenance());
-        assert_eq!(degraded.used, 2);
-        assert_eq!(
-            degraded.skipped,
-            vec![OperandError {
-                index: 1,
-                reason: "truncated mid-row".into()
-            }]
-        );
-        // Sanity: the broken operand really would have changed the mean.
+        assert_eq!(degraded.metadata(), oracle.metadata());
+        assert_eq!(degraded.severity().values(), oracle.severity().values());
+        assert_eq!(degraded.provenance(), oracle.provenance());
+        // Sanity: the dropped operand really would have changed the mean.
         let full = BatchPlan::new(&[&a, &b, &c])
             .reduce(Reduction::Mean)
             .unwrap();
@@ -1244,40 +1187,74 @@ mod tests {
     }
 
     #[test]
-    fn abort_policy_fails_on_first_broken_operand() {
-        let a = uniform("a", 1, 1.0);
-        let err = BatchPlan::evaluate_partial(
-            &[
-                PartialOperand::Ok(&a),
-                PartialOperand::Broken("no such file"),
-            ],
-            Reduction::Sum,
-            MergeOptions::default(),
-            FailurePolicy::Abort,
-        )
-        .unwrap_err();
+    fn all_operands_broken_is_still_an_error() {
+        let mean = Expr::reduce(Reduction::Mean, 0..2);
+        assert_eq!(mean.restrict(&[false, false]), None);
+        // Nothing dropped: the expression comes back unchanged.
+        assert_eq!(mean.restrict(&[true, true]), Some(mean.clone()));
+    }
+
+    #[test]
+    fn restrict_refuses_structurally_required_operands() {
+        let alive = [true, true, false];
+        let diff_side = Expr::diff(Expr::reduce(Reduction::Mean, 0..2), Expr::Operand(2));
+        assert_eq!(diff_side.restrict(&alive), None);
+        let minuend = Expr::diff(Expr::Operand(2), Expr::reduce(Reduction::Mean, 0..2));
+        assert_eq!(minuend.restrict(&alive), None);
+        assert_eq!(Expr::scale(Expr::Operand(2), 2.0).restrict(&alive), None);
+        assert_eq!(Expr::Operand(2).restrict(&alive), None);
+        // A reduction inside a diff or scale may still lose an operand.
+        let composite = Expr::scale(
+            Expr::diff(
+                Expr::reduce(Reduction::Mean, [0, 2]),
+                Expr::reduce(Reduction::Mean, [1]),
+            ),
+            0.5,
+        );
         assert_eq!(
-            err,
-            AlgebraError::OperandFailed {
-                index: 1,
-                reason: "no such file".into()
-            }
+            composite.restrict(&alive),
+            Some(Expr::scale(
+                Expr::diff(
+                    Expr::reduce(Reduction::Mean, [0]),
+                    Expr::reduce(Reduction::Mean, [1]),
+                ),
+                0.5,
+            ))
         );
     }
 
     #[test]
-    fn all_operands_broken_is_still_an_error() {
-        let err = BatchPlan::evaluate_partial(
-            &[
-                PartialOperand::Broken("gone"),
-                PartialOperand::Broken("also gone"),
-            ],
-            Reduction::Mean,
-            MergeOptions::default(),
-            FailurePolicy::KeepGoing,
-        )
-        .unwrap_err();
-        assert_eq!(err, AlgebraError::EmptyOperandList { operator: "mean" });
-        assert!(!PartialOperand::Broken("gone").is_ok());
+    fn restrict_keeps_zero_and_renumbers_in_order() {
+        assert_eq!(Expr::Zero.restrict(&[false]), Some(Expr::Zero));
+        let zero_minus = Expr::diff(Expr::Zero, Expr::reduce(Reduction::Sum, 0..2));
+        assert_eq!(
+            zero_minus.restrict(&[false, true]),
+            Some(Expr::diff(Expr::Zero, Expr::reduce(Reduction::Sum, [0])))
+        );
+        // Survivors take their rank among the survivors; list order is
+        // the expression's, not sorted.
+        let sum = Expr::reduce(Reduction::Sum, [3, 1, 0, 4]);
+        assert_eq!(
+            sum.restrict(&[false, true, false, true, true]),
+            Some(Expr::reduce(Reduction::Sum, [1, 0, 2]))
+        );
+    }
+
+    #[test]
+    fn restrict_leaves_out_of_range_indices_for_eval_to_report() {
+        let a = uniform("a", 1, 1.0);
+        let plan = BatchPlan::new(&[&a]);
+        let sum = Expr::reduce(Reduction::Sum, [1, 5]).restrict(&[false, true]);
+        assert_eq!(sum, Some(Expr::reduce(Reduction::Sum, [0, 5])));
+        assert!(matches!(
+            plan.eval(&sum.unwrap()),
+            Err(AlgebraError::OperandOutOfRange { index: 5, len: 1 })
+        ));
+        let bare = Expr::Operand(7).restrict(&[true]);
+        assert_eq!(bare, Some(Expr::Operand(7)));
+        assert!(matches!(
+            plan.eval(&bare.unwrap()),
+            Err(AlgebraError::OperandOutOfRange { index: 7, len: 1 })
+        ));
     }
 }

@@ -25,14 +25,6 @@ pub enum AlgebraError {
         /// Number of operands in the plan.
         len: usize,
     },
-    /// An operand of a partial evaluation was broken and the policy was
-    /// [`Abort`](crate::options::FailurePolicy::Abort).
-    OperandFailed {
-        /// Zero-based index of the operand in the argument list.
-        index: usize,
-        /// Why it could not be used (parse error, I/O failure, ...).
-        reason: String,
-    },
     /// Cached [`PlanTables`](crate::batch::PlanTables) were combined
     /// with an operand list they were not built from.
     PlanMismatch {
@@ -52,9 +44,6 @@ impl fmt::Display for AlgebraError {
                     f,
                     "operand index {index} out of range for a plan over {len} operands"
                 )
-            }
-            Self::OperandFailed { index, reason } => {
-                write!(f, "operand {index} is unusable: {reason}")
             }
             Self::PlanMismatch { reason } => {
                 write!(

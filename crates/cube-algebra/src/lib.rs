@@ -77,10 +77,7 @@ pub mod options;
 pub mod parse;
 pub mod stats;
 
-pub use batch::{
-    BatchOperand, BatchPlan, Expr, OperandError, PartialEvaluation, PartialOperand, PlanTables,
-    Reduction,
-};
+pub use batch::{BatchOperand, BatchPlan, Expr, PlanTables, Reduction};
 pub use check::{
     check, check_expr, rewrite, CheckDiagnostic, CheckLevel, CheckReport, CostEstimate, FusedCost,
     OperandFacts, RewriteNote,
@@ -89,5 +86,5 @@ pub use error::AlgebraError;
 pub use integrate::{integrate, integrate_metadata, Integrated};
 pub use kernel::KernelProgram;
 pub use mapping::OperandMap;
-pub use options::{CallSiteEq, FailurePolicy, MergeOptions, SystemMergeMode};
+pub use options::{CallSiteEq, MergeOptions, SystemMergeMode};
 pub use parse::{parse_expr, render_expr, ExprParseError, ParsedExpr, Span, SpanNode};

@@ -43,24 +43,6 @@ pub enum SystemMergeMode {
     CopyFirst,
 }
 
-/// What to do when an operand of a k-ary evaluation cannot be used —
-/// unreadable file, failed parse, or salvage-only recovery the caller
-/// refuses to trust.
-///
-/// §5.2's workflow merges many independent runs; with `KeepGoing` one
-/// truncated operand out of k degrades the result instead of aborting
-/// it: the reduction runs over the survivors (renormalizing `mean`)
-/// and the failures are reported per operand.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FailurePolicy {
-    /// Any broken operand fails the whole evaluation. The default.
-    #[default]
-    Abort,
-    /// Skip broken operands, evaluate over the survivors, and report
-    /// the skipped ones.
-    KeepGoing,
-}
-
 /// All integration switches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeOptions {

@@ -198,20 +198,8 @@ pub fn render_expr(expr: &Expr, names: &[String]) -> String {
     s
 }
 
-fn reduction_named(name: &str) -> Option<Reduction> {
-    Some(match name {
-        "mean" => Reduction::Mean,
-        "sum" => Reduction::Sum,
-        "min" => Reduction::Min,
-        "max" => Reduction::Max,
-        "variance" => Reduction::Variance,
-        "stddev" => Reduction::Stddev,
-        _ => return None,
-    })
-}
-
 fn is_function_word(word: &str) -> bool {
-    word == "diff" || word == "scale" || reduction_named(word).is_some()
+    word == "diff" || word == "scale" || Reduction::from_name(word).is_some()
 }
 
 fn is_name_byte(b: u8) -> bool {
@@ -361,8 +349,8 @@ impl<'s> Parser<'s> {
                 ))
             }
             _ => {
-                let r =
-                    reduction_named(&word).expect("function words are diff, scale, or reducers");
+                let r = Reduction::from_name(&word)
+                    .expect("function words are diff, scale, or reducers");
                 self.expect(b'(', "P003", "'('")?;
                 let (idxs, arg_spans) = self.name_list()?;
                 let span = Span {

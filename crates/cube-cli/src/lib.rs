@@ -39,16 +39,18 @@
 //!
 //! Every subcommand accepts the `.cubec` columnar store (see
 //! `docs/STORE.md`) wherever it takes a `.cube` path, for inputs and
-//! outputs alike; the format is chosen by file extension. `stats` over
-//! `.cubec` operands gathers straight from the store's severity pages
-//! ([`cube_store::ColumnarExperiment`]) without materializing
-//! intermediate experiments.
+//! outputs alike; the format is chosen by file extension.
 //!
-//! The n-ary subcommands (`mean`, `sum`, `min`, `max`, `stddev`,
-//! `stats`, `merge`) accept `--keep-going`: unreadable operands are
-//! skipped with a per-operand summary instead of failing the whole
-//! run, and `mean` renormalizes over the survivors
-//! ([`cube_algebra::FailurePolicy::KeepGoing`]).
+//! The operator subcommands (`diff`, `mean`, `sum`, `min`, `max`,
+//! `stddev`, `stats`) are the [`Expr`]s they evaluate and share one
+//! path: every input is read on the worker pool by the strict readers
+//! (whole-file checksum and data model checked, as for every other
+//! subcommand), then one plan evaluates the expression and the result
+//! is stored. `merge` shares the loader. All of them accept
+//! `--keep-going`: unreadable inputs are skipped with a per-input
+//! summary and the expression is restricted to the survivors by the
+//! rule `/eval?keep_going=1` applies ([`Expr::restrict`]) — `mean`
+//! renormalizes, while a skipped `diff` side is still an error.
 //!
 //! The global `--threads N` flag (valid anywhere on the command line,
 //! also settable via the `CUBE_THREADS` environment variable) sizes the
@@ -59,13 +61,11 @@ pub mod browse;
 
 use std::fmt::Write as _;
 
-use cube_algebra::{
-    ops, BatchOperand, BatchPlan, CallSiteEq, Expr, FailurePolicy, MergeOptions, PartialOperand,
-    Reduction, SystemMergeMode,
-};
+use cube_algebra::{ops, BatchPlan, CallSiteEq, Expr, MergeOptions, Reduction, SystemMergeMode};
 use cube_display::{BrowserState, NormalizationRef, ProgramView, RenderOptions, ValueMode};
 use cube_model::aggregate::{metric_total, MetricSelection};
 use cube_model::Experiment;
+use cube_serve::json::json_string;
 use cube_store::{ColumnarExperiment, StoreError};
 use cube_xml::{read_experiment_file, write_experiment_file, ReadLimits, XmlError};
 use rayon::prelude::*;
@@ -93,10 +93,8 @@ pub fn run(args: &[String]) -> Result<Outcome, String> {
         return Err(usage());
     };
     match cmd.as_str() {
-        "diff" => binary_op(rest, "diff"),
-        "merge" => binary_op(rest, "merge"),
-        "mean" | "sum" | "min" | "max" | "stddev" => nary_op(rest, cmd),
-        "stats" => stats_cmd(rest),
+        "diff" | "mean" | "sum" | "min" | "max" | "stddev" | "stats" => operator_cmd(rest, cmd),
+        "merge" => merge_cmd(rest),
         "scale" => scale(rest),
         "cut" => cut(rest),
         "info" => info(rest),
@@ -294,12 +292,18 @@ fn store_path_error(path: &str, e: StoreError) -> String {
     AnyError::Store(e).with_path(path)
 }
 
-fn load(path: &str) -> Result<Experiment, String> {
+/// The strict reader for either backend: whole-file checksum and data
+/// model checked, every severity value in memory.
+fn read_any(path: &str) -> Result<Experiment, AnyError> {
     if is_cubec(path) {
-        cube_store::read_store_file(path).map_err(|e| store_path_error(path, e))
+        cube_store::read_store_file(path).map_err(AnyError::Store)
     } else {
-        read_experiment_file(path).map_err(|e| path_error(path, e))
+        read_experiment_file(path).map_err(AnyError::Xml)
     }
+}
+
+fn load(path: &str) -> Result<Experiment, String> {
+    read_any(path).map_err(|e| e.with_path(path))
 }
 
 fn store(exp: &Experiment, path: &str) -> Result<(), String> {
@@ -310,278 +314,164 @@ fn store(exp: &Experiment, path: &str) -> Result<(), String> {
     }
 }
 
-/// Loads every input for a degraded k-ary run: broken operands become
-/// their error message instead of failing the whole command. Reasons
-/// use the bare error rendering — the caller prints them next to the
-/// operand's path.
-///
-/// Operands load on the worker pool; results stay in argument order
-/// (positional collect), so the per-operand `--keep-going` reports are
-/// index-accurate regardless of thread count.
-fn load_partial(paths: &[String]) -> Vec<Result<Experiment, String>> {
-    paths
+/// The inputs of an operator subcommand, read by [`load_inputs`].
+struct Inputs {
+    /// The experiments that loaded, in argument order.
+    exps: Vec<Experiment>,
+    /// Per argument: whether it loaded.
+    alive: Vec<bool>,
+    /// The first skipped input with its path (`--keep-going` only).
+    first_failure: Option<String>,
+    /// The `skipped …` / `used N of M inputs` lines; empty without
+    /// `--keep-going`.
+    report: String,
+}
+
+impl Inputs {
+    /// The error for an input the operator cannot do without.
+    fn required(&self) -> String {
+        format!(
+            "{} (operand is structurally required; --keep-going cannot omit it)",
+            self.first_failure.as_deref().unwrap_or_default()
+        )
+    }
+}
+
+/// Loads every input on the worker pool through the strict readers.
+/// Without `--keep-going` the leftmost failure is the error, exactly as
+/// a sequential loop would report it; with it, unreadable inputs are
+/// skipped and reported in argument order, whatever the thread count.
+fn load_inputs(paths: &[String], keep_going: bool) -> Result<Inputs, String> {
+    let loaded: Vec<Result<Experiment, AnyError>> = paths
         .par_iter()
         .with_min_len(1)
-        .map(|f| {
-            if is_cubec(f) {
-                cube_store::read_store_file(f).map_err(|e| e.to_string())
-            } else {
-                read_experiment_file(f).map_err(|e| e.to_string())
+        .map(|f| read_any(f))
+        .collect();
+    let mut inputs = Inputs {
+        exps: Vec::with_capacity(paths.len()),
+        alive: Vec::with_capacity(paths.len()),
+        first_failure: None,
+        report: String::new(),
+    };
+    for (f, r) in paths.iter().zip(loaded) {
+        inputs.alive.push(r.is_ok());
+        match r {
+            Ok(e) => inputs.exps.push(e),
+            Err(e) if keep_going => {
+                let _ = writeln!(inputs.report, "skipped {f}: {}", e.bare());
+                inputs.first_failure.get_or_insert_with(|| e.with_path(f));
             }
-        })
-        .collect()
-}
-
-/// A loaded `stats` operand: XML inputs materialize an [`Experiment`];
-/// `.cubec` inputs stay as lazy [`ColumnarExperiment`] handles whose
-/// severity pages the batch engine gathers from directly.
-enum Operand {
-    Xml(Experiment),
-    Store(ColumnarExperiment),
-}
-
-impl Operand {
-    fn as_batch(&self) -> &dyn BatchOperand {
-        match self {
-            Operand::Xml(e) => e,
-            Operand::Store(c) => c,
+            Err(e) => return Err(e.with_path(f)),
         }
     }
-}
-
-/// Loads one `stats` operand from either backend. `.cubec` severity
-/// pages are touched (and CRC-checked) here so page damage surfaces as
-/// a per-operand load error, not a panic inside the gather.
-fn load_operand(path: &str) -> Result<Operand, AnyError> {
-    if is_cubec(path) {
-        let c = ColumnarExperiment::open(path).map_err(AnyError::Store)?;
-        c.severity().map_err(AnyError::Store)?;
-        Ok(Operand::Store(c))
-    } else {
-        read_experiment_file(path)
-            .map(Operand::Xml)
-            .map_err(AnyError::Xml)
+    if keep_going {
+        let _ = writeln!(
+            inputs.report,
+            "used {} of {} inputs",
+            inputs.exps.len(),
+            paths.len()
+        );
     }
-}
-
-/// Renders the skipped-operand summary lines of a `--keep-going` run.
-fn skipped_summary(
-    skipped: &[cube_algebra::OperandError],
-    paths: &[String],
-    used: usize,
-) -> String {
-    let mut s = String::new();
-    for e in skipped {
-        let _ = writeln!(s, "skipped {}: {}", paths[e.index], e.reason);
-    }
-    let _ = writeln!(s, "used {used} of {} inputs", paths.len());
-    s
+    Ok(inputs)
 }
 
 // ---------------------------------------------------------------------------
 // operator subcommands
 // ---------------------------------------------------------------------------
 
-fn binary_op(args: &[String], which: &str) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 2 {
-        return Err(format!("cube {which} takes exactly two input files"));
-    }
-    let opts = p.merge_options();
-    let out = p.output.clone().ok_or("missing -o OUTPUT")?;
-    if which == "merge" && p.flag("--keep-going") {
-        // Degraded merge: a broken operand degrades to a pass-through
-        // of the survivor instead of failing the run.
-        let loaded = load_partial(&p.positional);
-        let (result, summary) = match (&loaded[0], &loaded[1]) {
-            (Ok(a), Ok(b)) => (ops::merge_with(a, b, opts), String::new()),
-            (Ok(a), Err(reason)) => (
-                a.clone(),
-                format!(
-                    "skipped {}: {reason}\nused 1 of 2 inputs\n",
-                    p.positional[1]
-                ),
-            ),
-            (Err(reason), Ok(b)) => (
-                b.clone(),
-                format!(
-                    "skipped {}: {reason}\nused 1 of 2 inputs\n",
-                    p.positional[0]
-                ),
-            ),
-            (Err(ra), Err(rb)) => {
-                return Err(format!(
-                    "both operands are unusable: {}: {ra}; {}: {rb}",
-                    p.positional[0], p.positional[1]
-                ))
-            }
-        };
-        store(&result, &out)?;
-        return ok(format!(
-            "{summary}wrote {out}: {}\n",
-            result.provenance().label()
-        ));
-    }
-    // The two operands are independent files — fork the loads.
-    let (a, b) = rayon::join(|| load(&p.positional[0]), || load(&p.positional[1]));
-    let (a, b) = (a?, b?);
-    let result = match which {
-        "diff" => ops::diff_with(&a, &b, opts),
-        "merge" => ops::merge_with(&a, &b, opts),
-        _ => unreachable!("binary_op called with {which}"),
-    };
-    store(&result, &out)?;
-    ok(format!("wrote {out}: {}\n", result.provenance().label()))
-}
-
-fn reduction_of(name: &str) -> Option<Reduction> {
-    Some(match name {
-        "mean" => Reduction::Mean,
-        "sum" => Reduction::Sum,
-        "min" => Reduction::Min,
-        "max" => Reduction::Max,
-        "variance" => Reduction::Variance,
-        "stddev" => Reduction::Stddev,
-        _ => return None,
-    })
-}
-
-fn nary_op(args: &[String], which: &str) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.is_empty() {
-        return Err(format!("cube {which} needs at least one input file"));
-    }
-    let opts = p.merge_options();
-    let out = p.output.clone().ok_or("missing -o OUTPUT")?;
-    if p.flag("--keep-going") {
-        let loaded = load_partial(&p.positional);
-        let operands: Vec<PartialOperand<'_>> = loaded
-            .iter()
-            .map(|r| match r {
-                Ok(e) => PartialOperand::Ok(e),
-                Err(reason) => PartialOperand::Broken(reason),
-            })
-            .collect();
-        let reduction = reduction_of(which).expect("nary_op reductions all have names");
-        let pe = BatchPlan::evaluate_partial(&operands, reduction, opts, FailurePolicy::KeepGoing)
-            .map_err(|e| e.to_string())?;
-        store(&pe.result, &out)?;
-        return ok(format!(
-            "{}wrote {out}: {}\n",
-            skipped_summary(&pe.skipped, &p.positional, pe.used),
-            pe.result.provenance().label()
-        ));
-    }
-    // Parallel load; the leftmost failure wins, matching the order a
-    // sequential loop would have reported.
-    let exps: Vec<Experiment> = p
-        .positional
-        .par_iter()
-        .with_min_len(1)
-        .map(|f| load(f))
-        .collect::<Result<_, _>>()?;
-    let refs: Vec<&Experiment> = exps.iter().collect();
-    let result = match which {
-        "mean" => ops::mean_with(&refs, opts),
-        "sum" => ops::sum_with(&refs, opts),
-        "min" => ops::min_with(&refs, opts),
-        "max" => ops::max_with(&refs, opts),
-        "stddev" => cube_algebra::stats::stddev_with(&refs, opts),
-        _ => unreachable!("nary_op called with {which}"),
-    }
-    .map_err(|e| e.to_string())?;
-    store(&result, &out)?;
-    ok(format!("wrote {out}: {}\n", result.provenance().label()))
-}
-
-/// `cube stats OUT IN...` — evaluate a batch reduction over a whole
-/// series of experiments with one metadata integration
-/// ([`cube_algebra::batch::BatchPlan`]).
+/// The arithmetic operator subcommands, each the [`Expr`] it evaluates
+/// over its inputs:
 ///
-/// `--op` selects the reduction (default `mean`); `--minus K` turns the
-/// run into the paper's composite "difference of reduced series": the
-/// *last* K inputs form a baseline group, and the output is
-/// `diff(op(first n−K), op(last K))` — still a single integration.
-fn stats_cmd(args: &[String]) -> Result<Outcome, String> {
+/// - `diff A B -o OUT` is `diff(A, B)`;
+/// - `mean|sum|min|max|stddev IN… -o OUT` reduces every input;
+/// - `stats OUT IN… [--op R] [--minus K]` reduces every input with `R`
+///   (default `mean`), or with `--minus K` evaluates the paper's
+///   "difference of reduced series" `diff(R(first n−K), R(last K))` —
+///   still a single integration ([`BatchPlan`]).
+///
+/// All of them load through [`load_inputs`], then plan, evaluate and
+/// store once. Under `--keep-going` the expression is restricted to
+/// the inputs that loaded ([`Expr::restrict`], the rule `/eval` applies
+/// to `keep_going`): a skipped input leaves its reduction, so `mean`
+/// renormalizes over the survivors and `--minus` groups keep their
+/// argument positions, but a skipped `diff` side is an error.
+fn operator_cmd(args: &[String], cmd: &str) -> Result<Outcome, String> {
     let p = parse(args)?;
-    if p.positional.len() < 2 {
-        return Err("cube stats takes OUTPUT followed by at least one input file".into());
-    }
-    let (out, inputs) = p.positional.split_first().expect("len checked above");
-    let keep_going = p.flag("--keep-going");
-    // Parallel load, then a sequential classification pass so the
-    // skipped-operand report keeps argument order and the non-degraded
-    // mode reports the leftmost failure, exactly like a serial loop.
-    let loaded: Vec<Result<Operand, AnyError>> = inputs
-        .par_iter()
-        .with_min_len(1)
-        .map(|f| load_operand(f))
-        .collect();
-    let mut exps: Vec<Option<Operand>> = Vec::with_capacity(inputs.len());
-    let mut skipped: Vec<cube_algebra::OperandError> = Vec::new();
-    for (index, (f, r)) in inputs.iter().zip(loaded).enumerate() {
-        match r {
-            Ok(e) => exps.push(Some(e)),
-            Err(e) if keep_going => {
-                skipped.push(cube_algebra::OperandError {
-                    index,
-                    reason: e.bare(),
-                });
-                exps.push(None);
-            }
-            Err(e) => return Err(e.with_path(f)),
+    let (out, inputs) = match (cmd, p.positional.split_first()) {
+        ("stats", Some((out, inputs))) if !inputs.is_empty() => (out.as_str(), inputs),
+        ("stats", _) => {
+            return Err("cube stats takes OUTPUT followed by at least one input file".into())
         }
-    }
-    let reduction = {
-        let name = p.value("--op").unwrap_or("mean");
-        reduction_of(name).ok_or_else(|| format!("unknown --op '{name}'"))?
+        ("diff", _) if p.positional.len() != 2 => {
+            return Err("cube diff takes exactly two input files".into())
+        }
+        (_, None) => return Err(format!("cube {cmd} needs at least one input file")),
+        _ => (
+            p.output.as_deref().ok_or("missing -o OUTPUT")?,
+            &p.positional[..],
+        ),
     };
     let n = inputs.len();
-    // Survivor counts per group: `--minus K` splits the *original*
-    // argument list, so a skipped operand shrinks its own group only.
-    let refs: Vec<&dyn BatchOperand> = exps.iter().flatten().map(Operand::as_batch).collect();
-    let expr = match p.value("--minus") {
-        Some(v) => {
-            let k: usize = v.parse().map_err(|_| "bad --minus value".to_string())?;
-            if k == 0 || k >= n {
-                return Err(format!(
-                    "--minus {k} needs 1..{} baseline inputs out of {n}",
-                    n - 1
-                ));
+    let expr = match cmd {
+        "diff" => Expr::diff(Expr::Operand(0), Expr::Operand(1)),
+        "stats" => {
+            let name = p.value("--op").unwrap_or("mean");
+            let r = Reduction::from_name(name).ok_or_else(|| format!("unknown --op '{name}'"))?;
+            match p.value("--minus") {
+                Some(v) => {
+                    let k: usize = v.parse().map_err(|_| "bad --minus value".to_string())?;
+                    if k == 0 || k >= n {
+                        return Err(format!(
+                            "--minus {k} needs 1..{} baseline inputs out of {n}",
+                            n - 1
+                        ));
+                    }
+                    Expr::diff(Expr::reduce(r, 0..n - k), Expr::reduce(r, n - k..n))
+                }
+                None => Expr::reduce(r, 0..n),
             }
-            let head = exps[..n - k].iter().flatten().count();
-            let base = exps[n - k..].iter().flatten().count();
-            if head == 0 {
-                return Err("--minus: no usable inputs left in the reduced group".into());
-            }
-            if base == 0 {
-                return Err("--minus: no usable inputs left in the baseline group".into());
-            }
-            Expr::diff(
-                Expr::reduce(reduction, 0..head),
-                Expr::reduce(reduction, head..head + base),
-            )
         }
-        None => {
-            if refs.is_empty() {
-                return Err(format!(
-                    "operator '{}' requires at least one operand",
-                    reduction.name()
-                ));
-            }
-            Expr::reduce(reduction, 0..refs.len())
+        _ => {
+            let r = Reduction::from_name(cmd).expect("the n-ary subcommands are reducer names");
+            Expr::reduce(r, 0..n)
         }
     };
-    let plan = BatchPlan::from_operands(&refs, p.merge_options());
-    let result = plan.eval(&expr).map_err(|e| e.to_string())?;
+    let loaded = load_inputs(inputs, p.flag("--keep-going"))?;
+    let expr = expr
+        .restrict(&loaded.alive)
+        .ok_or_else(|| loaded.required())?;
+    let refs: Vec<&Experiment> = loaded.exps.iter().collect();
+    let result = BatchPlan::with_options(&refs, p.merge_options())
+        .into_eval(&expr)
+        .map_err(|e| e.to_string())?;
     store(&result, out)?;
-    let summary = if keep_going {
-        skipped_summary(&skipped, inputs, refs.len())
-    } else {
-        String::new()
-    };
     ok(format!(
-        "{summary}wrote {out}: {}\n",
+        "{}wrote {out}: {}\n",
+        loaded.report,
+        result.provenance().label()
+    ))
+}
+
+/// `cube merge A B -o OUT` — the merge operator ([`ops::merge_with`]),
+/// a per-metric selection rather than arithmetic, so not an [`Expr`].
+/// It shares the operators' loader; under `--keep-going` a broken input
+/// degrades to a pass-through of the survivor.
+fn merge_cmd(args: &[String]) -> Result<Outcome, String> {
+    let p = parse(args)?;
+    if p.positional.len() != 2 {
+        return Err("cube merge takes exactly two input files".into());
+    }
+    let out = p.output.as_deref().ok_or("missing -o OUTPUT")?;
+    let loaded = load_inputs(&p.positional, p.flag("--keep-going"))?;
+    let result = match loaded.exps.as_slice() {
+        [a, b] => ops::merge_with(a, b, p.merge_options()),
+        [survivor] => survivor.clone(),
+        _ => return Err(loaded.required()),
+    };
+    store(&result, out)?;
+    ok(format!(
+        "{}wrote {out}: {}\n",
+        loaded.report,
         result.provenance().label()
     ))
 }
@@ -1567,28 +1457,6 @@ fn unpack_cmd(args: &[String]) -> Result<Outcome, String> {
     ok(format!("wrote {output}: {}\n", e.provenance().label()))
 }
 
-/// Minimal JSON string encoder (the format has no other JSON needs, so
-/// no serializer dependency).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn view(args: &[String]) -> Result<Outcome, String> {
     let p = parse(args)?;
     if p.positional.len() != 1 {
@@ -1938,12 +1806,6 @@ mod tests {
     }
 
     #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
     fn threads_flag_is_global_and_validated() {
         let prev = rayon::current_num_threads();
         let a = write_sample("thr_a.cube", 2.0);
@@ -2149,7 +2011,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_gathers_from_cubec_operands() {
+    fn stats_over_cubec_matches_stats_over_xml() {
         let a = write_sample("sg_a.cube", 2.0);
         let b = write_sample("sg_b.cube", 4.0);
         let ac = tmp("sg_a.cubec").to_string_lossy().into_owned();
@@ -2176,6 +2038,90 @@ mod tests {
         ]))
         .unwrap();
         assert!(r.stdout.contains("used 2 of 3 inputs"), "{}", r.stdout);
+    }
+
+    /// Writes a `.cubec` whose severity holds a NaN: the store writer
+    /// encodes it, the strict reader rejects it (data model).
+    fn write_nan_store(name: &str) -> String {
+        let mut e = sample(2.0);
+        e.severity_mut().values_mut()[1] = f64::NAN;
+        let path = tmp(name);
+        std::fs::write(&path, cube_store::write_store(&e)).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    /// Writes a `.cubec` whose footer records the wrong whole-file CRC
+    /// (the byte at `len - 16`); every section and page CRC still holds.
+    fn write_bad_file_crc_store(name: &str) -> String {
+        let mut bytes = cube_store::write_store(&sample(2.0));
+        let n = bytes.len();
+        bytes[n - 16] ^= 0xff;
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    /// Every operator subcommand refuses `bad` with the strict reader's
+    /// message and writes nothing; with `--keep-going`, `stats` skips
+    /// it and reduces over the rest.
+    fn assert_operators_refuse(bad: &str, tag: &str) {
+        let reason = cube_store::read_store_file(bad).unwrap_err().to_string();
+        let ok_in = write_sample(&format!("{tag}_ok.cube"), 4.0);
+        let out = tmp(&format!("{tag}_out.cube"));
+        let _ = std::fs::remove_file(&out);
+        let out = out.to_string_lossy().into_owned();
+        let err = run(&args(&["stats", &out, bad, &ok_in])).unwrap_err();
+        assert_eq!(err, format!("{bad}: {reason}"));
+        assert!(!std::path::Path::new(&out).exists(), "stats wrote {out}");
+        for cmd in ["diff", "merge", "mean", "sum", "min", "max", "stddev"] {
+            let err = run(&args(&[cmd, &ok_in, bad, "-o", &out])).unwrap_err();
+            assert!(err.contains(&reason), "{cmd}: {err}");
+        }
+
+        let r = run(&args(&["stats", &out, bad, &ok_in, "--keep-going"])).unwrap();
+        assert!(
+            r.stdout
+                .contains(&format!("skipped {bad}: {reason}\nused 1 of 2 inputs\n")),
+            "{}",
+            r.stdout
+        );
+        let oracle = tmp(&format!("{tag}_oracle.cube"))
+            .to_string_lossy()
+            .into_owned();
+        run(&args(&["stats", &oracle, &ok_in])).unwrap();
+        assert_eq!(
+            std::fs::read(&out).unwrap(),
+            std::fs::read(&oracle).unwrap()
+        );
+    }
+
+    #[test]
+    fn stats_refuses_a_store_holding_nan() {
+        let bad = write_nan_store("bug_nan.cubec");
+        assert!(load(&bad).unwrap_err().contains("NaN"));
+        assert_operators_refuse(&bad, "bug_nan");
+    }
+
+    #[test]
+    fn stats_refuses_a_store_with_a_wrong_file_crc() {
+        let bad = write_bad_file_crc_store("bug_crc.cubec");
+        assert!(load(&bad).unwrap_err().contains("whole file"));
+        assert_operators_refuse(&bad, "bug_crc");
+    }
+
+    #[test]
+    fn keep_going_cannot_drop_a_diff_side() {
+        let a = write_sample("kgd_a.cube", 2.0);
+        let out = tmp("kgd_out.cube").to_string_lossy().into_owned();
+        let missing = "/nonexistent/kgd_missing.cube";
+        let err = run(&args(&["diff", &a, missing, "--keep-going", "-o", &out])).unwrap_err();
+        assert!(err.contains(missing), "{err}");
+        assert!(
+            err.ends_with("(operand is structurally required; --keep-going cannot omit it)"),
+            "{err}"
+        );
+        let err = run(&args(&["diff", missing, &a, "--keep-going", "-o", &out])).unwrap_err();
+        assert!(err.contains("structurally required"), "{err}");
     }
 
     #[test]

@@ -31,14 +31,13 @@ use crate::http::{Deadline, Request, Response};
 use crate::json::{extract_string_field, json_string};
 use crate::server::Shared;
 use cube_algebra::{
-    check, parse_expr, render_expr, BatchOperand, BatchPlan, Expr, MergeOptions, OperandFacts,
+    check, parse_expr, render_expr, BatchOperand, BatchPlan, MergeOptions, OperandFacts,
     ParsedExpr, PlanTables,
 };
 use cube_model::Provenance;
 use cube_store::ColumnarExperiment;
 use cube_xml::footer::{crc32, footer_line};
 use cube_xml::write_experiment;
-use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -351,58 +350,21 @@ fn query_flag(req: &Request, name: &str) -> bool {
     })
 }
 
-/// Rewrites `expr` without the operands in `failed`: a failed index
-/// simply leaves every reduction list it appears in. A failed operand
-/// anywhere else (a diff side, a scale argument, a bare operand) has
-/// no meaning-preserving removal, so the expression cannot be
-/// degraded and the caller reports the underlying failure instead.
-/// This generalizes [`cube_algebra::FailurePolicy::KeepGoing`] — the
-/// CLI's `--keep-going` over one reduction — to arbitrary trees.
-fn degrade_expr(expr: &Expr, failed: &HashSet<usize>) -> Option<Expr> {
-    match expr {
-        Expr::Operand(i) => (!failed.contains(i)).then_some(Expr::Operand(*i)),
-        Expr::Zero => Some(Expr::Zero),
-        Expr::Reduce(r, idxs) => {
-            let kept: Vec<usize> = idxs
-                .iter()
-                .copied()
-                .filter(|i| !failed.contains(i))
-                .collect();
-            (!kept.is_empty()).then_some(Expr::Reduce(*r, kept))
-        }
-        Expr::Diff(a, b) => Some(Expr::diff(
-            degrade_expr(a, failed)?,
-            degrade_expr(b, failed)?,
-        )),
-        Expr::Scale(inner, f) => Some(Expr::scale(degrade_expr(inner, failed)?, *f)),
-    }
-}
-
-/// Renumbers operand indices through `remap` (old index → new index
-/// over the surviving operand list).
-fn remap_expr(expr: &Expr, remap: &[usize]) -> Expr {
-    match expr {
-        Expr::Operand(i) => Expr::Operand(remap[*i]),
-        Expr::Zero => Expr::Zero,
-        Expr::Reduce(r, idxs) => Expr::Reduce(*r, idxs.iter().map(|i| remap[*i]).collect()),
-        Expr::Diff(a, b) => Expr::diff(remap_expr(a, remap), remap_expr(b, remap)),
-        Expr::Scale(inner, f) => Expr::scale(remap_expr(inner, remap), *f),
-    }
-}
-
-/// Answers a degraded `/eval`: evaluates the expression over the
-/// surviving operands only and reports the omitted ones. `206` with a
-/// JSON envelope (not raw CUBE bytes — the `omitted_operands` report
-/// is part of the answer); never cached, because the result does not
-/// correspond to the canonical expression.
+/// Answers a degraded `/eval`: evaluates the expression restricted to
+/// the surviving operands ([`cube_algebra::Expr::restrict`], the rule
+/// the CLI's `--keep-going` applies) and reports the omitted ones. A
+/// structurally required operand that failed is the error instead.
+/// `206` with a JSON envelope (not raw CUBE bytes — the
+/// `omitted_operands` report is part of the answer); never cached,
+/// because the result does not correspond to the canonical expression.
 fn degraded_response(
     shared: &Shared,
     parsed: &ParsedExpr,
     handles: Vec<Option<Arc<ColumnarExperiment>>>,
     failures: &[(usize, String, ServeError)],
 ) -> Result<Response, ServeError> {
-    let failed: HashSet<usize> = failures.iter().map(|(i, _, _)| *i).collect();
-    let Some(degraded) = degrade_expr(&parsed.expr, &failed) else {
+    let alive: Vec<bool> = handles.iter().map(Option::is_some).collect();
+    let Some(degraded) = parsed.expr.restrict(&alive) else {
         let (_, _, e) = &failures[0];
         let mut e = e.clone();
         e.message = format!(
@@ -411,14 +373,11 @@ fn degraded_response(
         );
         return Err(e);
     };
-    let mut remap = vec![usize::MAX; handles.len()];
-    let mut survivors: Vec<Arc<ColumnarExperiment>> = Vec::new();
-    for (i, slot) in handles.into_iter().enumerate() {
-        if let Some(handle) = slot {
-            remap[i] = survivors.len();
-            survivors.push(handle);
-        }
-    }
+    let (survivors, names): (Vec<Arc<ColumnarExperiment>>, Vec<String>) = handles
+        .into_iter()
+        .zip(&parsed.operands)
+        .filter_map(|(slot, name)| Some((slot?, name.clone())))
+        .unzip();
     let ops: Vec<&dyn BatchOperand> = survivors
         .iter()
         .map(|h| h.as_ref() as &dyn BatchOperand)
@@ -427,13 +386,13 @@ fn degraded_response(
     // an accident of which reads failed, not a stable key.
     let tables = Arc::new(PlanTables::build(&ops, MergeOptions::default()));
     let plan = BatchPlan::from_tables(&ops, tables)?;
-    let exp = plan.eval(&remap_expr(&degraded, &remap))?;
+    let exp = plan.eval(&degraded)?;
     let bytes = render_cube_bytes(&exp);
     shared.degraded_evals.fetch_add(1, Ordering::Relaxed);
 
     let mut body = format!(
         "{{\"status\":\"degraded\",\"expr\":{},\"used\":{},\"omitted_operands\":[",
-        json_string(&render_expr(&degraded, &parsed.operands)),
+        json_string(&render_expr(&degraded, &names)),
         survivors.len(),
     );
     for (k, (index, id, e)) in failures.iter().enumerate() {

@@ -97,11 +97,19 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
-        let s = "a \"quoted\"\\ line\nwith\ttabs\u{1}";
-        let lit = json_string(s);
-        let (back, rest) = read_string(&lit).unwrap();
-        assert_eq!(back, s);
-        assert!(rest.is_empty());
+        for (s, lit) in [
+            (
+                "a \"quoted\"\\ line\nwith\ttabs\u{1}",
+                "\"a \\\"quoted\\\"\\\\ line\\nwith\\ttabs\\u0001\"",
+            ),
+            ("a\"b\\c\n", "\"a\\\"b\\\\c\\n\""),
+            ("\u{1}", "\"\\u0001\""),
+        ] {
+            assert_eq!(json_string(s), lit);
+            let (back, rest) = read_string(lit).unwrap();
+            assert_eq!(back, s);
+            assert!(rest.is_empty());
+        }
     }
 
     #[test]

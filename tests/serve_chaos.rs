@@ -315,6 +315,13 @@ fn chaos_schedule_never_hangs_or_corrupts_responses() {
     let text = reply.text();
     assert_eq!(omitted_ids(&text), vec![ids[2].clone()], "{text}");
     assert_eq!(json_number(&text, "used"), Some(2), "{text}");
+    // The envelope names the expression actually evaluated: the mean
+    // restricted to its survivors, written with their ids.
+    assert_eq!(
+        json_field(&text, "expr"),
+        Some(format!("mean({},{})", ids[0], ids[1])),
+        "{text}"
+    );
 
     // A structurally required operand cannot be omitted: diff's
     // subtrahend failing is an error even under keep_going.
