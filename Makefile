@@ -51,7 +51,7 @@ tsan:
 		--target x86_64-unknown-linux-gnu \
 		-p rayon -p cube-serve --lib
 
-## Streaming-vs-DOM serialization comparison (see EXPERIMENTS.md).
+## Streaming .cube read/write throughput (see EXPERIMENTS.md).
 bench-xml:
 	$(CARGO) bench -p cube-bench --bench xml_roundtrip
 

@@ -79,6 +79,23 @@ serve_addr() {
     done
 }
 
+## Prints the .cube document $1 with its <severity> section moved to the
+## front of <cube> and its checksum footer dropped (the move changes the
+## bytes the footer covers, not the experiment).
+severity_first() {
+    awk '
+        /^<!-- cube:crc32 / { next }
+        /<severity>/ { inside = 1 }
+        inside { sev = sev $0 "\n"; if (/<\/severity>/) inside = 0; next }
+        { body[n++] = $0 }
+        END {
+            for (i = 0; i < n; i++) {
+                print body[i]
+                if (body[i] ~ /^<cube[ >]/) printf "%s", sev
+            }
+        }' "$1"
+}
+
 ## Ingests run0.cube run1.cube run2.cubec run3.cubec into the server at
 ## $addr; leaves the ids in $ids.
 ingest_corpus() {
@@ -344,6 +361,40 @@ stage_serve() {
     serve_pid=$!
     serve_addr "$sdir/serve.log"
     ingest_corpus
+
+    echo "== serve gate: section order does not change what is ingested"
+    # run0 re-uploaded with <severity> first is the same experiment: the
+    # reply must name run0's id and create nothing.
+    severity_first "$det/corpus/run0.cube" >"$sdir/run0.severity-first.cube"
+    reply="$(curl -sS -H 'Expect:' -X PUT \
+        --data-binary @"$sdir/run0.severity-first.cube" "http://$addr/experiments")"
+    run0_id="$(printf '%s' "$ids" | awk '{print $1}')"
+    case "$reply" in
+    *"\"id\":\"$run0_id\",\"created\":false"*) ;;
+    *)
+        echo "run0 with <severity> first did not dedup to $run0_id: $reply" >&2
+        exit 1
+        ;;
+    esac
+
+    echo "== serve gate: too-deep uploads are refused in either section order"
+    deep=tests/fixtures/malformed/e201_nesting_too_deep.cube
+    severity_first "$deep" >"$sdir/deep.severity-first.cube"
+    for doc in "$deep" "$sdir/deep.severity-first.cube"; do
+        status="$(curl -sS -o "$sdir/deep.json" -w '%{http_code}' -H 'Expect:' \
+            -X PUT --data-binary @"$doc" "http://$addr/experiments")"
+        if [ "$status" != "413" ] || ! grep -q '"code":"limit"' "$sdir/deep.json"; then
+            echo "PUT of $doc answered $status, expected 413 limit:" >&2
+            cat "$sdir/deep.json" >&2
+            exit 1
+        fi
+    done
+    status="$(curl -sS -o /dev/null -w '%{http_code}' "http://$addr/healthz")"
+    if [ "$status" != "200" ]; then
+        echo "/healthz answered $status after the too-deep uploads" >&2
+        exit 1
+    fi
+
     # shellcheck disable=SC2086
     set -- $ids
     objects=""

@@ -1,16 +1,11 @@
-//! Throughput of the `.cube` XML pipelines: streaming vs DOM.
-//!
-//! For each shape the bench times all four directions — streaming
-//! write/read (`write_experiment` / `read_experiment`) and DOM
-//! write/read (`write_experiment_dom` / `read_experiment_dom`) — over
-//! the same document, so the streaming speedup is directly the ratio
-//! of the paired lines.
+//! Throughput of the `.cube` XML pipeline: streaming write and read
+//! (`write_experiment` / `read_experiment`) over the same document at
+//! three shapes.
 //!
 //! A counting global allocator additionally reports, outside the timed
-//! loops, the *peak transient heap* of one write and one read per
-//! pipeline: allocations live during the call beyond its inputs and
-//! retained result. Streaming should stay O(row); the DOM holds the
-//! whole element tree.
+//! loops, the *peak transient heap* of one write and one read:
+//! allocations live during the call beyond its inputs and retained
+//! result. Both should stay O(row).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -99,21 +94,14 @@ fn report_peak_memory() {
 
         let (w_stream, out) = peak_during(|| cube_xml::write_experiment(&e));
         drop(out);
-        let (w_dom, out) = peak_during(|| cube_xml::format::write_experiment_dom(&e));
-        drop(out);
         let (r_stream, out) = peak_during(|| cube_xml::read_experiment(&text).unwrap());
-        drop(out);
-        let (r_dom, out) = peak_during(|| cube_xml::format::read_experiment_dom(&text).unwrap());
         drop(out);
 
         eprintln!(
-            "  {label:<6} ({:>9} bytes xml): write stream {:>7.3} MiB vs dom {:>7.3} MiB | \
-             read stream {:>7.3} MiB vs dom {:>7.3} MiB",
+            "  {label:<6} ({:>9} bytes xml): write stream {:>7.3} MiB | read stream {:>7.3} MiB",
             text.len(),
             mib(w_stream),
-            mib(w_dom),
             mib(r_stream),
-            mib(r_dom),
         );
     }
 }
@@ -125,23 +113,12 @@ fn bench_xml(c: &mut Criterion) {
     for (label, n) in SIZES {
         let e = synthetic_experiment(shape(n), 1);
         let text = cube_xml::write_experiment(&e);
-        assert_eq!(
-            text,
-            cube_xml::format::write_experiment_dom(&e),
-            "pipelines must serialize identically"
-        );
         group.throughput(Throughput::Bytes(text.len() as u64));
         group.bench_with_input(BenchmarkId::new("write-stream", label), &n, |bench, _| {
             bench.iter(|| cube_xml::write_experiment(black_box(&e)))
         });
-        group.bench_with_input(BenchmarkId::new("write-dom", label), &n, |bench, _| {
-            bench.iter(|| cube_xml::format::write_experiment_dom(black_box(&e)))
-        });
         group.bench_with_input(BenchmarkId::new("read-stream", label), &n, |bench, _| {
             bench.iter(|| cube_xml::read_experiment(black_box(&text)).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("read-dom", label), &n, |bench, _| {
-            bench.iter(|| cube_xml::format::read_experiment_dom(black_box(&text)).unwrap())
         });
     }
     group.finish();

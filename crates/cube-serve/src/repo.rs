@@ -623,6 +623,54 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    #[test]
+    fn ingest_refuses_too_deep_documents_in_either_section_order() {
+        let root = temp_root("deep");
+        let repo = Repository::open_or_init(&root, ReadLimits::default(), 8).unwrap();
+        // Metrics nested 300 deep, past the default 256-deep limit.
+        let xml = cube_xml::write_experiment(&sample(1.0));
+        let (start, end) = (
+            xml.find("<metrics>").unwrap(),
+            xml.find("</metrics>").unwrap(),
+        );
+        let deep: String = (0..300)
+            .map(|i| format!("<metric id=\"{i}\" name=\"m{i}\" uom=\"sec\">"))
+            .collect();
+        let canonical = format!(
+            "{}<metrics>{deep}{}{}",
+            &xml[..start],
+            "</metric>".repeat(300),
+            &xml[end..]
+        );
+        let (s, e) = (
+            canonical.find("<severity>").unwrap(),
+            canonical.find("</severity>").unwrap() + "</severity>".len(),
+        );
+        let open =
+            canonical.find("<cube version=\"1.0\">").unwrap() + "<cube version=\"1.0\">".len();
+        let severity_first = format!(
+            "{}{}{}{}",
+            &canonical[..open],
+            &canonical[s..e],
+            &canonical[open..s],
+            &canonical[e..]
+        );
+        for doc in [canonical, severity_first] {
+            let err = match repo.ingest(doc.as_bytes()) {
+                Ok(got) => panic!("ingested a too-deep document as {}", got.id),
+                Err(e) => e,
+            };
+            assert_eq!(
+                (err.status, err.code.as_str()),
+                (413, "limit"),
+                "{}",
+                err.message
+            );
+        }
+        assert_eq!(repo.count(), 0);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
     fn open_err(repo: &Repository, id: &str) -> ServeError {
         match repo.open(id) {
             Ok(_) => panic!("expected {id} to fail to open"),

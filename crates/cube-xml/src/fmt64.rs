@@ -17,7 +17,7 @@
 //!    Grisu3 cannot certify.
 //!
 //! The format stability golden test and the differential property
-//! tests in `tests/streaming_roundtrip.rs` depend on the byte-for-byte
+//! tests of the DOM oracle (`src/oracle.rs`) depend on the byte-for-byte
 //! guarantee.
 //!
 //! The cached powers of ten that Grisu needs are not a baked-in table:

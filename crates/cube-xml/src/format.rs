@@ -13,22 +13,14 @@
 //!
 //! [`read_experiment`] and [`write_experiment`] run on the streaming
 //! [`CubeReader`](crate::reader::CubeReader) /
-//! [`CubeWriter`](crate::writer::CubeWriter) layer, which never builds
-//! a DOM. The DOM-based implementations remain available as
-//! [`read_experiment_dom`] and [`write_experiment_dom`] for tooling
-//! that wants an [`Element`] tree, and as the differential-testing
-//! oracle: both pipelines must produce identical results
-//! (`tests/streaming_roundtrip.rs` checks byte equality).
+//! [`CubeWriter`](crate::writer::CubeWriter) pair, the library's only
+//! `.cube` reader and writer; strict reads and
+//! [`read_experiment_salvage`] share the reader's one document loop.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
-use cube_model::{
-    CallNodeId, CallSiteId, Experiment, MachineId, Metadata, MetricId, ModuleId, Provenance,
-    RegionId, RegionKind, Severity, Unit,
-};
+use cube_model::{Experiment, Provenance};
 
-use crate::dom::{Document, Element};
 use crate::error::{Position, XmlError};
 use crate::footer::{check_footer, footer_line, Crc32Writer, FooterStatus};
 use crate::reader::ReadLimits;
@@ -54,26 +46,6 @@ pub fn write_experiment(exp: &Experiment) -> String {
         .write(exp)
         .expect("writing to a Vec cannot fail");
     String::from_utf8(bytes).expect("writer emits UTF-8 only")
-}
-
-/// Serializes an experiment into a `.cube` XML string by building a
-/// DOM [`Element`] tree first.
-///
-/// Byte-identical to [`write_experiment`]; kept for tooling that wants
-/// to post-process the tree and as the streaming writer's test oracle.
-pub fn write_experiment_dom(exp: &Experiment) -> String {
-    let md = exp.metadata();
-    let mut root = Element::new("cube")
-        .attr("version", FORMAT_VERSION)
-        .child(provenance_element(exp.provenance()))
-        .child(metrics_element(md))
-        .child(program_element(md))
-        .child(system_element(md));
-    if !md.topologies().is_empty() {
-        root = root.child(topologies_element(md));
-    }
-    root = root.child(severity_element(exp));
-    root.to_document_string()
 }
 
 /// How [`write_experiment_file_with`] commits an experiment to disk.
@@ -173,210 +145,15 @@ fn write_file_direct(exp: &Experiment, path: &Path, checksum: bool) -> Result<()
     Ok(())
 }
 
-fn provenance_element(p: &Provenance) -> Element {
-    match p {
-        Provenance::Original { name } => Element::new("provenance")
-            .attr("kind", "original")
-            .attr("label", name.clone()),
-        Provenance::Derived { operator, operands } => {
-            let mut e = Element::new("provenance")
-                .attr("kind", "derived")
-                .attr("operator", operator.clone());
-            for op in operands {
-                e = e.child(Element::new("operand").text(op.clone()));
-            }
-            e
-        }
-        Provenance::Recovered { source, note } => Element::new("provenance")
-            .attr("kind", "recovered")
-            .attr("label", source.clone())
-            .attr("note", note.clone()),
-    }
-}
-
-fn metrics_element(md: &Metadata) -> Element {
-    // Metric trees are written nested, in id order within each level.
-    fn emit(md: &Metadata, id: MetricId) -> Element {
-        let m = md.metric(id);
-        let mut e = Element::new("metric")
-            .attr("id", id.raw().to_string())
-            .attr("name", m.name.clone())
-            .attr("uom", m.unit.as_str())
-            .attr("descr", m.description.clone());
-        for &child in md.metric_children(id) {
-            e = e.child(emit(md, child));
-        }
-        e
-    }
-    let mut out = Element::new("metrics");
-    for &root in md.metric_roots() {
-        out = out.child(emit(md, root));
-    }
-    out
-}
-
-fn program_element(md: &Metadata) -> Element {
-    let mut out = Element::new("program");
-    for (i, m) in md.modules().iter().enumerate() {
-        out = out.child(
-            Element::new("module")
-                .attr("id", i.to_string())
-                .attr("name", m.name.clone())
-                .attr("path", m.path.clone()),
-        );
-    }
-    for (i, r) in md.regions().iter().enumerate() {
-        out = out.child(
-            Element::new("region")
-                .attr("id", i.to_string())
-                .attr("mod", r.module.raw().to_string())
-                .attr("name", r.name.clone())
-                .attr("kind", r.kind.as_str())
-                .attr("begin", r.begin_line.to_string())
-                .attr("end", r.end_line.to_string()),
-        );
-    }
-    for (i, cs) in md.call_sites().iter().enumerate() {
-        out = out.child(
-            Element::new("csite")
-                .attr("id", i.to_string())
-                .attr("file", cs.file.clone())
-                .attr("line", cs.line.to_string())
-                .attr("callee", cs.callee.raw().to_string()),
-        );
-    }
-    // Call trees nested like metrics.
-    fn emit(md: &Metadata, id: CallNodeId) -> Element {
-        let n = md.call_node(id);
-        let mut e = Element::new("cnode")
-            .attr("id", id.raw().to_string())
-            .attr("csite", n.call_site.raw().to_string());
-        for &child in md.call_node_children(id) {
-            e = e.child(emit(md, child));
-        }
-        e
-    }
-    for &root in md.call_roots() {
-        out = out.child(emit(md, root));
-    }
-    out
-}
-
-fn system_element(md: &Metadata) -> Element {
-    let mut out = Element::new("system");
-    for (mi, machine) in md.machines().iter().enumerate() {
-        let mid = MachineId::from_index(mi);
-        let mut me = Element::new("machine")
-            .attr("id", mi.to_string())
-            .attr("name", machine.name.clone());
-        for &nid in md.nodes_of_machine(mid) {
-            let node = md.node(nid);
-            let mut ne = Element::new("node")
-                .attr("id", nid.raw().to_string())
-                .attr("name", node.name.clone());
-            for &pid in md.processes_of_node(nid) {
-                let process = md.process(pid);
-                let mut pe = Element::new("process")
-                    .attr("id", pid.raw().to_string())
-                    .attr("rank", process.rank.to_string())
-                    .attr("name", process.name.clone());
-                for &tid in md.threads_of_process(pid) {
-                    let thread = md.thread(tid);
-                    pe = pe.child(
-                        Element::new("thread")
-                            .attr("id", tid.raw().to_string())
-                            .attr("num", thread.number.to_string())
-                            .attr("name", thread.name.clone()),
-                    );
-                }
-                ne = ne.child(pe);
-            }
-            me = me.child(ne);
-        }
-        out = out.child(me);
-    }
-    out
-}
-
-fn topologies_element(md: &Metadata) -> Element {
-    let mut out = Element::new("topologies");
-    for t in md.topologies() {
-        let dims = t
-            .dims
-            .iter()
-            .map(u32::to_string)
-            .collect::<Vec<_>>()
-            .join(" ");
-        let periodic = t
-            .periodic
-            .iter()
-            .map(|&p| if p { "1" } else { "0" })
-            .collect::<Vec<_>>()
-            .join(" ");
-        let mut cart = Element::new("cart")
-            .attr("name", t.name.clone())
-            .attr("dims", dims)
-            .attr("periodic", periodic);
-        for (p, c) in &t.coords {
-            let coord = c.iter().map(u32::to_string).collect::<Vec<_>>().join(" ");
-            cart = cart.child(
-                Element::new("coord")
-                    .attr("proc", p.raw().to_string())
-                    .text(coord),
-            );
-        }
-        out = out.child(cart);
-    }
-    out
-}
-
-fn severity_element(exp: &Experiment) -> Element {
-    let md = exp.metadata();
-    let sev = exp.severity();
-    let mut out = Element::new("severity");
-    for m in md.metric_ids() {
-        let mut matrix = Element::new("matrix").attr("metric", m.raw().to_string());
-        let mut has_rows = false;
-        for c in md.call_node_ids() {
-            let row = sev.row(m, c);
-            if row.iter().all(|&v| v == 0.0) {
-                continue;
-            }
-            has_rows = true;
-            let mut text = String::new();
-            for (i, v) in row.iter().enumerate() {
-                if i > 0 {
-                    text.push(' ');
-                }
-                // Deliberately std's formatter, not `fmt64`: the DOM
-                // writer is the differential oracle, and an independent
-                // formatting path makes the byte-equality tests a real
-                // cross-check of the streaming writer's fast paths.
-                let _ = write!(text, "{v}");
-            }
-            matrix = matrix.child(
-                Element::new("row")
-                    .attr("cnode", c.raw().to_string())
-                    .text(text),
-            );
-        }
-        if has_rows {
-            out = out.child(matrix);
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
 
 /// Parses a `.cube` XML string into an experiment.
 ///
-/// Runs the streaming [`CubeReader`](crate::reader::CubeReader), which
-/// falls back to [`read_experiment_dom`] only for documents that store
-/// `<severity>` before the metadata sections. When the document carries
-/// a checksum footer (`docs/FORMAT.md` §10), it is verified first —
+/// Runs the streaming [`CubeReader`](crate::reader::CubeReader) in one
+/// pass, whatever the section order. When the document carries a
+/// checksum footer (`docs/FORMAT.md` §10), it is verified first —
 /// silent corruption that would still parse is refused with
 /// [`XmlError::Checksum`].
 pub fn read_experiment(input: &str) -> Result<Experiment, XmlError> {
@@ -389,235 +166,6 @@ fn verify_footer(input: &str) -> Result<(), XmlError> {
         FooterStatus::Mismatch { expected, actual } => Err(XmlError::Checksum { expected, actual }),
         FooterStatus::Absent | FooterStatus::Valid => Ok(()),
     }
-}
-
-/// Parses a `.cube` XML string into an experiment through the DOM.
-///
-/// Equivalent to [`read_experiment`]; kept as the
-/// order-independent fallback and as the streaming reader's test
-/// oracle.
-pub fn read_experiment_dom(input: &str) -> Result<Experiment, XmlError> {
-    let doc = Document::parse(input)?;
-    if doc.root.name != "cube" {
-        return Err(XmlError::format(format!(
-            "root element is <{}>, expected <cube>",
-            doc.root.name
-        )));
-    }
-
-    let provenance = read_provenance(&doc.root)?;
-    let mut md = Metadata::new();
-
-    // --- metrics (nested; ids may be permuted relative to document
-    // order because the writer nests trees while ids follow creation
-    // order) ---
-    let metrics = doc.root.require_element("metrics")?;
-    let mut metric_recs: Vec<(u32, Option<u32>, &Element)> = Vec::new();
-    for m in metrics.elements("metric") {
-        collect_nested(m, "metric", None, &mut metric_recs)?;
-    }
-    sort_dense("metric", &mut metric_recs)?;
-    for (id, parent, e) in &metric_recs {
-        if let Some(p) = parent {
-            if p >= id {
-                return Err(XmlError::format(format!(
-                    "metric {id} appears before its parent {p}"
-                )));
-            }
-        }
-        let uom = e.require_attr("uom")?;
-        let unit = Unit::from_str_opt(uom)
-            .ok_or_else(|| XmlError::value(format!("unknown unit of measurement '{uom}'")))?;
-        md.add_metric(cube_model::Metric {
-            name: e.require_attr("name")?.to_string(),
-            unit,
-            description: e.get_attr("descr").unwrap_or("").to_string(),
-            parent: parent.map(MetricId::new),
-        });
-    }
-
-    // --- program ---
-    let program = doc.root.require_element("program")?;
-    for (i, e) in program.elements("module").enumerate() {
-        check_dense_id(e, i)?;
-        md.add_module(cube_model::Module::new(
-            e.require_attr("name")?,
-            e.get_attr("path").unwrap_or(""),
-        ));
-    }
-    for (i, e) in program.elements("region").enumerate() {
-        check_dense_id(e, i)?;
-        let kind_raw = e.require_attr("kind")?;
-        let kind = RegionKind::from_str_opt(kind_raw)
-            .ok_or_else(|| XmlError::value(format!("unknown region kind '{kind_raw}'")))?;
-        md.add_region(cube_model::Region {
-            name: e.require_attr("name")?.to_string(),
-            module: ModuleId::new(e.parse_attr("mod")?),
-            kind,
-            begin_line: e.parse_attr("begin")?,
-            end_line: e.parse_attr("end")?,
-        });
-    }
-    for (i, e) in program.elements("csite").enumerate() {
-        check_dense_id(e, i)?;
-        md.add_call_site(cube_model::CallSite {
-            file: e.require_attr("file")?.to_string(),
-            line: e.parse_attr("line")?,
-            callee: RegionId::new(e.parse_attr("callee")?),
-        });
-    }
-    let mut cnode_recs: Vec<(u32, Option<u32>, &Element)> = Vec::new();
-    for e in program.elements("cnode") {
-        collect_nested(e, "cnode", None, &mut cnode_recs)?;
-    }
-    sort_dense("cnode", &mut cnode_recs)?;
-    for (id, parent, e) in &cnode_recs {
-        if let Some(p) = parent {
-            if p >= id {
-                return Err(XmlError::format(format!(
-                    "cnode {id} appears before its parent {p}"
-                )));
-            }
-        }
-        md.add_call_node(cube_model::CallNode {
-            call_site: CallSiteId::new(e.parse_attr("csite")?),
-            parent: parent.map(CallNodeId::new),
-        });
-    }
-
-    // --- system ---
-    // The hierarchy is nested by machine/node, but ids follow creation
-    // order, which interleaves levels (e.g. ranks placed round-robin
-    // over nodes). Collect every level, then add entities in id order
-    // so that severity columns keep their meaning.
-    let system = doc.root.require_element("system")?;
-    let mut machines: Vec<(u32, &Element)> = Vec::new();
-    let mut sys_nodes: Vec<(u32, u32, &Element)> = Vec::new();
-    let mut processes: Vec<(u32, u32, &Element)> = Vec::new();
-    let mut threads: Vec<(u32, u32, &Element)> = Vec::new();
-    for me in system.elements("machine") {
-        let mid: u32 = me.parse_attr("id")?;
-        machines.push((mid, me));
-        for ne in me.elements("node") {
-            let nid: u32 = ne.parse_attr("id")?;
-            sys_nodes.push((nid, mid, ne));
-            for pe in ne.elements("process") {
-                let pid: u32 = pe.parse_attr("id")?;
-                processes.push((pid, nid, pe));
-                for te in pe.elements("thread") {
-                    threads.push((te.parse_attr("id")?, pid, te));
-                }
-            }
-        }
-    }
-    sort_dense_sys("machine", &mut machines, |m| m.0)?;
-    sort_dense_sys("node", &mut sys_nodes, |n| n.0)?;
-    sort_dense_sys("process", &mut processes, |p| p.0)?;
-    sort_dense_sys("thread", &mut threads, |t| t.0)?;
-    for (_, me) in &machines {
-        md.add_machine(cube_model::Machine::new(me.require_attr("name")?));
-    }
-    for (_, mid, ne) in &sys_nodes {
-        md.add_node(cube_model::SystemNode::new(
-            ne.require_attr("name")?,
-            cube_model::MachineId::new(*mid),
-        ));
-    }
-    for (_, nid, pe) in &processes {
-        md.add_process(cube_model::Process::new(
-            pe.require_attr("name")?,
-            pe.parse_attr("rank")?,
-            cube_model::NodeId::new(*nid),
-        ));
-    }
-    for (_, pid, te) in &threads {
-        md.add_thread(cube_model::Thread::new(
-            te.require_attr("name")?,
-            te.parse_attr("num")?,
-            cube_model::ProcessId::new(*pid),
-        ));
-    }
-
-    // --- topologies (optional) ---
-    if let Some(topologies) = doc.root.element("topologies") {
-        for cart in topologies.elements("cart") {
-            let parse_list = |key: &str| -> Result<Vec<u32>, XmlError> {
-                cart.require_attr(key)?
-                    .split_ascii_whitespace()
-                    .map(|tok| {
-                        tok.parse::<u32>().map_err(|_| {
-                            XmlError::value(format!("bad topology {key} entry '{tok}'"))
-                        })
-                    })
-                    .collect()
-            };
-            let dims = parse_list("dims")?;
-            let periodic: Vec<bool> = parse_list("periodic")?
-                .into_iter()
-                .map(|v| v != 0)
-                .collect();
-            let mut topo =
-                cube_model::CartTopology::new(cart.require_attr("name")?, dims, periodic);
-            for coord in cart.elements("coord") {
-                let proc_id: u32 = coord.parse_attr("proc")?;
-                let c: Vec<u32> = coord
-                    .text_content()
-                    .split_ascii_whitespace()
-                    .map(|tok| {
-                        tok.parse::<u32>()
-                            .map_err(|_| XmlError::value(format!("bad coordinate entry '{tok}'")))
-                    })
-                    .collect::<Result<_, _>>()?;
-                topo.coords.push((cube_model::ProcessId::new(proc_id), c));
-            }
-            md.add_topology(topo);
-        }
-    }
-
-    // --- severity ---
-    let (nm, nc, nt) = md.shape();
-    let mut sev = Severity::zeros(nm, nc, nt);
-    if let Some(severity) = doc.root.element("severity") {
-        for matrix in severity.elements("matrix") {
-            let m: u32 = matrix.parse_attr("metric")?;
-            if m as usize >= nm {
-                return Err(XmlError::value(format!(
-                    "matrix metric id {m} out of range"
-                )));
-            }
-            for row in matrix.elements("row") {
-                let c: u32 = row.parse_attr("cnode")?;
-                if c as usize >= nc {
-                    return Err(XmlError::value(format!("row cnode id {c} out of range")));
-                }
-                let text = row.text_content();
-                let dest = sev.row_mut(MetricId::new(m), CallNodeId::new(c));
-                let mut count = 0usize;
-                for (i, tok) in text.split_ascii_whitespace().enumerate() {
-                    if i >= dest.len() {
-                        return Err(XmlError::value(format!(
-                            "row (metric {m}, cnode {c}) has more than {} values",
-                            dest.len()
-                        )));
-                    }
-                    dest[i] = tok.parse().map_err(|_| {
-                        XmlError::value(format!(
-                            "severity value '{tok}' in row (metric {m}, cnode {c}) is not a number"
-                        ))
-                    })?;
-                    count += 1;
-                }
-                if count != dest.len() {
-                    return Err(XmlError::value(format!(
-                        "row (metric {m}, cnode {c}) has {count} values, expected {}",
-                        dest.len()
-                    )));
-                }
-            }
-        }
-    }
-
-    Experiment::new(md, sev, provenance).map_err(Into::into)
 }
 
 /// Reads an experiment from a file. I/O errors carry `path`.
@@ -676,22 +224,17 @@ pub struct SalvageReport {
 /// [`Provenance::Recovered`] so the damage stays visible through any
 /// downstream algebra.
 ///
-/// Documents that store `<severity>` before the metadata fall back to
-/// the DOM reader and recover only when they parse completely.
+/// A `<severity>` section stored before the metadata is parsed when the
+/// metadata closes: damaged values in it are recovered as anywhere
+/// else, and the sections after it are still read; damaged markup there
+/// is fatal, because the metadata behind it cannot be reached.
 pub fn read_experiment_salvage(input: &str) -> Result<(Experiment, SalvageReport), XmlError> {
-    read_experiment_salvage_with(input, ReadLimits::default())
+    read_experiment_salvage_as(input, None, ReadLimits::default())
 }
 
-/// [`read_experiment_salvage`] with explicit [`ReadLimits`].
-pub fn read_experiment_salvage_with(
-    input: &str,
-    limits: ReadLimits,
-) -> Result<(Experiment, SalvageReport), XmlError> {
-    read_experiment_salvage_as(input, None, limits)
-}
-
-/// [`read_experiment_salvage_with`] with an explicit *origin* — the
-/// name the recovery provenance note should call the damaged document.
+/// [`read_experiment_salvage`] with explicit [`ReadLimits`] and an
+/// explicit *origin* — the name the recovery provenance note should
+/// call the damaged document.
 ///
 /// Salvage often runs over bytes that no longer sit where the user
 /// thinks of them: a staging temp file, or an object inside a
@@ -706,33 +249,19 @@ pub fn read_experiment_salvage_as(
     limits: ReadLimits,
 ) -> Result<(Experiment, SalvageReport), XmlError> {
     let checksum = check_footer(input);
-    let (mut exp, report) = match crate::reader::read_streaming_salvage(input, limits)? {
-        Some((md, sev, prov, info)) => {
-            let exp = Experiment::new(md, sev, prov)?;
-            let report = SalvageReport {
-                complete: info.loss.is_none() && !checksum.is_mismatch(),
-                rows_recovered: info.rows_recovered,
-                loss: info.loss,
-                position: info.position,
-                context: info.context,
-                checksum,
-            };
-            (exp, report)
-        }
-        // Severity stored before the metadata: the salvage pass cannot
-        // size the matrix either, so only a full DOM parse recovers.
-        None => {
-            let exp = read_experiment_dom(input)?;
-            let report = SalvageReport {
-                complete: !checksum.is_mismatch(),
-                rows_recovered: 0,
-                loss: None,
-                position: None,
-                context: None,
-                checksum,
-            };
-            (exp, report)
-        }
+    let parsed = crate::reader::parse(input, limits)?;
+    let mut exp = Experiment::new(parsed.md, parsed.sev, parsed.provenance)?;
+    let (loss, position, context) = match parsed.loss {
+        Some(loss) => (Some(loss.error.to_string()), loss.position, loss.context),
+        None => (None, None, None),
+    };
+    let report = SalvageReport {
+        complete: loss.is_none() && !checksum.is_mismatch(),
+        rows_recovered: parsed.rows,
+        loss,
+        position,
+        context,
+        checksum,
     };
     if !report.complete {
         // Recovery-note format (normative, docs/FORMAT.md §10):
@@ -758,16 +287,9 @@ pub fn read_experiment_salvage_as(
     Ok((exp, report))
 }
 
-/// Reads and salvages a `.cube` file on disk. I/O errors carry `path`.
-pub fn read_experiment_salvage_file(
-    path: impl AsRef<Path>,
-) -> Result<(Experiment, SalvageReport), XmlError> {
-    read_experiment_salvage_file_as(path, None)
-}
-
-/// [`read_experiment_salvage_file`] with an explicit *origin* for the
-/// recovery provenance note (see [`read_experiment_salvage_as`]);
-/// `None` keeps the note unprefixed.
+/// Reads and salvages a `.cube` file on disk, with an explicit *origin*
+/// for the recovery provenance note (see [`read_experiment_salvage_as`]);
+/// `None` keeps the note unprefixed. I/O errors carry `path`.
 pub fn read_experiment_salvage_file_as(
     path: impl AsRef<Path>,
     origin: Option<&str>,
@@ -781,88 +303,6 @@ pub fn read_experiment_salvage_file_as(
         origin,
         ReadLimits::default(),
     )
-}
-
-fn read_provenance(root: &Element) -> Result<Provenance, XmlError> {
-    let Some(p) = root.element("provenance") else {
-        return Ok(Provenance::default());
-    };
-    match p.get_attr("kind") {
-        Some("original") | None => Ok(Provenance::original(
-            p.get_attr("label").unwrap_or("unnamed experiment"),
-        )),
-        Some("derived") => Ok(Provenance::derived(
-            p.get_attr("operator").unwrap_or("unknown"),
-            p.elements("operand").map(|o| o.text_content()).collect(),
-        )),
-        Some("recovered") => Ok(Provenance::recovered(
-            p.get_attr("label").unwrap_or("unnamed experiment"),
-            p.get_attr("note").unwrap_or(""),
-        )),
-        Some(other) => Err(XmlError::value(format!(
-            "unknown provenance kind '{other}'"
-        ))),
-    }
-}
-
-/// Collects a nested tree of same-named elements into `(id, parent id,
-/// element)` records.
-fn collect_nested<'a>(
-    e: &'a Element,
-    tag: &'a str,
-    parent: Option<u32>,
-    out: &mut Vec<(u32, Option<u32>, &'a Element)>,
-) -> Result<(), XmlError> {
-    let id: u32 = e.parse_attr("id")?;
-    out.push((id, parent, e));
-    for child in e.elements(tag) {
-        collect_nested(child, tag, Some(id), out)?;
-    }
-    Ok(())
-}
-
-/// Sorts records by id and verifies the ids are exactly `0..n`.
-fn sort_dense(what: &str, recs: &mut [(u32, Option<u32>, &Element)]) -> Result<(), XmlError> {
-    recs.sort_by_key(|(id, _, _)| *id);
-    for (expected, (id, _, _)) in recs.iter().enumerate() {
-        if *id as usize != expected {
-            return Err(XmlError::format(format!(
-                "<{what}> ids must be dense 0..{}: found {id}, expected {expected}",
-                recs.len()
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn check_dense_id(e: &Element, expected: usize) -> Result<(), XmlError> {
-    let id: usize = e.parse_attr("id")?;
-    if id != expected {
-        return Err(XmlError::format(format!(
-            "<{}> ids must be dense and in document order: found {id}, expected {expected}",
-            e.name
-        )));
-    }
-    Ok(())
-}
-
-/// Sorts system-level records by id and verifies density.
-fn sort_dense_sys<T>(
-    what: &str,
-    recs: &mut [T],
-    id_of: impl Fn(&T) -> u32,
-) -> Result<(), XmlError> {
-    recs.sort_by_key(|r| id_of(r));
-    for (expected, r) in recs.iter().enumerate() {
-        if id_of(r) as usize != expected {
-            return Err(XmlError::format(format!(
-                "<{what}> ids must be dense 0..{}: found {}, expected {expected}",
-                recs.len(),
-                id_of(r)
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1039,9 +479,6 @@ mod tests {
         write_experiment_file(&e, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(check_footer(&text), FooterStatus::Valid);
-        // Old readers must still parse: the DOM path ignores the
-        // trailing comment.
-        assert!(read_experiment_dom(&text).unwrap().approx_eq(&e, 0.0));
         std::fs::remove_file(path).ok();
     }
 

@@ -6,18 +6,16 @@
 //! DOCTYPE declarations and processing instructions other than the
 //! declaration.
 //!
-//! Two APIs share one lexing core:
-//!
-//! * [`Lexer::next_event`] yields borrowed [`XmlEvent`]s whose names
-//!   and bodies are slices of the input; attribute values and text are
-//!   [`Cow`]s that only allocate when entity references must be
-//!   resolved. This is the zero-copy path the streaming CUBE reader is
-//!   built on.
-//! * [`Lexer::next_token`] yields owned [`XmlToken`]s, converting the
-//!   borrowed events; the DOM parser uses this form.
+//! [`Lexer::next_event`] yields borrowed [`XmlEvent`]s whose names and
+//! bodies are slices of the input; attribute values and text are
+//! [`Cow`]s that only allocate when entity references must be
+//! resolved. This is the zero-copy path the streaming CUBE reader is
+//! built on.
 //!
 //! Events borrow from the input string, not from the lexer, so an
-//! event may be held across subsequent `next_event` calls.
+//! event may be held across subsequent `next_event` calls. A lexer is
+//! a few words of state: cloning it saves a position to lex from
+//! again.
 
 use std::borrow::Cow;
 
@@ -40,7 +38,7 @@ pub enum XmlEvent<'a> {
     /// Unescaped character data (entity references resolved; borrowed
     /// when the raw text contains none).
     Text(Cow<'a, str>),
-    /// `<!-- ... -->` — preserved so tools may inspect it; the DOM drops it.
+    /// `<!-- ... -->` — preserved so tools may inspect it.
     Comment(&'a str),
     /// `<![CDATA[ ... ]]>` — delivered as literal text.
     CData(&'a str),
@@ -59,54 +57,8 @@ impl<'a> XmlEvent<'a> {
     }
 }
 
-/// One lexical token of the document, with owned contents.
-#[derive(Clone, Debug, PartialEq)]
-pub enum XmlToken {
-    /// `<?xml ...?>` — contents are not interpreted.
-    Declaration,
-    /// `<name attr="v" ...>` or `<name ... />`.
-    StartTag {
-        name: String,
-        attributes: Vec<(String, String)>,
-        self_closing: bool,
-    },
-    /// `</name>`.
-    EndTag { name: String },
-    /// Unescaped character data (entity references resolved).
-    Text(String),
-    /// `<!-- ... -->` — preserved so tools may inspect it; the DOM drops it.
-    Comment(String),
-    /// `<![CDATA[ ... ]]>` — delivered as literal text.
-    CData(String),
-}
-
-impl From<XmlEvent<'_>> for XmlToken {
-    fn from(ev: XmlEvent<'_>) -> Self {
-        match ev {
-            XmlEvent::Declaration => XmlToken::Declaration,
-            XmlEvent::StartTag {
-                name,
-                attributes,
-                self_closing,
-            } => XmlToken::StartTag {
-                name: name.to_string(),
-                attributes: attributes
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v.into_owned()))
-                    .collect(),
-                self_closing,
-            },
-            XmlEvent::EndTag { name } => XmlToken::EndTag {
-                name: name.to_string(),
-            },
-            XmlEvent::Text(t) => XmlToken::Text(t.into_owned()),
-            XmlEvent::Comment(c) => XmlToken::Comment(c.to_string()),
-            XmlEvent::CData(c) => XmlToken::CData(c.to_string()),
-        }
-    }
-}
-
 /// Tokenizer over an in-memory document.
+#[derive(Clone)]
 pub struct Lexer<'a> {
     input: &'a str,
     bytes: &'a [u8],
@@ -163,11 +115,6 @@ impl<'a> Lexer<'a> {
         } else {
             self.lex_text().map(Some)
         }
-    }
-
-    /// Returns the next owned token, or `None` at end of input.
-    pub fn next_token(&mut self) -> Result<Option<XmlToken>, XmlError> {
-        Ok(self.next_event()?.map(XmlToken::from))
     }
 
     fn lex_text(&mut self) -> Result<XmlEvent<'a>, XmlError> {
@@ -334,52 +281,52 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Tokenizes a whole document into a vector.
-pub fn tokenize(input: &str) -> Result<Vec<XmlToken>, XmlError> {
-    let mut lexer = Lexer::new(input);
-    let mut out = Vec::new();
-    while let Some(tok) = lexer.next_token()? {
-        out.push(tok);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Lexes a whole document into its events.
+    fn events(input: &str) -> Result<Vec<XmlEvent<'_>>, XmlError> {
+        let mut lexer = Lexer::new(input);
+        let mut out = Vec::new();
+        while let Some(ev) = lexer.next_event()? {
+            out.push(ev);
+        }
+        Ok(out)
+    }
+
     #[test]
     fn simple_document() {
-        let toks = tokenize(r#"<?xml version="1.0"?><a x="1"><b/>hi</a>"#).unwrap();
-        assert_eq!(toks.len(), 5);
-        assert_eq!(toks[0], XmlToken::Declaration);
+        let evs = events(r#"<?xml version="1.0"?><a x="1"><b/>hi</a>"#).unwrap();
+        assert_eq!(evs.len(), 5);
+        assert_eq!(evs[0], XmlEvent::Declaration);
         assert_eq!(
-            toks[1],
-            XmlToken::StartTag {
-                name: "a".into(),
-                attributes: vec![("x".into(), "1".into())],
+            evs[1],
+            XmlEvent::StartTag {
+                name: "a",
+                attributes: vec![("x", "1".into())],
                 self_closing: false
             }
         );
         assert_eq!(
-            toks[2],
-            XmlToken::StartTag {
-                name: "b".into(),
+            evs[2],
+            XmlEvent::StartTag {
+                name: "b",
                 attributes: vec![],
                 self_closing: true
             }
         );
-        assert_eq!(toks[3], XmlToken::Text("hi".into()));
-        assert_eq!(toks[4], XmlToken::EndTag { name: "a".into() });
+        assert_eq!(evs[3], XmlEvent::Text("hi".into()));
+        assert_eq!(evs[4], XmlEvent::EndTag { name: "a" });
     }
 
     #[test]
     fn attributes_both_quote_kinds_and_entities() {
-        let toks = tokenize(r#"<m name='a &amp; b' descr="q&quot;q"/>"#).unwrap();
-        match &toks[0] {
-            XmlToken::StartTag { attributes, .. } => {
-                assert_eq!(attributes[0], ("name".into(), "a & b".into()));
-                assert_eq!(attributes[1], ("descr".into(), "q\"q".into()));
+        let evs = events(r#"<m name='a &amp; b' descr="q&quot;q"/>"#).unwrap();
+        match &evs[0] {
+            XmlEvent::StartTag { attributes, .. } => {
+                assert_eq!(attributes[0], ("name", "a & b".into()));
+                assert_eq!(attributes[1], ("descr", "q\"q".into()));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -387,20 +334,20 @@ mod tests {
 
     #[test]
     fn comments_and_cdata() {
-        let toks = tokenize("<a><!-- note --><![CDATA[1 < 2 && 3]]></a>").unwrap();
-        assert_eq!(toks[1], XmlToken::Comment(" note ".into()));
-        assert_eq!(toks[2], XmlToken::CData("1 < 2 && 3".into()));
+        let evs = events("<a><!-- note --><![CDATA[1 < 2 && 3]]></a>").unwrap();
+        assert_eq!(evs[1], XmlEvent::Comment(" note "));
+        assert_eq!(evs[2], XmlEvent::CData("1 < 2 && 3"));
     }
 
     #[test]
     fn text_entities_resolved() {
-        let toks = tokenize("<a>x &lt; y</a>").unwrap();
-        assert_eq!(toks[1], XmlToken::Text("x < y".into()));
+        let evs = events("<a>x &lt; y</a>").unwrap();
+        assert_eq!(evs[1], XmlEvent::Text("x < y".into()));
     }
 
     #[test]
     fn error_positions_track_lines() {
-        let err = tokenize("<a>\n  <b attr></b>\n</a>").unwrap_err();
+        let err = events("<a>\n  <b attr></b>\n</a>").unwrap_err();
         match err {
             XmlError::Syntax { position, .. } => {
                 assert_eq!(position.line, 2);
@@ -411,31 +358,31 @@ mod tests {
 
     #[test]
     fn rejects_doctype_and_pi() {
-        assert!(tokenize("<!DOCTYPE cube><cube/>").is_err());
-        assert!(tokenize("<?php echo ?><cube/>").is_err());
+        assert!(events("<!DOCTYPE cube><cube/>").is_err());
+        assert!(events("<?php echo ?><cube/>").is_err());
     }
 
     #[test]
     fn rejects_unterminated_constructs() {
-        assert!(tokenize("<a").is_err());
-        assert!(tokenize("<!-- never closed").is_err());
-        assert!(tokenize("<a x=\"1>").is_err());
-        assert!(tokenize("<![CDATA[ oops").is_err());
+        assert!(events("<a").is_err());
+        assert!(events("<!-- never closed").is_err());
+        assert!(events("<a x=\"1>").is_err());
+        assert!(events("<![CDATA[ oops").is_err());
     }
 
     #[test]
     fn whitespace_inside_tags() {
-        let toks = tokenize("<a  x = \"1\"   y='2' ></a>").unwrap();
-        match &toks[0] {
-            XmlToken::StartTag { attributes, .. } => assert_eq!(attributes.len(), 2),
+        let evs = events("<a  x = \"1\"   y='2' ></a>").unwrap();
+        match &evs[0] {
+            XmlEvent::StartTag { attributes, .. } => assert_eq!(attributes.len(), 2),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
     fn name_rules() {
-        assert!(tokenize("<1abc/>").is_err());
-        assert!(tokenize("<a-b.c:d/>").is_ok());
+        assert!(events("<1abc/>").is_err());
+        assert!(events("<a-b.c:d/>").is_ok());
     }
 
     #[test]

@@ -8,18 +8,19 @@
 //! * [`escape`] — entity escaping/unescaping for text and attributes;
 //! * [`lexer`] — a streaming tokenizer for the XML subset the format
 //!   needs (declaration, elements, attributes, text, comments, CDATA);
-//! * [`dom`] — a small document tree with well-formedness checks and a
-//!   pretty-printing writer;
-//! * [`reader`] — the streaming [`reader::CubeReader`]: lexer events
-//!   assembled directly into a [`cube_model::Experiment`], with
-//!   severity rows parsed straight into the dense buffer;
+//! * [`reader`] — the streaming [`reader::CubeReader`], the only
+//!   `.cube` reader: lexer events assembled directly into a
+//!   [`cube_model::Experiment`] in one pass whatever the section order,
+//!   with one document loop for strict reads, lint and salvage;
 //! * [`writer`] — the streaming [`writer::CubeWriter`]: an experiment
 //!   emitted to any [`std::io::Write`] without an element tree;
 //! * [`format`](mod@format) — the CUBE format layer: [`format::write_experiment`]
 //!   and [`format::read_experiment`] convert between
 //!   [`cube_model::Experiment`] and `.cube` files on top of the
-//!   streaming pair (the DOM pipeline stays available as
-//!   [`format::read_experiment_dom`] / [`format::write_experiment_dom`]).
+//!   streaming pair.
+//!
+//! A DOM reader and writer survive only in test code, as the
+//! differential oracle the streaming pair is checked against.
 //!
 //! The format itself — element inventory, dense-id rules, the
 //! zero-omission convention, topologies, provenance — is specified
@@ -63,7 +64,6 @@
 //! read back as zero severity, mirroring the zero-extension rule of the
 //! algebra.
 
-pub mod dom;
 pub mod error;
 pub mod escape;
 pub mod faults;
@@ -72,17 +72,17 @@ pub mod footer;
 pub mod format;
 pub mod lexer;
 pub mod lint;
+#[cfg(test)]
+mod oracle;
 pub mod reader;
 pub mod writer;
 
-pub use dom::{Document, Element, XmlNode};
 pub use error::{LimitKind, XmlError};
 pub use footer::FooterStatus;
 pub use format::{
     read_experiment, read_experiment_file, read_experiment_salvage, read_experiment_salvage_as,
-    read_experiment_salvage_file, read_experiment_salvage_file_as, read_experiment_salvage_with,
-    write_experiment, write_experiment_file, write_experiment_file_with, SalvageReport,
-    WriteOptions,
+    read_experiment_salvage_file_as, write_experiment, write_experiment_file,
+    write_experiment_file_with, SalvageReport, WriteOptions,
 };
 pub use lint::{lint_file, lint_read, lint_str, read_experiment_strict};
 pub use reader::{CubeReader, ReadLimits};

@@ -9,8 +9,8 @@
 //!   broken file and a structurally unsound experiment produce the same
 //!   kind of report;
 //! * a well-formed file is read through the streaming parser's
-//!   parts-returning entry point, so *all* model violations are
-//!   reported, not just the first one
+//!   parts-returning entry point — whatever its section order — so
+//!   *all* model violations are reported, not just the first one
 //!   [`Experiment::new`](cube_model::Experiment::new) would raise.
 
 use std::path::Path;
@@ -19,7 +19,7 @@ use cube_model::lint::{diagnostic_of_model_error, lint_parts, Diagnostic, Locati
 use cube_model::{Experiment, RuleCode};
 
 use crate::error::{LimitKind, XmlError};
-use crate::reader::read_streaming_parts;
+use crate::reader::{parse, Parsed, ReadLimits};
 
 /// Converts a parse/IO error into a single diagnostic with the best
 /// available location.
@@ -67,8 +67,8 @@ pub fn lint_read(input: &str) -> (Option<Experiment>, Report) {
             })]),
         );
     }
-    match read_streaming_parts(input) {
-        Ok(Some((md, sev, prov))) => {
+    match parse(input, ReadLimits::default()).and_then(Parsed::into_parts) {
+        Ok((md, sev, prov)) => {
             let report = lint_parts(&md, &sev, &prov);
             let exp = if report.has_errors() {
                 None
@@ -79,19 +79,6 @@ pub fn lint_read(input: &str) -> (Option<Experiment>, Report) {
             };
             (exp, report)
         }
-        // Severity stored before the metadata sections: the streaming
-        // pass cannot size the matrix, so fall back to the DOM reader
-        // like `read_experiment` does.
-        Ok(None) => match crate::format::read_experiment_dom(input) {
-            Ok(exp) => {
-                let report = exp.lint();
-                (Some(exp), report)
-            }
-            Err(e) => (
-                None,
-                Report::from_diagnostics(vec![diagnostic_of_xml_error(&e)]),
-            ),
-        },
         Err(e) => (
             None,
             Report::from_diagnostics(vec![diagnostic_of_xml_error(&e)]),
@@ -230,17 +217,31 @@ mod tests {
     }
 
     #[test]
-    fn severity_before_metadata_falls_back_to_dom() {
-        // Move <severity> to the front; the streaming parser cannot
-        // size it, the DOM fallback still lints the result.
-        let doc = valid_doc();
+    fn severity_before_metadata_lints_like_canonical_order() {
+        // Two model errors (inverted region lines, NaN severity) and a
+        // warning (a module without regions), then <severity> moved to
+        // the front: the report must not change.
+        let doc = valid_doc()
+            .replace("2.5", "NaN")
+            .replace("begin=\"1\" end=\"9\"", "begin=\"9\" end=\"1\"")
+            .replace(
+                "</program>",
+                "<module id=\"1\" name=\"dead.c\" path=\"/dead.c\"/></program>",
+            );
         let start = doc.find("  <severity>").unwrap();
         let end = doc.find("</severity>").unwrap() + "</severity>\n".len();
         let severity = doc[start..end].to_string();
         let rest = format!("{}{}", &doc[..start], &doc[end..]);
         let moved = rest.replacen("  <metrics>", &format!("{severity}  <metrics>"), 1);
-        let (exp, report) = lint_read(&moved);
-        assert!(report.is_clean(), "{report}");
-        assert!(exp.is_some());
+        let key = |r: &Report| -> Vec<_> {
+            r.diagnostics()
+                .iter()
+                .map(|d| (d.code, d.level(), d.location.clone()))
+                .collect()
+        };
+        let canonical = lint_str(&doc);
+        assert_eq!(canonical.num_errors(), 2, "{canonical}");
+        assert_eq!(canonical.num_warnings(), 1, "{canonical}");
+        assert_eq!(key(&lint_str(&moved)), key(&canonical));
     }
 }

@@ -4,16 +4,24 @@
 //! and assembles a [`cube_model::Experiment`] without ever building a
 //! DOM tree. Metadata sections are collected into small per-entity
 //! records (names borrow from the input until the final insertion),
-//! then severity `<row>` values are parsed directly into the dense
-//! [`Severity`] buffer. The only transient allocations proportional to
-//! the file are one scratch string bounded by the longest severity row
-//! — transient memory is O(row), not O(document).
+//! then severity `<row>` values are parsed into one reused row buffer
+//! and copied into the dense [`Severity`] buffer whole. The only
+//! transient allocations proportional to the file are that buffer and
+//! one scratch string bounded by the longest severity row — transient
+//! memory is O(row), not O(document).
 //!
-//! The streaming pass requires the metadata sections (`<metrics>`,
-//! `<program>`, `<system>`) to precede `<severity>`, which every file
-//! this crate writes satisfies. A foreign file that orders them
-//! differently is still read correctly: [`CubeReader::read`] falls
-//! back to the DOM reader for that rare shape.
+//! Section order is not significant. A `<severity>` section met before
+//! `<metrics>`, `<program>` and `<system>` have all closed cannot be
+//! sized yet: the parser saves the lexer state, skips the section
+//! (checking its markup and nesting), and parses it from the saved
+//! state the moment the last metadata section closes. Such a section
+//! is lexed twice, never buffered.
+//!
+//! One document loop serves every caller. An error before the metadata
+//! is complete is returned; the first error after that point is
+//! recorded next to everything assembled so far, severity rows
+//! committed whole. [`CubeReader::read`], `read_experiment` and the
+//! linter return the recorded error; salvage reports it.
 
 use std::borrow::Cow;
 use std::str::FromStr;
@@ -32,7 +40,8 @@ use crate::lexer::{Lexer, XmlEvent};
 /// The defaults are generous — far beyond anything a real measurement
 /// produces — but finite, so an adversarial file cannot drive the
 /// reader into unbounded recursion or allocation. Each limit maps to
-/// one `E2xx` lint code when exceeded (see `docs/FORMAT.md` §9).
+/// one `E2xx` lint code when exceeded (see `docs/FORMAT.md` §9), and
+/// every limit holds whatever order the sections come in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadLimits {
     /// Maximum total input size in bytes (`E200`). Default 1 GiB.
@@ -58,18 +67,6 @@ impl Default for ReadLimits {
             max_depth: 256,
             max_entities: 1 << 22,
             max_row_bytes: 64 << 20,
-        }
-    }
-}
-
-impl ReadLimits {
-    /// No limits at all — the pre-limits behavior, for trusted inputs.
-    pub fn unlimited() -> Self {
-        Self {
-            max_input_bytes: usize::MAX,
-            max_depth: usize::MAX,
-            max_entities: usize::MAX,
-            max_row_bytes: usize::MAX,
         }
     }
 }
@@ -118,68 +115,32 @@ impl<'a> CubeReader<'a> {
         Self { input, limits }
     }
 
-    /// Parses the document into an experiment.
-    ///
-    /// Uses the single-pass streaming parser; if the file stores
-    /// `<severity>` before its metadata sections, re-reads through the
-    /// DOM parser instead (the severity shape is unknowable until the
-    /// metadata is complete).
+    /// Parses the document into an experiment, in one pass whatever
+    /// the section order.
     pub fn read(self) -> Result<Experiment, XmlError> {
-        match read_streaming_limited(self.input, self.limits)? {
-            Some(exp) => Ok(exp),
-            None => crate::format::read_experiment_dom(self.input),
-        }
+        let (md, sev, provenance) = parse(self.input, self.limits)?.into_parts()?;
+        Experiment::new(md, sev, provenance).map_err(Into::into)
     }
 }
 
-/// Streaming parse with default limits. `Ok(None)` means the file is
-/// readable but stores severity before the metadata sections — the
-/// caller should use the DOM reader.
-#[cfg(test)]
-pub(crate) fn read_streaming(input: &str) -> Result<Option<Experiment>, XmlError> {
-    read_streaming_limited(input, ReadLimits::default())
+/// Everything one pass over a document assembled, without the final
+/// [`Experiment::new`] validation, so the linter can diagnose *all*
+/// model violations and salvage can keep a damaged document's prefix.
+pub(crate) struct Parsed {
+    pub md: Metadata,
+    pub sev: Severity,
+    pub provenance: Provenance,
+    /// Severity rows committed, each parsed whole before it is stored,
+    /// so a torn row is never half-applied.
+    pub rows: usize,
+    /// The first defect met after the metadata was complete.
+    pub loss: Option<Loss>,
 }
 
-pub(crate) fn read_streaming_limited(
-    input: &str,
-    limits: ReadLimits,
-) -> Result<Option<Experiment>, XmlError> {
-    match read_streaming_parts_limited(input, limits)? {
-        Some((md, sev, provenance)) => Experiment::new(md, sev, provenance)
-            .map(Some)
-            .map_err(Into::into),
-        None => Ok(None),
-    }
-}
-
-/// Like [`read_streaming`], but returns the raw parts without the final
-/// [`Experiment::new`] validation, so a linter can diagnose *all* model
-/// violations of a well-formed file instead of the first one.
-pub(crate) fn read_streaming_parts(
-    input: &str,
-) -> Result<Option<(Metadata, Severity, Provenance)>, XmlError> {
-    read_streaming_parts_limited(input, ReadLimits::default())
-}
-
-pub(crate) fn read_streaming_parts_limited(
-    input: &str,
-    limits: ReadLimits,
-) -> Result<Option<(Metadata, Severity, Provenance)>, XmlError> {
-    check_input_size(input, &limits)?;
-    let mut parser = Parser::new(input, limits);
-    parser.read_document_parts()
-}
-
-/// What the salvage pass could not recover, alongside what it could.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SalvageInfo {
-    /// Severity rows committed to the buffer (each parsed completely
-    /// before being stored, so a torn row is never half-applied).
-    pub rows_recovered: usize,
-    /// Description of the first unrecoverable defect, when the document
-    /// could not be read to the end.
-    pub loss: Option<String>,
-    /// Position of that defect, when known.
+/// The first error after the metadata was complete, and where it hit.
+pub(crate) struct Loss {
+    pub error: XmlError,
+    /// Position of the defect, when known.
     pub position: Option<Position>,
     /// The structure being parsed when the defect hit, e.g.
     /// `severity matrix for metric 'time' (id 0), cnode 3` — byte
@@ -187,26 +148,19 @@ pub(crate) struct SalvageInfo {
     pub context: Option<String>,
 }
 
-/// Salvage parse: reads the longest valid prefix of a damaged document.
-///
-/// Strict until the three metadata sections are complete (without them
-/// there is no experiment to recover); after that, the first error
-/// stops the scan and everything already assembled — complete metadata
-/// plus every intact severity row, the rest zero-extended — is
-/// returned with the loss recorded in [`SalvageInfo`]. `Ok(None)` has
-/// the same meaning as in [`read_streaming`]: severity stored before
-/// metadata, caller should fall back to the DOM reader (full parses
-/// only — salvage cannot size the matrix either).
-pub(crate) fn read_streaming_salvage(
-    input: &str,
-    limits: ReadLimits,
-) -> Result<Option<(Metadata, Severity, Provenance, SalvageInfo)>, XmlError> {
-    check_input_size(input, &limits)?;
-    let mut parser = Parser::new(input, limits);
-    parser.read_document_salvage()
+impl Parsed {
+    /// The parts of a document that read to its end; the recorded
+    /// error otherwise.
+    pub(crate) fn into_parts(self) -> Result<(Metadata, Severity, Provenance), XmlError> {
+        match self.loss {
+            Some(loss) => Err(loss.error),
+            None => Ok((self.md, self.sev, self.provenance)),
+        }
+    }
 }
 
-fn check_input_size(input: &str, limits: &ReadLimits) -> Result<(), XmlError> {
+/// Runs the document loop over `input` under `limits`.
+pub(crate) fn parse(input: &str, limits: ReadLimits) -> Result<Parsed, XmlError> {
     if input.len() > limits.max_input_bytes {
         return Err(XmlError::limit(
             LimitKind::InputBytes,
@@ -217,7 +171,7 @@ fn check_input_size(input: &str, limits: &ReadLimits) -> Result<(), XmlError> {
             ),
         ));
     }
-    Ok(())
+    Parser::new(input, limits).read_document()
 }
 
 /// One metadata record collected before the dense-id sort. Names keep
@@ -254,6 +208,40 @@ struct Sections<'a> {
     processes: Vec<(u32, u32, i32, Cow<'a, str>)>,
     threads: Vec<(u32, u32, u32, Cow<'a, str>)>,
     topologies: Vec<CartTopology>,
+    /// The finished metadata and its severity buffer, once `<metrics>`,
+    /// `<program>` and `<system>` have all closed.
+    shape: Option<(Metadata, Severity)>,
+    /// A `<severity>` met before the metadata was complete: the lexer
+    /// state and nesting depth just past its start tag.
+    deferred: Option<(Lexer<'a>, usize, Open<'a>)>,
+}
+
+/// What the parser is reading, kept as indices; rendered into text only
+/// when a loss is recorded.
+#[derive(Clone, Copy)]
+enum Context<'a> {
+    None,
+    Section(&'a str),
+    Matrix(u32),
+    Row(u32, u32),
+}
+
+impl Context<'_> {
+    fn describe(self, md: &Metadata) -> Option<String> {
+        let metric = |m: u32| &md.metric(MetricId::new(m)).name;
+        match self {
+            Context::None => None,
+            Context::Section(tag) => Some(format!("{tag} section")),
+            Context::Matrix(m) => Some(format!(
+                "severity matrix for metric '{}' (id {m})",
+                metric(m)
+            )),
+            Context::Row(m, c) => Some(format!(
+                "severity matrix for metric '{}' (id {m}), cnode {c}",
+                metric(m)
+            )),
+        }
+    }
 }
 
 struct Parser<'a> {
@@ -261,6 +249,9 @@ struct Parser<'a> {
     /// Reused buffer for severity rows split across several text
     /// events (entity references, interleaved comments).
     scratch: String,
+    /// Reused buffer one severity row is parsed into before it is
+    /// committed to the severity store.
+    row: Vec<f64>,
     /// Position of the most recent event from [`Parser::next_required`];
     /// stamped onto [`Attrs`] so attribute errors can point at the
     /// element's start tag.
@@ -272,6 +263,10 @@ struct Parser<'a> {
     /// also bounds the parser's own recursion (metric/cnode trees and
     /// [`Parser::skip_children`] recurse or stack per level).
     depth: usize,
+    /// Severity rows committed so far.
+    rows: usize,
+    context: Context<'a>,
+    loss: Option<Loss>,
 }
 
 /// Attributes of one start tag, consumed by name.
@@ -328,115 +323,191 @@ impl<'a> Parser<'a> {
         Self {
             lexer: Lexer::new(input),
             scratch: String::new(),
+            row: Vec::new(),
             last_at: Position { line: 1, column: 1 },
             limits,
             depth: 0,
+            rows: 0,
+            context: Context::None,
+            loss: None,
         }
     }
 
-    fn read_document_parts(
-        &mut self,
-    ) -> Result<Option<(Metadata, Severity, Provenance)>, XmlError> {
+    /// The document loop shared by strict read, lint and salvage.
+    fn read_document(mut self) -> Result<Parsed, XmlError> {
         let root = self.read_prolog()?;
         let XmlEvent::StartTag {
-            name,
-            attributes,
-            self_closing,
+            name, self_closing, ..
         } = root
         else {
             unreachable!("read_prolog only returns start tags");
         };
+        // Root attributes (version, foreign extras) are ignored.
         if name != "cube" {
             return Err(XmlError::format(format!(
                 "root element is <{name}>, expected <cube>"
             )));
         }
-        // Root attributes (version, foreign extras) are ignored, like
-        // the DOM reader.
-        let _ = attributes;
         let mut sections = Sections::default();
-        let mut finalized: Option<(Metadata, Severity)> = None;
 
         if !self_closing {
             self.depth = 1;
             loop {
-                let at = self.lexer.position();
-                match self.next_required("cube")? {
-                    ev @ XmlEvent::StartTag { .. } => {
-                        let open = self.reopen(ev)?;
-                        match open.attrs.tag {
-                            "provenance" if sections.provenance.is_none() => {
-                                sections.provenance = Some(self.parse_provenance(open)?);
-                            }
-                            "metrics" if !sections.metrics_seen => {
-                                sections.metrics_seen = true;
-                                self.parse_metrics(open, &mut sections)?;
-                            }
-                            "program" if !sections.program_seen => {
-                                sections.program_seen = true;
-                                self.parse_program(open, &mut sections)?;
-                            }
-                            "system" if !sections.system_seen => {
-                                sections.system_seen = true;
-                                self.parse_system(open, &mut sections)?;
-                            }
-                            "topologies" if !sections.topologies_seen => {
-                                sections.topologies_seen = true;
-                                self.parse_topologies(open, &mut sections)?;
-                            }
-                            "severity" if !sections.severity_seen => {
-                                if !(sections.metrics_seen
-                                    && sections.program_seen
-                                    && sections.system_seen)
-                                {
-                                    // Shape unknown — hand over to the
-                                    // DOM reader.
-                                    return Ok(None);
-                                }
-                                sections.severity_seen = true;
-                                let (md, mut sev) = finalize_metadata(&mut sections)?;
-                                self.parse_severity(open, &md, &mut sev)?;
-                                finalized = Some((md, sev));
-                            }
-                            _ => self.skip_element(open)?,
+                // Sampled *before* the step, so an error inside the
+                // section that completes the metadata is still fatal.
+                let complete = sections.shape.is_some();
+                match self.step(&mut sections) {
+                    Ok(true) => {}
+                    Ok(false) => break,
+                    Err(e) => match &sections.shape {
+                        Some((md, _)) if complete => {
+                            let position = e.position().or(Some(self.last_at));
+                            self.record(md, e, position);
+                            break;
                         }
-                    }
-                    XmlEvent::EndTag { name: "cube" } => break,
-                    XmlEvent::EndTag { name } => {
-                        return Err(XmlError::malformed(
-                            at,
-                            format!("<cube> closed by </{name}>"),
-                        ));
-                    }
-                    XmlEvent::Text(_)
-                    | XmlEvent::CData(_)
-                    | XmlEvent::Comment(_)
-                    | XmlEvent::Declaration => {}
+                        _ => return Err(e),
+                    },
                 }
             }
         }
-        self.read_epilog()?;
+        if self.loss.is_none() {
+            if let Err(e) = self.read_epilog() {
+                match &sections.shape {
+                    Some((md, _)) => {
+                        let position = e.position();
+                        self.record(md, e, position);
+                    }
+                    None => return Err(e),
+                }
+            }
+        }
 
-        if !sections.metrics_seen {
-            return Err(missing_section("metrics"));
-        }
-        if !sections.program_seen {
-            return Err(missing_section("program"));
-        }
-        if !sections.system_seen {
-            return Err(missing_section("system"));
-        }
-        let (mut md, sev) = match finalized {
-            Some(pair) => pair,
-            None => finalize_metadata(&mut sections)?,
+        let Some((mut md, sev)) = sections.shape.take() else {
+            return Err(missing_section(if !sections.metrics_seen {
+                "metrics"
+            } else if !sections.program_seen {
+                "program"
+            } else {
+                "system"
+            }));
         };
-        // A <topologies> section after <severity> lands here instead of
-        // in finalize_metadata — topology order is shape-independent.
+        // A <topologies> section after the metadata closed lands here
+        // instead of in finalize_metadata — topology order is
+        // shape-independent.
         for topo in sections.topologies.drain(..) {
             md.add_topology(topo);
         }
-        let provenance = sections.provenance.take().unwrap_or_default();
-        Ok(Some((md, sev, provenance)))
+        Ok(Parsed {
+            md,
+            sev,
+            provenance: sections.provenance.take().unwrap_or_default(),
+            rows: self.rows,
+            loss: self.loss,
+        })
+    }
+
+    /// Reads and dispatches one event under `<cube>`; `Ok(false)` once
+    /// `</cube>` has closed the root.
+    fn step(&mut self, sections: &mut Sections<'a>) -> Result<bool, XmlError> {
+        let at = self.lexer.position();
+        let open = match self.next_required("cube")? {
+            ev @ XmlEvent::StartTag { .. } => self.reopen(ev)?,
+            XmlEvent::EndTag { name: "cube" } => return Ok(false),
+            XmlEvent::EndTag { name } => {
+                return Err(XmlError::malformed(
+                    at,
+                    format!("<cube> closed by </{name}>"),
+                ));
+            }
+            XmlEvent::Text(_)
+            | XmlEvent::CData(_)
+            | XmlEvent::Comment(_)
+            | XmlEvent::Declaration => return Ok(true),
+        };
+        self.context = Context::Section(open.attrs.tag);
+        match open.attrs.tag {
+            "provenance" if sections.provenance.is_none() => {
+                sections.provenance = Some(self.parse_provenance(open)?);
+            }
+            "metrics" if !sections.metrics_seen => {
+                sections.metrics_seen = true;
+                self.parse_metrics(open, sections)?;
+                self.close_metadata(sections)?;
+            }
+            "program" if !sections.program_seen => {
+                sections.program_seen = true;
+                self.parse_program(open, sections)?;
+                self.close_metadata(sections)?;
+            }
+            "system" if !sections.system_seen => {
+                sections.system_seen = true;
+                self.parse_system(open, sections)?;
+                self.close_metadata(sections)?;
+            }
+            "topologies" if !sections.topologies_seen => {
+                sections.topologies_seen = true;
+                self.parse_topologies(open, sections)?;
+            }
+            "severity" if !sections.severity_seen => {
+                sections.severity_seen = true;
+                match &mut sections.shape {
+                    Some((md, sev)) => self.parse_severity(open, md, sev)?,
+                    None => {
+                        // The shape is unknown until the metadata
+                        // closes: skip the section now, which checks its
+                        // markup and nesting, and parse it from here then.
+                        let has_children = open.has_children;
+                        sections.deferred = Some((self.lexer.clone(), self.depth, open));
+                        if has_children {
+                            self.skip_children("severity")?;
+                        }
+                    }
+                }
+            }
+            _ => self.skip_element(open)?,
+        }
+        self.context = Context::None;
+        Ok(true)
+    }
+
+    /// Once `<metrics>`, `<program>` and `<system>` have all closed,
+    /// fixes the metadata and parses a deferred `<severity>` from its
+    /// saved lexer state, as if it had been written here.
+    ///
+    /// An error in the deferred section is recorded as the loss. The
+    /// main lexer has already passed over that section, so reading goes
+    /// on and the sections after it are kept.
+    fn close_metadata(&mut self, sections: &mut Sections<'a>) -> Result<(), XmlError> {
+        if !(sections.metrics_seen && sections.program_seen && sections.system_seen) {
+            return Ok(());
+        }
+        let (md, mut sev) = finalize_metadata(sections)?;
+        if let Some((lexer, depth, open)) = sections.deferred.take() {
+            let lexer = std::mem::replace(&mut self.lexer, lexer);
+            let depth = std::mem::replace(&mut self.depth, depth);
+            let last_at = self.last_at;
+            self.context = Context::Section("severity");
+            if let Err(e) = self.parse_severity(open, &md, &mut sev) {
+                let position = e.position().or(Some(self.last_at));
+                self.record(&md, e, position);
+            }
+            self.lexer = lexer;
+            self.depth = depth;
+            self.last_at = last_at;
+        }
+        sections.shape = Some((md, sev));
+        Ok(())
+    }
+
+    /// Keeps `error` as the loss unless an earlier one is recorded.
+    fn record(&mut self, md: &Metadata, error: XmlError, position: Option<Position>) {
+        if self.loss.is_none() {
+            self.loss = Some(Loss {
+                error,
+                position,
+                context: self.context.describe(md),
+            });
+        }
     }
 
     /// Consumes declaration/comments/whitespace before the root and
@@ -600,7 +671,7 @@ impl<'a> Parser<'a> {
 
     /// Parses each direct child element of an already-open parent,
     /// dispatching on its tag; other children (text, comments, unknown
-    /// elements) are skipped, mirroring the DOM reader's tolerance.
+    /// elements) are skipped.
     fn each_child<F>(&mut self, open: Open<'a>, mut on_child: F) -> Result<(), XmlError>
     where
         F: FnMut(&mut Self, Open<'a>) -> Result<(), XmlError>,
@@ -629,8 +700,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Collects the direct text content of an already-open element into
-    /// `out` while consuming its subtree (nested elements are skipped,
-    /// like [`crate::dom::Element::text_content`]).
+    /// `out` while consuming its subtree (nested elements are skipped).
     fn text_content(&mut self, open: Open<'a>, out: &mut String) -> Result<(), XmlError> {
         if !open.has_children {
             return Ok(());
@@ -640,8 +710,8 @@ impl<'a> Parser<'a> {
             let at = self.lexer.position();
             match self.next_required(parent)? {
                 XmlEvent::Text(t) => {
-                    // The DOM drops whitespace-only text nodes; match
-                    // that so indentation never reaches the content.
+                    // Whitespace-only text nodes are dropped, so
+                    // indentation never reaches the content.
                     if !t.trim().is_empty() {
                         out.push_str(&t);
                     }
@@ -917,7 +987,8 @@ impl<'a> Parser<'a> {
         md: &Metadata,
         sev: &mut Severity,
     ) -> Result<(), XmlError> {
-        let (nm, nc, _) = md.shape();
+        let (nm, nc, nt) = md.shape();
+        self.row.resize(nt, 0.0);
         self.each_child(open, |p, mut matrix| {
             if matrix.attrs.tag != "matrix" {
                 return p.skip_element(matrix);
@@ -929,6 +1000,7 @@ impl<'a> Parser<'a> {
                     format!("matrix metric id {m} out of range"),
                 ));
             }
+            p.context = Context::Matrix(m);
             p.each_child(matrix, |p, mut row| {
                 if row.attrs.tag != "row" {
                     return p.skip_element(row);
@@ -940,32 +1012,30 @@ impl<'a> Parser<'a> {
                         format!("row cnode id {c} out of range"),
                     ));
                 }
-                p.parse_row(row, m, c, sev)
+                p.context = Context::Row(m, c);
+                p.parse_row(row, m, c)?;
+                sev.row_mut(MetricId::new(m), CallNodeId::new(c))
+                    .copy_from_slice(&p.row);
+                p.rows += 1;
+                Ok(())
             })
         })
     }
 
-    /// Parses one `<row>`'s numbers straight into the severity buffer.
+    /// Parses one `<row>`'s numbers into the reused row buffer.
     ///
     /// The common case — one borrowed text event covering the whole
     /// row — is parsed without copying; rows fragmented by entity
     /// references or comments are first gathered into the reused
     /// scratch buffer.
-    fn parse_row(
-        &mut self,
-        open: Open<'a>,
-        m: u32,
-        c: u32,
-        sev: &mut Severity,
-    ) -> Result<(), XmlError> {
+    fn parse_row(&mut self, open: Open<'a>, m: u32, c: u32) -> Result<(), XmlError> {
         let row_at = open.attrs.at;
         let first = self.gather_row_text(open)?;
         let text: &str = match &first {
             Some(f) => f,
             None => &self.scratch,
         };
-        let dest = sev.row_mut(MetricId::new(m), CallNodeId::new(c));
-        parse_row_values(text, dest, m, c, row_at)
+        parse_row_values(text, &mut self.row, m, c, row_at)
     }
 
     /// Gathers one `<row>`'s direct text, consuming its subtree.
@@ -1026,216 +1096,6 @@ impl<'a> Parser<'a> {
         }
         Ok(first)
     }
-
-    // -- salvage ------------------------------------------------------------
-
-    /// Like [`Parser::read_document_parts`], but recovers the longest
-    /// valid prefix once the metadata sections are complete. See
-    /// [`read_streaming_salvage`].
-    fn read_document_salvage(
-        &mut self,
-    ) -> Result<Option<(Metadata, Severity, Provenance, SalvageInfo)>, XmlError> {
-        let root = self.read_prolog()?;
-        let XmlEvent::StartTag {
-            name,
-            attributes: _,
-            self_closing,
-        } = root
-        else {
-            unreachable!("read_prolog only returns start tags");
-        };
-        if name != "cube" {
-            return Err(XmlError::format(format!(
-                "root element is <{name}>, expected <cube>"
-            )));
-        }
-        let mut sections = Sections::default();
-        let mut finalized: Option<(Metadata, Severity)> = None;
-        let mut info = SalvageInfo::default();
-        let mut rowbuf: Vec<f64> = Vec::new();
-
-        if !self_closing {
-            self.depth = 1;
-            loop {
-                // Computed *before* the step so an error inside, say,
-                // <system> (whose seen-flag is set before its body is
-                // parsed) still counts as unrecoverable.
-                let recoverable =
-                    sections.metrics_seen && sections.program_seen && sections.system_seen;
-                match self.salvage_step(&mut sections, &mut finalized, &mut info, &mut rowbuf) {
-                    Ok(SalvageStep::Continue) => {}
-                    Ok(SalvageStep::Done) => break,
-                    Ok(SalvageStep::DomFallback) => return Ok(None),
-                    Err(e) if recoverable => {
-                        info.position = e.position().or(Some(self.last_at));
-                        info.loss = Some(e.to_string());
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        if info.loss.is_none() {
-            if let Err(e) = self.read_epilog() {
-                info.position = e.position();
-                info.loss = Some(e.to_string());
-            }
-        }
-
-        if !sections.metrics_seen {
-            return Err(missing_section("metrics"));
-        }
-        if !sections.program_seen {
-            return Err(missing_section("program"));
-        }
-        if !sections.system_seen {
-            return Err(missing_section("system"));
-        }
-        let (mut md, sev) = match finalized {
-            Some(pair) => pair,
-            None => finalize_metadata(&mut sections)?,
-        };
-        for topo in sections.topologies.drain(..) {
-            md.add_topology(topo);
-        }
-        let provenance = sections.provenance.take().unwrap_or_default();
-        Ok(Some((md, sev, provenance, info)))
-    }
-
-    /// One iteration of the salvage loop: reads and dispatches a single
-    /// top-level event under `<cube>`.
-    fn salvage_step(
-        &mut self,
-        sections: &mut Sections<'a>,
-        finalized: &mut Option<(Metadata, Severity)>,
-        info: &mut SalvageInfo,
-        rowbuf: &mut Vec<f64>,
-    ) -> Result<SalvageStep, XmlError> {
-        let at = self.lexer.position();
-        match self.next_required("cube")? {
-            ev @ XmlEvent::StartTag { .. } => {
-                let open = self.reopen(ev)?;
-                // Record which structure is being parsed so the report
-                // can name it when this step's error propagates;
-                // cleared again once the section completes.
-                info.context = Some(format!("{} section", open.attrs.tag));
-                match open.attrs.tag {
-                    "provenance" if sections.provenance.is_none() => {
-                        sections.provenance = Some(self.parse_provenance(open)?);
-                    }
-                    "metrics" if !sections.metrics_seen => {
-                        sections.metrics_seen = true;
-                        self.parse_metrics(open, sections)?;
-                    }
-                    "program" if !sections.program_seen => {
-                        sections.program_seen = true;
-                        self.parse_program(open, sections)?;
-                    }
-                    "system" if !sections.system_seen => {
-                        sections.system_seen = true;
-                        self.parse_system(open, sections)?;
-                    }
-                    "topologies" if !sections.topologies_seen => {
-                        sections.topologies_seen = true;
-                        self.parse_topologies(open, sections)?;
-                    }
-                    "severity" if !sections.severity_seen => {
-                        if !(sections.metrics_seen && sections.program_seen && sections.system_seen)
-                        {
-                            return Ok(SalvageStep::DomFallback);
-                        }
-                        sections.severity_seen = true;
-                        let (md, mut sev) = finalize_metadata(sections)?;
-                        // Commit the partially-filled buffer *before*
-                        // propagating a mid-severity error: every row
-                        // already copied in is intact.
-                        let res = self.parse_severity_salvage(open, &md, &mut sev, info, rowbuf);
-                        *finalized = Some((md, sev));
-                        res?;
-                    }
-                    _ => self.skip_element(open)?,
-                }
-                info.context = None;
-                Ok(SalvageStep::Continue)
-            }
-            XmlEvent::EndTag { name: "cube" } => Ok(SalvageStep::Done),
-            XmlEvent::EndTag { name } => Err(XmlError::malformed(
-                at,
-                format!("<cube> closed by </{name}>"),
-            )),
-            XmlEvent::Text(_)
-            | XmlEvent::CData(_)
-            | XmlEvent::Comment(_)
-            | XmlEvent::Declaration => Ok(SalvageStep::Continue),
-        }
-    }
-
-    /// Severity parsing with per-row atomic commit: each `<row>` is
-    /// parsed into a temporary buffer and only copied into `sev` when
-    /// complete, so a row torn by truncation never half-applies.
-    fn parse_severity_salvage(
-        &mut self,
-        open: Open<'a>,
-        md: &Metadata,
-        sev: &mut Severity,
-        info: &mut SalvageInfo,
-        rowbuf: &mut Vec<f64>,
-    ) -> Result<(), XmlError> {
-        let (nm, nc, nt) = md.shape();
-        self.each_child(open, |p, mut matrix| {
-            if matrix.attrs.tag != "matrix" {
-                return p.skip_element(matrix);
-            }
-            let m: u32 = matrix.attrs.parse("metric")?;
-            if m as usize >= nm {
-                return Err(XmlError::value_at(
-                    matrix.attrs.at,
-                    format!("matrix metric id {m} out of range"),
-                ));
-            }
-            let metric_name = md.metric(MetricId::new(m)).name.clone();
-            info.context = Some(format!(
-                "severity matrix for metric '{metric_name}' (id {m})"
-            ));
-            p.each_child(matrix, |p, mut row| {
-                if row.attrs.tag != "row" {
-                    return p.skip_element(row);
-                }
-                let c: u32 = row.attrs.parse("cnode")?;
-                if c as usize >= nc {
-                    return Err(XmlError::value_at(
-                        row.attrs.at,
-                        format!("row cnode id {c} out of range"),
-                    ));
-                }
-                info.context = Some(format!(
-                    "severity matrix for metric '{metric_name}' (id {m}), cnode {c}"
-                ));
-                let row_at = row.attrs.at;
-                let first = p.gather_row_text(row)?;
-                rowbuf.clear();
-                rowbuf.resize(nt, 0.0);
-                {
-                    let text: &str = match &first {
-                        Some(f) => f,
-                        None => &p.scratch,
-                    };
-                    parse_row_values(text, rowbuf, m, c, row_at)?;
-                }
-                sev.row_mut(MetricId::new(m), CallNodeId::new(c))
-                    .copy_from_slice(rowbuf);
-                info.rows_recovered += 1;
-                Ok(())
-            })
-        })
-    }
-}
-
-/// Outcome of one [`Parser::salvage_step`].
-enum SalvageStep {
-    Continue,
-    Done,
-    DomFallback,
 }
 
 /// Parses a row's whitespace-separated numbers into `dest`, requiring
@@ -1508,37 +1368,70 @@ mod tests {
         }
     }
 
+    fn read(xml: &str) -> Result<Experiment, XmlError> {
+        CubeReader::new(xml).read()
+    }
+
+    /// `doc` with its `<severity>` section moved to the front of `<cube>`.
+    fn severity_first(doc: &str) -> String {
+        let start = doc.find("<severity").unwrap();
+        let end = if doc[start..].starts_with("<severity/>") {
+            start + "<severity/>".len()
+        } else {
+            doc.find("</severity>").unwrap() + "</severity>".len()
+        };
+        let root = doc.find("<cube").unwrap();
+        let open_end = root + doc[root..].find('>').unwrap() + 1;
+        format!(
+            "{}{}{}{}",
+            &doc[..open_end],
+            &doc[start..end],
+            &doc[open_end..start],
+            &doc[end..]
+        )
+    }
+
     #[test]
     fn rejects_text_outside_root() {
         assert!(matches!(
-            read_streaming("stray <cube/>"),
+            read("stray <cube/>"),
             Err(XmlError::Malformed { .. })
         ));
     }
 
     #[test]
     fn rejects_second_root() {
-        let err = read_streaming("<cube><metrics/><program/><system/></cube><cube/>").unwrap_err();
+        let err = read("<cube><metrics/><program/><system/></cube><cube/>").unwrap_err();
         assert!(err.to_string().contains("after the document's root"));
     }
 
     #[test]
-    fn severity_before_metadata_requests_dom_fallback() {
-        let xml = "<cube><severity/><metrics/><program/><system/></cube>";
-        assert!(read_streaming(xml).unwrap().is_none());
+    fn severity_before_metadata_reads_like_canonical_order() {
+        let doc = sample_doc();
+        let moved = severity_first(&doc);
+        assert!(moved.find("<severity>").unwrap() < moved.find("<metrics>").unwrap());
+        let (a, b) = (read(&doc).unwrap(), read(&moved).unwrap());
+        assert!(a.approx_eq(&b, 0.0));
+        assert_eq!(a.provenance(), b.provenance());
+        // Salvage runs the same loop: every row of the leading section
+        // is committed, none is lost.
+        let (_, full) = crate::format::read_experiment_salvage(&doc).unwrap();
+        let (_, moved) = crate::format::read_experiment_salvage(&moved).unwrap();
+        assert!(moved.complete, "{moved:?}");
+        assert_eq!(moved.rows_recovered, full.rows_recovered);
     }
 
     #[test]
     fn empty_sections_give_empty_experiment_error() {
-        // No threads at all violates the data model, like the DOM path.
-        let err = read_streaming("<cube><metrics/><program/><system/></cube>").unwrap_err();
+        // No threads at all violates the data model.
+        let err = read("<cube><metrics/><program/><system/></cube>").unwrap_err();
         assert!(matches!(err, XmlError::Model(_)));
     }
 
     #[test]
     fn unclosed_root_rejected() {
         assert!(matches!(
-            read_streaming("<cube><metrics/>"),
+            read("<cube><metrics/>"),
             Err(XmlError::Malformed { .. })
         ));
     }
@@ -1546,10 +1439,7 @@ mod tests {
     #[test]
     fn mismatched_nesting_rejected_in_skipped_subtrees() {
         let xml = "<cube><unknown><a><b></a></b></unknown><metrics/><program/><system/></cube>";
-        assert!(matches!(
-            read_streaming(xml),
-            Err(XmlError::Malformed { .. })
-        ));
+        assert!(matches!(read(xml), Err(XmlError::Malformed { .. })));
     }
 
     fn sample_doc() -> String {
@@ -1572,66 +1462,60 @@ mod tests {
         crate::format::write_experiment(&b.build().unwrap())
     }
 
+    /// Reads `doc` in canonical order and with `<severity>` moved first,
+    /// and expects both to fail on the same limit.
+    fn assert_limit_in_both_orders(doc: &str, limits: ReadLimits, want: LimitKind) {
+        for xml in [doc.to_string(), severity_first(doc)] {
+            let err = CubeReader::with_limits(&xml, limits).read().unwrap_err();
+            assert!(
+                matches!(err, XmlError::Limit { kind, .. } if kind == want),
+                "{err}\n{xml}"
+            );
+        }
+    }
+
     #[test]
     fn depth_limit_is_enforced() {
-        let xml = "<cube><a><b><c><d><e/></d></c></b></a><metrics/><program/><system/></cube>";
+        let xml =
+            "<cube><a><b><c><d><e/></d></c></b></a><metrics/><program/><system/><severity/></cube>";
         let limits = ReadLimits {
             max_depth: 3,
             ..ReadLimits::default()
         };
-        let err = read_streaming_limited(xml, limits).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                XmlError::Limit {
-                    kind: LimitKind::Depth,
-                    ..
-                }
-            ),
-            "{err}"
-        );
+        assert_limit_in_both_orders(xml, limits, LimitKind::Depth);
         // The same document passes with the default limits.
-        assert!(matches!(read_streaming(xml), Err(XmlError::Model(_))));
+        assert!(matches!(read(xml), Err(XmlError::Model(_))));
+        assert!(matches!(
+            read(&severity_first(xml)),
+            Err(XmlError::Model(_))
+        ));
+        // Nesting inside the severity section counts too (the metadata
+        // of the sample nests 5 deep, its rows 4).
+        let deep_row = sample_doc().replacen("</row>", "<a><b><c><d/></c></b></a></row>", 1);
+        let limits = ReadLimits {
+            max_depth: 6,
+            ..ReadLimits::default()
+        };
+        assert_limit_in_both_orders(&deep_row, limits, LimitKind::Depth);
+        assert!(read(&deep_row).is_ok());
     }
 
     #[test]
     fn entity_limit_is_enforced() {
-        let doc = sample_doc();
         let limits = ReadLimits {
             max_entities: 1,
             ..ReadLimits::default()
         };
-        let err = read_streaming_limited(&doc, limits).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                XmlError::Limit {
-                    kind: LimitKind::Entities,
-                    ..
-                }
-            ),
-            "{err}"
-        );
+        assert_limit_in_both_orders(&sample_doc(), limits, LimitKind::Entities);
     }
 
     #[test]
     fn input_size_limit_is_enforced() {
-        let doc = sample_doc();
         let limits = ReadLimits {
             max_input_bytes: 16,
             ..ReadLimits::default()
         };
-        let err = read_streaming_limited(&doc, limits).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                XmlError::Limit {
-                    kind: LimitKind::InputBytes,
-                    ..
-                }
-            ),
-            "{err}"
-        );
+        assert_limit_in_both_orders(&sample_doc(), limits, LimitKind::InputBytes);
     }
 
     #[test]
@@ -1641,31 +1525,20 @@ mod tests {
             max_row_bytes: 2,
             ..ReadLimits::default()
         };
-        let err = read_streaming_limited(&doc, limits).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                XmlError::Limit {
-                    kind: LimitKind::RowBytes,
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        assert!(read_streaming(&doc).unwrap().is_some());
+        assert_limit_in_both_orders(&doc, limits, LimitKind::RowBytes);
+        assert!(read(&doc).is_ok());
+        assert!(read(&severity_first(&doc)).is_ok());
     }
 
     #[test]
     fn salvage_of_intact_document_is_lossless() {
         let doc = sample_doc();
-        let (md, sev, _prov, info) = read_streaming_salvage(&doc, ReadLimits::default())
-            .unwrap()
-            .unwrap();
-        assert!(info.loss.is_none(), "{info:?}");
-        assert!(info.rows_recovered > 0);
-        let strict = read_streaming(&doc).unwrap().unwrap();
-        assert_eq!(md, *strict.metadata());
-        assert_eq!(sev.values(), strict.severity().values());
+        let parsed = parse(&doc, ReadLimits::default()).unwrap();
+        assert!(parsed.loss.is_none());
+        assert!(parsed.rows > 0);
+        let strict = read(&doc).unwrap();
+        assert_eq!(parsed.md, *strict.metadata());
+        assert_eq!(parsed.sev.values(), strict.severity().values());
     }
 
     #[test]
@@ -1674,26 +1547,24 @@ mod tests {
         // Cut inside the last <row>: metadata and the earlier rows must
         // survive, the torn row must not half-apply.
         let cut = doc.rfind("<row").unwrap() + 6;
-        let (md, sev, _prov, info) = read_streaming_salvage(&doc[..cut], ReadLimits::default())
-            .unwrap()
-            .unwrap();
-        assert!(info.loss.is_some(), "{info:?}");
-        let strict = read_streaming(&doc).unwrap().unwrap();
-        assert_eq!(md, *strict.metadata());
+        let parsed = parse(&doc[..cut], ReadLimits::default()).unwrap();
+        assert!(parsed.loss.is_some());
+        let strict = read(&doc).unwrap();
+        assert_eq!(parsed.md, *strict.metadata());
         // Every recovered value is either the original or zero.
         let full = strict.severity().values();
-        let got = sev.values();
+        let got = parsed.sev.values();
         assert_eq!(got.len(), full.len());
         for (g, f) in got.iter().zip(full) {
             assert!(*g == *f || *g == 0.0, "recovered {g}, original {f}");
         }
-        assert!(info.rows_recovered >= 1);
+        assert!(parsed.rows >= 1);
     }
 
     #[test]
     fn salvage_without_complete_metadata_is_fatal() {
         let doc = sample_doc();
         let cut = doc.find("<system>").unwrap() + 10;
-        assert!(read_streaming_salvage(&doc[..cut], ReadLimits::default()).is_err());
+        assert!(parse(&doc[..cut], ReadLimits::default()).is_err());
     }
 }

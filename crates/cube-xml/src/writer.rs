@@ -1,11 +1,10 @@
 //! Streaming `.cube` writer: model straight to bytes.
 //!
 //! [`CubeWriter`] walks an [`Experiment`] and emits the `.cube` XML
-//! dialect directly into any [`io::Write`], without building
-//! [`Element`](crate::dom::Element) trees or intermediate strings. Its
-//! output is byte-identical to serializing the DOM built by
-//! [`write_experiment_dom`](crate::format::write_experiment_dom) — the
-//! golden-bytes test in `tests/format_stability.rs` pins that.
+//! dialect directly into any [`io::Write`], without building element
+//! trees or intermediate strings. The golden-bytes test in
+//! `tests/format_stability.rs` pins its output, and the in-crate DOM
+//! oracle must serialize every experiment to the same bytes.
 //!
 //! Severity rows are formatted into one reused scratch buffer, so the
 //! writer's transient memory is bounded by the longest row regardless
@@ -374,8 +373,7 @@ impl<W: io::Write> CubeWriter<W> {
         let sev = exp.severity();
         // <severity> and each <matrix> open lazily on their first
         // non-zero row, so all-zero matrices (and an all-zero
-        // experiment) collapse to self-closing tags, exactly like the
-        // DOM writer's skip-empty-children rule.
+        // experiment) collapse to self-closing tags.
         let mut severity_open = false;
         for m in md.metric_ids() {
             let mut matrix_open = false;
@@ -451,14 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_dom_writer_bytes() {
-        let e = tiny();
-        let dom = crate::format::write_experiment_dom(&e);
-        let streamed = CubeWriter::new(Vec::new()).write(&e).unwrap();
-        assert_eq!(String::from_utf8(streamed).unwrap(), dom);
-    }
-
-    #[test]
     fn all_zero_severity_self_closes() {
         let mut e = tiny();
         e.severity_mut().values_mut().fill(0.0);
@@ -466,7 +456,6 @@ mod tests {
         let xml = String::from_utf8(out).unwrap();
         assert!(xml.contains("<severity/>"));
         assert!(!xml.contains("<matrix"));
-        assert_eq!(xml, crate::format::write_experiment_dom(&e));
     }
 
     #[test]
@@ -497,10 +486,7 @@ mod tests {
         let out = CubeWriter::new(Vec::new()).write(&e).unwrap();
         let xml = String::from_utf8(out).unwrap();
         assert!(xml.contains("kind=\"recovered\""), "{xml}");
-        assert_eq!(xml, crate::format::write_experiment_dom(&e));
         let back = crate::format::read_experiment(&xml).unwrap();
         assert_eq!(back.provenance(), e.provenance());
-        let dom_back = crate::format::read_experiment_dom(&xml).unwrap();
-        assert_eq!(dom_back.provenance(), e.provenance());
     }
 }

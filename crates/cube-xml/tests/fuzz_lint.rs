@@ -5,6 +5,9 @@
 //! `Report` (or a clean parse, if the mutation happened to be benign).
 //! A seeded LCG drives byte mutations, splices, and truncations of a
 //! valid document — reproducible without any external fuzzing engine.
+//! Every test runs over two seeds: the document as the writer emits it,
+//! and the same document with `<severity>` moved ahead of the metadata,
+//! which the reader must defer until the metadata closes.
 
 use cube_model::{ExperimentBuilder, RegionKind, Unit};
 use cube_xml::{lint_str, read_experiment_salvage, write_experiment};
@@ -48,6 +51,23 @@ fn seed_document() -> String {
     write_experiment(&b.build().unwrap())
 }
 
+/// The seed in both section orders: as written, then with its
+/// `<severity>` section moved to the front of `<cube>`.
+fn seeds() -> [String; 2] {
+    let doc = seed_document();
+    let start = doc.find("  <severity>").unwrap();
+    let end = doc.find("</severity>\n").unwrap() + "</severity>\n".len();
+    let open = doc.find("<cube version=\"1.0\">\n").unwrap() + "<cube version=\"1.0\">\n".len();
+    let moved = format!(
+        "{}{}{}{}",
+        &doc[..open],
+        &doc[start..end],
+        &doc[open..start],
+        &doc[end..]
+    );
+    [doc, moved]
+}
+
 /// Fragments spliced into the document: tag soup, stray closers,
 /// attribute fragments, huge ids, control bytes.
 const SPLICES: &[&str] = &[
@@ -65,7 +85,12 @@ const SPLICES: &[&str] = &[
 
 #[test]
 fn mutated_documents_never_panic_the_linter() {
-    let seed_doc = seed_document();
+    for seed_doc in seeds() {
+        mutate_and_lint(&seed_doc);
+    }
+}
+
+fn mutate_and_lint(seed_doc: &str) {
     let bytes = seed_doc.as_bytes();
     let mut rng = Lcg(0x5eed_cafe);
     for _ in 0..400 {
@@ -108,11 +133,12 @@ fn mutated_documents_never_panic_the_linter() {
 
 #[test]
 fn truncation_at_every_char_boundary_never_panics() {
-    let doc = seed_document();
-    for (i, _) in doc.char_indices() {
-        let report = lint_str(&doc[..i]);
-        // An empty prefix is "no document"; everything else must lint.
-        let _ = report.is_clean();
+    for doc in seeds() {
+        for (i, _) in doc.char_indices() {
+            let report = lint_str(&doc[..i]);
+            // An empty prefix is "no document"; everything else must lint.
+            let _ = report.is_clean();
+        }
     }
 }
 
@@ -122,12 +148,26 @@ fn truncation_at_every_char_boundary_never_panics() {
 /// inconsistent metadata or severity.
 #[test]
 fn salvage_at_every_truncation_point_never_panics_and_recovers_clean_prefixes() {
-    let doc = seed_document();
+    for doc in seeds() {
+        salvage_every_truncation(&doc);
+    }
+}
+
+fn salvage_every_truncation(doc: &str) {
+    // The metadata closes with </system>, whatever the section order.
+    let metadata_end = doc.find("</system>").unwrap() + "</system>".len();
     let mut recovered = 0usize;
     for (i, _) in doc.char_indices() {
-        // Before the metadata completes, salvage is fatal — only the
-        // Ok cases carry obligations.
-        if let Ok((exp, report)) = read_experiment_salvage(&doc[..i]) {
+        // Before the metadata completes, salvage is fatal; after it,
+        // every cut recovers a prefix. Only the Ok cases carry further
+        // obligations.
+        let salvaged = read_experiment_salvage(&doc[..i]);
+        assert_eq!(
+            salvaged.is_ok(),
+            i >= metadata_end,
+            "salvage at byte {i} (metadata closes at {metadata_end})"
+        );
+        if let Ok((exp, report)) = salvaged {
             recovered += 1;
             exp.validate().unwrap_or_else(|e| {
                 panic!("salvage at byte {i} returned an invalid experiment: {e}")
@@ -152,7 +192,7 @@ fn salvage_at_every_truncation_point_never_panics_and_recovers_clean_prefixes() 
     // healthy share of truncation points must be recoverable.
     assert!(recovered > 0, "no truncation point was recoverable");
     // The untruncated document is a complete, lossless recovery.
-    let (full, report) = read_experiment_salvage(&doc).unwrap();
+    let (full, report) = read_experiment_salvage(doc).unwrap();
     assert!(report.complete);
     assert!(full.provenance().is_original());
 }
@@ -162,7 +202,12 @@ fn salvage_at_every_truncation_point_never_panics_and_recovers_clean_prefixes() 
 /// must always validate.
 #[test]
 fn mutated_documents_never_panic_the_salvage_reader() {
-    let seed_doc = seed_document();
+    for seed_doc in seeds() {
+        mutate_and_salvage(&seed_doc);
+    }
+}
+
+fn mutate_and_salvage(seed_doc: &str) {
     let bytes = seed_doc.as_bytes();
     let mut rng = Lcg(0xdead_50f7);
     for _ in 0..400 {

@@ -4,8 +4,10 @@
 //! rule code; the sibling `.expect` file lists the exact set of codes
 //! the linter must report (usually one — fixtures are crafted so no
 //! incidental rule fires). `tests/fixtures/valid/` must stay fully
-//! clean. The same corpus drives the CLI exit-code contract used by
-//! `ci/check.sh`.
+//! clean. Section order is not significant to the reader, so every
+//! fixture also lints to the same codes with its `<severity>` section
+//! moved to the front of `<cube>`. The same corpus drives the CLI
+//! exit-code contract used by `ci/check.sh`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -28,11 +30,71 @@ fn cube_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 fn reported_codes(path: &Path) -> BTreeSet<String> {
-    cube_xml::lint_file(path)
+    codes(&cube_xml::lint_file(path))
+}
+
+fn codes(report: &cube_model::lint::Report) -> BTreeSet<String> {
+    report
         .codes()
         .iter()
         .map(|c| c.as_str().to_string())
         .collect()
+}
+
+/// Fixtures with no `<severity>…</severity>` span to move.
+const NO_SEVERITY_SPAN: &[&str] = &[
+    "e003_mixed_units.cube",
+    "e004_dangling_region_module.cube",
+    "e005_inverted_region_lines.cube",
+    "e006_dangling_csite_callee.cube",
+    "e007_dangling_cnode_site.cube",
+    "e013_duplicate_rank.cube",
+    "e014_duplicate_thread_number.cube",
+    "e017_no_threads.cube",
+    "e018_bad_topology.cube",
+    "e101_xml_syntax.cube",
+    "e102_mismatched_tags.cube",
+    "e103_missing_attribute.cube",
+    "w001_duplicate_sibling_metric.cube",
+    "w002_unreferenced_region.cube",
+    "w003_empty_module.cube",
+    "w006_thread_number_gap.cube",
+    "w007_rank_gap.cube",
+    "w008_empty_system_branch.cube",
+    "w009_empty_topology.cube",
+    "w010_unreferenced_call_site.cube",
+];
+
+/// The fixture's text with its first `<severity>…</severity>` span
+/// moved to the front of `<cube>`, or `None` for a fixture named in
+/// [`NO_SEVERITY_SPAN`].
+fn severity_first(cube: &Path) -> Option<String> {
+    let name = cube.file_name().unwrap().to_string_lossy();
+    let text = std::fs::read_to_string(cube).unwrap();
+    let span = text.find("<severity>").and_then(|start| {
+        let end = text[start..].find("</severity>")? + start + "</severity>".len();
+        Some(start..end)
+    });
+    let Some(span) = span else {
+        assert!(
+            NO_SEVERITY_SPAN.contains(&name.as_ref()),
+            "{name} has no <severity> span to move; name it in NO_SEVERITY_SPAN"
+        );
+        return None;
+    };
+    assert!(
+        !NO_SEVERITY_SPAN.contains(&name.as_ref()),
+        "{name} has a <severity> span"
+    );
+    let root = text.find("<cube").unwrap();
+    let open_end = root + text[root..].find('>').unwrap() + 1;
+    Some(format!(
+        "{}{}{}{}",
+        &text[..open_end],
+        &text[span.clone()],
+        &text[open_end..span.start],
+        &text[span.end..]
+    ))
 }
 
 fn expected_codes(cube: &Path) -> BTreeSet<String> {
@@ -56,6 +118,15 @@ fn malformed_corpus_reports_exactly_the_documented_codes() {
             cube.display(),
             cube_xml::lint_file(&cube)
         );
+        if let Some(moved) = severity_first(&cube) {
+            let report = cube_xml::lint_str(&moved);
+            assert_eq!(
+                codes(&report),
+                expected,
+                "{} with <severity> first:\n{report}",
+                cube.display()
+            );
+        }
     }
 }
 
@@ -69,8 +140,8 @@ fn malformed_corpus_covers_every_file_reachable_rule() {
         .collect();
     for code in [
         "E003", "E004", "E005", "E006", "E007", "E013", "E014", "E016", "E017", "E018", "E101",
-        "E102", "E103", "E104", "W001", "W002", "W003", "W004", "W005", "W006", "W007", "W008",
-        "W009", "W010",
+        "E102", "E103", "E104", "E201", "W001", "W002", "W003", "W004", "W005", "W006", "W007",
+        "W008", "W009", "W010",
     ] {
         assert!(covered.contains(code), "no fixture triggers {code}");
         assert!(
@@ -85,6 +156,13 @@ fn valid_fixtures_are_clean() {
     for cube in cube_files(&fixture_dir("valid")) {
         let report = cube_xml::lint_file(&cube);
         assert!(report.is_clean(), "{}:\n{report}", cube.display());
+        let moved = severity_first(&cube).expect("valid fixtures carry severity");
+        let report = cube_xml::lint_str(&moved);
+        assert!(
+            report.is_clean(),
+            "{} with <severity> first:\n{report}",
+            cube.display()
+        );
     }
 }
 

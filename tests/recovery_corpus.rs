@@ -103,3 +103,15 @@ fn valid_fixtures_repair_fully() {
     }
     let _ = std::fs::remove_dir_all(&tmp);
 }
+
+#[test]
+fn leading_severity_repairs_like_canonical_order() {
+    // Section order is not significant: with its <severity> section
+    // moved first, badvalue.cube repairs to the same metadata and
+    // severity; only the damage position in the note differs.
+    let read = |name: &str| cube_xml::read_experiment_file(corrupt_dir().join(name)).unwrap();
+    let canonical = read("badvalue.expect");
+    let moved = read("badvalue_severity_first.expect");
+    assert_eq!(moved.metadata(), canonical.metadata());
+    assert_eq!(moved.severity().values(), canonical.severity().values());
+}
