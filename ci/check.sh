@@ -395,6 +395,24 @@ stage_serve() {
         exit 1
     fi
 
+    echo "== serve gate: a store with a forged section-table offset is refused"
+    # One upload more than --workers 2: each is answered, none ends a worker.
+    forged=tests/fixtures/corrupt/forged_table_offset.cubec
+    for _ in 1 2 3; do
+        status="$(curl -sS -o "$sdir/forged.json" -w '%{http_code}' -H 'Expect:' \
+            -X PUT --data-binary @"$forged" "http://$addr/experiments")"
+        if [ "$status" != "400" ] || ! grep -q '"code":"bad_store"' "$sdir/forged.json"; then
+            echo "PUT of $forged answered $status, expected 400 bad_store:" >&2
+            cat "$sdir/forged.json" >&2
+            exit 1
+        fi
+    done
+    status="$(curl -sS -o /dev/null -w '%{http_code}' "http://$addr/healthz")"
+    if [ "$status" != "200" ]; then
+        echo "/healthz answered $status after the forged-store uploads" >&2
+        exit 1
+    fi
+
     # shellcheck disable=SC2086
     set -- $ids
     objects=""

@@ -1050,92 +1050,70 @@ fn repair_cmd(args: &[String]) -> Result<Outcome, String> {
         return Err("cube repair takes INPUT and OUTPUT".into());
     }
     let (input, output) = (&p.positional[0], &p.positional[1]);
-    if is_cubec(input) {
-        return repair_store(input, output);
-    }
     // Inside a serve repository, recovery provenance names the stable
     // repository-relative object path instead of whatever absolute or
     // temporary path the file was read from.
     let origin = cube_serve::repo_relative_origin(std::path::Path::new(input));
-    let (exp, report) = match cube_xml::read_experiment_salvage_file_as(input, origin.as_deref()) {
-        Ok(pair) => pair,
+    // Each format counts loss in its own recovery unit (severity rows,
+    // or the store's chunks) and seals a document or a file.
+    let salvaged = if is_cubec(input) {
+        cube_store::salvage_store_file_as(input, origin.as_deref(), &ReadLimits::default())
+            .map(|(exp, r)| {
+                let units = format!(
+                    "severity chunks recovered: {} of {}",
+                    r.chunks_recovered, r.chunks_total
+                );
+                (
+                    exp, r.complete, r.loss, r.context, r.checksum, units, "file",
+                )
+            })
+            .map_err(AnyError::Store)
+    } else {
+        cube_xml::read_experiment_salvage_file_as(input, origin.as_deref())
+            .map(|(exp, r)| {
+                let units = format!("severity rows recovered: {}", r.rows_recovered);
+                (
+                    exp, r.complete, r.loss, r.context, r.checksum, units, "document",
+                )
+            })
+            .map_err(AnyError::Xml)
+    };
+    let (exp, complete, loss, context, checksum, units, sealed) = match salvaged {
+        Ok(s) => s,
         // Not being able to read the file at all is a usage-level
         // failure; "unrecoverable" is reserved for files we read but
         // whose metadata cannot be completed.
-        Err(e @ XmlError::Io { .. }) => return Err(path_error(input, e)),
+        Err(e @ (AnyError::Xml(XmlError::Io { .. }) | AnyError::Store(StoreError::Io { .. }))) => {
+            return Err(e.with_path(input))
+        }
         Err(e) => {
             return Ok(Outcome {
                 code: 2,
-                stdout: format!("{input}: unrecoverable: {e}\n"),
+                stdout: format!("{input}: unrecoverable: {}\n", e.bare()),
             })
         }
     };
     let relint = exp.lint();
     store(&exp, output)?;
     let mut s = String::new();
-    if report.complete {
+    if complete {
         let _ = writeln!(s, "{input}: fully recovered; wrote {output}");
     } else {
         let _ = writeln!(s, "{input}: partial recovery; wrote {output}");
-        if let Some(loss) = &report.loss {
+        if let Some(loss) = &loss {
             let _ = writeln!(s, "  loss: {loss}");
         }
-        if let Some(ctx) = &report.context {
+        if let Some(ctx) = &context {
             let _ = writeln!(s, "  context: {ctx}");
         }
-        let _ = writeln!(s, "  severity rows recovered: {}", report.rows_recovered);
-        if report.checksum.is_mismatch() {
-            let _ = writeln!(s, "  checksum: recorded footer does not match the document");
+        let _ = writeln!(s, "  {units}");
+        if checksum.is_mismatch() {
+            let _ = writeln!(s, "  checksum: recorded footer does not match the {sealed}");
         }
     }
     let _ = writeln!(s, "  relint: {}", relint.summary());
     Ok(Outcome {
-        code: i32::from(!report.complete),
-        stdout: s,
-    })
-}
-
-/// The `.cubec` arm of `cube repair`: same exit-code grades, but loss
-/// is counted in severity chunks (the store's recovery unit) instead
-/// of rows.
-fn repair_store(input: &str, output: &str) -> Result<Outcome, String> {
-    let origin = cube_serve::repo_relative_origin(std::path::Path::new(input));
-    let (exp, report) =
-        match cube_store::salvage_store_file_as(input, origin.as_deref(), &ReadLimits::default()) {
-            Ok(pair) => pair,
-            Err(e @ StoreError::Io { .. }) => return Err(store_path_error(input, e)),
-            Err(e) => {
-                return Ok(Outcome {
-                    code: 2,
-                    stdout: format!("{input}: unrecoverable: {e}\n"),
-                })
-            }
-        };
-    let relint = exp.lint();
-    store(&exp, output)?;
-    let mut s = String::new();
-    if report.complete {
-        let _ = writeln!(s, "{input}: fully recovered; wrote {output}");
-    } else {
-        let _ = writeln!(s, "{input}: partial recovery; wrote {output}");
-        if let Some(loss) = &report.loss {
-            let _ = writeln!(s, "  loss: {loss}");
-        }
-        if let Some(ctx) = &report.context {
-            let _ = writeln!(s, "  context: {ctx}");
-        }
-        let _ = writeln!(
-            s,
-            "  severity chunks recovered: {} of {}",
-            report.chunks_recovered, report.chunks_total
-        );
-        if report.checksum.is_mismatch() {
-            let _ = writeln!(s, "  checksum: recorded footer does not match the file");
-        }
-    }
-    let _ = writeln!(s, "  relint: {}", relint.summary());
-    Ok(Outcome {
-        code: i32::from(!report.complete),
+        code: i32::from(!complete),
         stdout: s,
     })
 }
@@ -1241,11 +1219,7 @@ fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
                 entries.push(("stray", rel, "not a .cubec object".into()));
                 continue;
             };
-            let id_shaped = stem.len() == 16
-                && stem
-                    .bytes()
-                    .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase());
-            if !id_shaped {
+            if !cube_serve::valid_id(stem) {
                 entries.push((
                     "stray",
                     rel,

@@ -49,5 +49,7 @@ pub mod server;
 pub use cache::LruCache;
 pub use error::ServeError;
 pub use faults::{FaultCounters, FaultPlan};
-pub use repo::{content_id, repo_relative_origin, IngestOutcome, Repository, REPO_MARKER};
+pub use repo::{
+    content_id, repo_relative_origin, valid_id, IngestOutcome, Repository, REPO_MARKER,
+};
 pub use server::{install_signal_handlers, signaled, start, RunningServer, ServeConfig, Shared};

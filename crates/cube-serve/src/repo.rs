@@ -37,9 +37,6 @@ use std::time::Duration;
 /// Name of the marker file that identifies a repository root.
 pub const REPO_MARKER: &str = "CUBEREPO";
 
-/// Magic prefix of a `.cubec` container, re-exported for sniffing.
-const STORE_MAGIC: [u8; 8] = [0x89, b'C', b'U', b'B', b'E', b'C', 0x0D, 0x0A];
-
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// FNV-1a 64-bit content id of canonical `.cubec` bytes, rendered as
@@ -53,7 +50,8 @@ pub fn content_id(canonical: &[u8]) -> String {
     format!("{hash:016x}")
 }
 
-fn valid_id(id: &str) -> bool {
+/// Whether `id` has the shape of a content id: 16 lowercase hex digits.
+pub fn valid_id(id: &str) -> bool {
     id.len() == 16
         && id
             .bytes()
@@ -214,7 +212,7 @@ impl Repository {
     /// atomically (write-temp, rename) so a crashed upload can never
     /// leave a half-written object under a valid name.
     pub fn ingest(&self, bytes: &[u8]) -> Result<IngestOutcome, ServeError> {
-        let exp = if bytes.starts_with(&STORE_MAGIC) {
+        let exp = if bytes.starts_with(&cube_store::layout::MAGIC) {
             read_store(bytes, &self.limits)?
         } else {
             let text = std::str::from_utf8(bytes).map_err(|_| {

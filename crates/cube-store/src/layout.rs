@@ -139,14 +139,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes a little-endian f64 slice (used for severity pages).
-pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
 /// Number of chunks covering `len` bytes of severity data.
 pub fn chunk_count(len: usize, chunk_values: usize) -> usize {
     let chunk_bytes = chunk_values * 8;

@@ -11,7 +11,8 @@
 //! salvage semantics follow the rules the XML format established in
 //! `docs/FORMAT.md` §10.
 //!
-//! Three ways in:
+//! Three ways in, three policies over one bounds-checked container
+//! parser and one page check (`read.rs`):
 //!
 //! * [`read_store_file`] — strict: verifies the whole-file checksum,
 //!   every section CRC, and every severity chunk CRC, then
@@ -22,9 +23,10 @@
 //!   implements [`cube_algebra::BatchOperand`], so the batch engine
 //!   gathers from the borrowed pages without ever building an
 //!   `Experiment`.
-//! * [`salvage_store_file`] — forgiving: zeroes exactly the damaged
-//!   severity chunks, keeps everything else, and reports what was lost
-//!   in a [`StoreReport`].
+//! * [`salvage_store_file_as`] — forgiving: zeroes exactly the damaged
+//!   or missing severity chunks, keeps everything else, and reports
+//!   what was lost in a [`StoreReport`]. A file whose declared size
+//!   exceeds the input limit is refused, as the strict reader would.
 //!
 //! ```
 //! use cube_algebra::{BatchPlan, Expr, MergeOptions, Reduction, BatchOperand};
@@ -74,9 +76,8 @@ pub mod read;
 pub mod write;
 
 pub use error::StoreError;
-pub use lint::{diagnostic_of_store_error, lint_file};
+pub use lint::lint_file;
 pub use read::{
-    check_store_footer, read_store, read_store_file, read_store_file_with, read_store_parts,
-    salvage_store_file, salvage_store_file_as, ColumnarExperiment, StoreReport,
+    read_store, read_store_file, salvage_store_file_as, ColumnarExperiment, StoreReport,
 };
 pub use write::{write_store, write_store_file};

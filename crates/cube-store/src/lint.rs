@@ -16,7 +16,7 @@ use crate::read::read_store_parts;
 /// The binary format has no line/column notion, so every diagnostic
 /// points at [`Location::Experiment`]; the error message itself names
 /// the damaged structure (section, chunk, metric).
-pub fn diagnostic_of_store_error(e: &StoreError) -> Diagnostic {
+fn diagnostic_of_store_error(e: &StoreError) -> Diagnostic {
     let code = match e {
         StoreError::Io { .. } => RuleCode::Io,
         StoreError::Format { .. } => RuleCode::FormatViolation,
@@ -38,16 +38,10 @@ pub fn diagnostic_of_store_error(e: &StoreError) -> Diagnostic {
 /// reported, exactly like the XML path.
 pub fn lint_file(path: impl AsRef<Path>) -> Report {
     let path = path.as_ref();
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            return Report::from_diagnostics(vec![diagnostic_of_store_error(&StoreError::Io {
-                path: Some(path.to_path_buf()),
-                source: e,
-            })])
-        }
-    };
-    match read_store_parts(&bytes, &ReadLimits::default()) {
+    let parts = std::fs::read(path)
+        .map_err(|e| StoreError::io_at(path, e))
+        .and_then(|bytes| read_store_parts(&bytes, &ReadLimits::default()));
+    match parts {
         Ok((md, sev, prov)) => lint_parts(&md, &sev, &prov),
         Err(e) => Report::from_diagnostics(vec![diagnostic_of_store_error(&e)]),
     }

@@ -1,6 +1,19 @@
 //! The `.cubec` readers: strict full decode, lazy columnar open, and
-//! the salvage path for damaged files.
+//! the salvage path for damaged files. All three run one container
+//! parser, `Layout::parse`, which bounds every range before reading it,
+//! and one page check, `Layout::decode_pages`. They differ in policy:
+//!
+//! * strict ([`read_store`], [`read_store_file`], [`lint_file`](crate::lint_file)):
+//!   the footer must verify, every page must lie inside the body, and
+//!   the first bad page is the error;
+//! * lazy ([`ColumnarExperiment`]): the footer's magic and recorded
+//!   length must match, every page must lie inside the body, and pages
+//!   are checked when first loaded;
+//! * salvage ([`salvage_store_file_as`]): the structure must lie inside
+//!   the bytes present and the declared file within the input limit;
+//!   missing or damaged pages read as zeros.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -13,8 +26,8 @@ use cube_xml::{FooterStatus, LimitKind, ReadLimits};
 
 use crate::error::StoreError;
 use crate::layout::{
-    chunk_count, decode_f64s, Cursor, Section, FOOTER_LEN, FOOTER_MAGIC, HEADER_LEN, MAGIC,
-    SECTION_ENTRY_LEN, SEC_CHUNKCRC, SEC_METADATA, SEC_SEVERITY, VERSION,
+    chunk_count, Cursor, Section, FOOTER_LEN, FOOTER_MAGIC, HEADER_LEN, MAGIC, SECTION_ENTRY_LEN,
+    SEC_CHUNKCRC, SEC_METADATA, SEC_SEVERITY, VERSION,
 };
 use crate::meta::decode_metadata;
 
@@ -22,19 +35,18 @@ use crate::meta::decode_metadata;
 // container structure
 // ---------------------------------------------------------------------------
 
-/// The three section-table entries every version-1 file carries.
-struct Sections {
-    meta: Section,
-    crcs: Section,
-    sev: Section,
-}
+/// The structure `Layout::parse` names when it asks for the METADATA
+/// section, so the lazy open can put its fault seam on that read.
+const METADATA: &str = "metadata section";
 
-fn check_input_len(len: u64, limits: &ReadLimits) -> Result<(), StoreError> {
+const NO_FOOTER: &str = "missing or truncated footer (every writer-produced file ends in CEND)";
+
+fn check_input_len(len: u64, what: &str, limits: &ReadLimits) -> Result<(), StoreError> {
     if len > limits.max_input_bytes as u64 {
         return Err(StoreError::Limit {
             kind: LimitKind::InputBytes,
             message: format!(
-                "file is {len} bytes, exceeding the limit of {} bytes",
+                "{what} is {len} bytes, exceeding the limit of {} bytes",
                 limits.max_input_bytes
             ),
         });
@@ -42,29 +54,13 @@ fn check_input_len(len: u64, limits: &ReadLimits) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Parses the fixed header, returning `(section_count, table_offset)`.
-fn parse_header(buf: &[u8]) -> Result<(usize, u64), StoreError> {
-    let mut cur = Cursor::new(buf);
-    let magic = cur.bytes(8, "file magic")?;
-    if magic != MAGIC {
-        return Err(StoreError::format("magic bytes do not match"));
-    }
-    let version = cur.u32("format version")?;
-    if version != VERSION {
-        return Err(StoreError::format(format!(
-            "unsupported format version {version} (this reader understands {VERSION})"
-        )));
-    }
-    let section_count = cur.u32("section count")? as usize;
-    let table_offset = cur.u64("section table offset")?;
-    Ok((section_count, table_offset))
-}
-
-/// Parses the section table and picks out the three known sections.
-fn parse_sections(table: &[u8], count: usize, file_len: u64) -> Result<Sections, StoreError> {
+/// Parses the section table and picks out the three sections every
+/// version-1 file carries: `(METADATA, CHUNKCRC, SEVERITY)`. Every entry
+/// must end within `extent`.
+fn parse_sections(table: &[u8], extent: u64) -> Result<(Section, Section, Section), StoreError> {
     let (mut meta, mut crcs, mut sev) = (None, None, None);
-    for i in 0..count {
-        let s = Section::decode(&table[i * SECTION_ENTRY_LEN..])?;
+    for entry in table.chunks_exact(SECTION_ENTRY_LEN) {
+        let s = Section::decode(entry)?;
         if s.offset % 8 != 0 {
             return Err(StoreError::format(format!(
                 "section {} offset {} is not 8-byte aligned",
@@ -73,10 +69,10 @@ fn parse_sections(table: &[u8], count: usize, file_len: u64) -> Result<Sections,
         }
         if s.offset
             .checked_add(s.length)
-            .is_none_or(|end| end > file_len)
+            .is_none_or(|end| end > extent)
         {
             return Err(StoreError::format(format!(
-                "section {} extends past the end of the file",
+                "section {} extends past the file",
                 s.kind
             )));
         }
@@ -94,20 +90,20 @@ fn parse_sections(table: &[u8], count: usize, file_len: u64) -> Result<Sections,
         }
     }
     match (meta, crcs, sev) {
-        (Some(meta), Some(crcs), Some(sev)) => Ok(Sections { meta, crcs, sev }),
+        (Some(meta), Some(crcs), Some(sev)) => Ok((meta, crcs, sev)),
         (None, _, _) => Err(StoreError::format("missing metadata section")),
         (_, None, _) => Err(StoreError::format("missing chunk-CRC section")),
         (_, _, None) => Err(StoreError::format("missing severity section")),
     }
 }
 
-fn verify_section(bytes: &[u8], s: &Section, name: &str) -> Result<(), StoreError> {
+fn verify_section(bytes: &[u8], s: &Section, what: &str) -> Result<(), StoreError> {
     let actual = crc32(bytes);
     if actual != s.crc {
         return Err(StoreError::Checksum {
             expected: s.crc,
             actual,
-            context: format!("{name} section"),
+            context: what.to_string(),
         });
     }
     Ok(())
@@ -127,33 +123,35 @@ fn parse_chunk_table(bytes: &[u8], sev_len: usize) -> Result<(usize, Vec<u32>), 
             chunk_count(sev_len, chunk_values)
         )));
     }
-    let mut crcs = Vec::with_capacity(n);
-    for _ in 0..n {
-        crcs.push(cur.u32("chunk CRC")?);
-    }
+    let crcs = cur.bytes(n * 4, "chunk CRC")?;
     if cur.remaining() != 0 {
         return Err(StoreError::format("chunk table has trailing bytes"));
     }
-    Ok((chunk_values, crcs))
+    Ok((
+        chunk_values,
+        crcs.chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect(),
+    ))
+}
+
+/// The whole-file CRC the footer closing `tail` (the last bytes of a
+/// `file_len`-byte file) records, when its magic and recorded length
+/// are intact.
+fn footer_crc(tail: &[u8], file_len: u64) -> Option<u32> {
+    let footer = &tail[tail.len().checked_sub(FOOTER_LEN)?..];
+    (footer[12..] == FOOTER_MAGIC && footer[4..12] == file_len.to_le_bytes())
+        .then(|| u32::from_le_bytes(footer[..4].try_into().unwrap()))
 }
 
 /// Checks the 16-byte footer against the file, returning the XML
 /// layer's [`FooterStatus`] so both formats report integrity the same
 /// way. `Absent` means the trailer is missing or mangled beyond
 /// recognition (e.g. the file was truncated).
-pub fn check_store_footer(bytes: &[u8]) -> FooterStatus {
-    if bytes.len() < FOOTER_LEN {
+fn check_store_footer(bytes: &[u8]) -> FooterStatus {
+    let Some(expected) = footer_crc(bytes, bytes.len() as u64) else {
         return FooterStatus::Absent;
-    }
-    let tail = &bytes[bytes.len() - FOOTER_LEN..];
-    if tail[12..16] != FOOTER_MAGIC {
-        return FooterStatus::Absent;
-    }
-    let recorded_len = u64::from_le_bytes(tail[4..12].try_into().unwrap());
-    if recorded_len != bytes.len() as u64 {
-        return FooterStatus::Absent;
-    }
-    let expected = u32::from_le_bytes(tail[0..4].try_into().unwrap());
+    };
     let actual = crc32(&bytes[..bytes.len() - FOOTER_LEN]);
     if expected == actual {
         FooterStatus::Valid
@@ -162,22 +160,156 @@ pub fn check_store_footer(bytes: &[u8]) -> FooterStatus {
     }
 }
 
-/// Names the first severity tuple a chunk covers, for recovery and
-/// corruption messages: `severity chunk K (metric 'NAME', cnode C)`.
-fn chunk_context(md: &Metadata, chunk: usize, chunk_values: usize) -> String {
-    let (_, nc, nt) = md.shape();
-    let v = chunk * chunk_values;
-    if nc == 0 || nt == 0 {
-        return format!("severity chunk {chunk}");
+/// Where `Layout::parse` gets its bytes: `read(offset, len, what)`
+/// returns the `len` bytes at `offset`, the structure named `what`.
+type Source<'a> = dyn FnMut(u64, usize, &str) -> Result<Cow<'a, [u8]>, StoreError> + 'a;
+
+/// Everything a container holds outside its severity pages, and where
+/// those pages lie.
+struct Layout {
+    metadata: Metadata,
+    provenance: Provenance,
+    /// Absolute offset of the severity section.
+    sev_offset: u64,
+    /// Byte length of the severity section: 8 per value of the shape.
+    sev_len: usize,
+    /// Values per page.
+    chunk_values: usize,
+    /// The CRC-32 recorded for each page.
+    chunk_crcs: Vec<u32>,
+}
+
+impl Layout {
+    /// Parses header → section table → METADATA → CHUNKCRC → shape.
+    ///
+    /// `read` is asked only for ranges already checked to end within the
+    /// first `body` bytes, the ones the reader may trust. Every
+    /// section-table entry must end within `extent`.
+    fn parse<'a>(
+        body: u64,
+        extent: u64,
+        limits: &ReadLimits,
+        read: &mut Source<'a>,
+    ) -> Result<Self, StoreError> {
+        let mut fetch = |offset: u64, len: u64, what: &str| match offset.checked_add(len) {
+            Some(end) if end <= body => read(offset, len as usize, what),
+            _ => Err(StoreError::format(format!("{what} extends past the file"))),
+        };
+        if body < HEADER_LEN as u64 {
+            return Err(StoreError::format("file is shorter than its header"));
+        }
+        let header = fetch(0, HEADER_LEN as u64, "header")?;
+        let mut cur = Cursor::new(&header);
+        if cur.bytes(8, "file magic")? != MAGIC {
+            return Err(StoreError::format("magic bytes do not match"));
+        }
+        let version = cur.u32("format version")?;
+        if version != VERSION {
+            return Err(StoreError::format(format!(
+                "unsupported format version {version} (this reader understands {VERSION})"
+            )));
+        }
+        let count = u64::from(cur.u32("section count")?);
+        let table_offset = cur.u64("section table offset")?;
+        let table = fetch(
+            table_offset,
+            count * SECTION_ENTRY_LEN as u64,
+            "section table",
+        )?;
+        let (meta, crcs, sev) = parse_sections(&table, extent)?;
+
+        let meta_bytes = fetch(meta.offset, meta.length, METADATA)?;
+        verify_section(&meta_bytes, &meta, METADATA)?;
+        let (metadata, provenance) = decode_metadata(&meta_bytes, limits)?;
+
+        let crc_bytes = fetch(crcs.offset, crcs.length, "chunk-CRC section")?;
+        verify_section(&crc_bytes, &crcs, "chunk-CRC section")?;
+        let sev_len = sev.length as usize;
+        let (chunk_values, chunk_crcs) = parse_chunk_table(&crc_bytes, sev_len)?;
+
+        let (nm, nc, nt) = metadata.shape();
+        // Each extent came from a u32 field, so the product cannot wrap.
+        let need = nm as u128 * nc as u128 * nt as u128 * 8;
+        if need != u128::from(sev.length) {
+            return Err(StoreError::format(format!(
+                "severity section is {sev_len} bytes but the shape {:?} needs {need}",
+                (nm, nc, nt)
+            )));
+        }
+        Ok(Self {
+            metadata,
+            provenance,
+            sev_offset: sev.offset,
+            sev_len,
+            chunk_values,
+            chunk_crcs,
+        })
     }
-    let m = v / (nc * nt);
-    let c = (v / nt) % nc;
-    match md.metrics().get(m) {
-        Some(metric) => format!(
-            "severity chunk {chunk} (metric '{}', cnode {c})",
-            metric.name
-        ),
-        None => format!("severity chunk {chunk}"),
+
+    /// [`Layout::parse`] over an in-memory image, all of it trusted.
+    fn parse_image(image: &[u8], extent: u64, limits: &ReadLimits) -> Result<Self, StoreError> {
+        Self::parse(image.len() as u64, extent, limits, &mut |offset, len, _| {
+            Ok(Cow::Borrowed(&image[offset as usize..][..len]))
+        })
+    }
+
+    /// The page check: decodes the severity values from `present`, the
+    /// leading bytes of the severity section, one page at a time,
+    /// comparing each page's CRC-32 with the chunk table. A page that is
+    /// missing or fails its CRC goes to `lost` with its error; the page
+    /// reads as zeros if `lost` returns `Ok`.
+    fn decode_pages(
+        &self,
+        present: &[u8],
+        lost: &mut dyn FnMut(usize, StoreError) -> Result<(), StoreError>,
+    ) -> Result<Vec<f64>, StoreError> {
+        let page_bytes = self.chunk_values * 8;
+        let mut values = Vec::with_capacity(self.sev_len / 8);
+        for (k, &expected) in self.chunk_crcs.iter().enumerate() {
+            let lo = k * page_bytes;
+            let hi = lo + page_bytes.min(self.sev_len - lo);
+            let err = match present.get(lo..hi) {
+                None => StoreError::format("severity pages truncated"),
+                Some(page) => {
+                    let actual = crc32(page);
+                    if actual == expected {
+                        let decode = |v: &[u8]| f64::from_le_bytes(v.try_into().unwrap());
+                        values.extend(page.chunks_exact(8).map(decode));
+                        continue;
+                    }
+                    StoreError::Checksum {
+                        expected,
+                        actual,
+                        context: self.page_context(k),
+                    }
+                }
+            };
+            lost(k, err)?;
+            values.resize(hi / 8, 0.0);
+        }
+        Ok(values)
+    }
+
+    /// Names the first severity tuple page `k` covers, for recovery and
+    /// corruption messages: `severity chunk K (metric 'NAME', cnode C)`.
+    fn page_context(&self, k: usize) -> String {
+        let (_, nc, nt) = self.metadata.shape();
+        let v = k * self.chunk_values;
+        if nc == 0 || nt == 0 {
+            return format!("severity chunk {k}");
+        }
+        let m = v / (nc * nt);
+        let c = (v / nt) % nc;
+        match self.metadata.metrics().get(m) {
+            Some(metric) => format!("severity chunk {k} (metric '{}', cnode {c})", metric.name),
+            None => format!("severity chunk {k}"),
+        }
+    }
+
+    fn into_parts(self, values: Vec<f64>) -> (Metadata, Severity, Provenance) {
+        let (nm, nc, nt) = self.metadata.shape();
+        let sev = Severity::from_values(nm, nc, nt, values);
+        (self.metadata, sev, self.provenance)
     }
 }
 
@@ -188,7 +320,7 @@ fn chunk_context(md: &Metadata, chunk: usize, chunk_values: usize) -> String {
 /// Decodes a complete in-memory `.cubec` image, verifying the footer,
 /// every section CRC, and every severity chunk CRC.
 pub fn read_store(bytes: &[u8], limits: &ReadLimits) -> Result<Experiment, StoreError> {
-    check_input_len(bytes.len() as u64, limits)?;
+    check_input_len(bytes.len() as u64, "file", limits)?;
     let (md, sev, prov) = read_store_parts(bytes, limits)?;
     Experiment::new(md, sev, prov).map_err(StoreError::Model)
 }
@@ -196,17 +328,13 @@ pub fn read_store(bytes: &[u8], limits: &ReadLimits) -> Result<Experiment, Store
 /// Like [`read_store`] but returns the raw parts without running the
 /// data-model validation, so the linter can report *all* model
 /// violations instead of the first.
-pub fn read_store_parts(
+pub(crate) fn read_store_parts(
     bytes: &[u8],
     limits: &ReadLimits,
 ) -> Result<(Metadata, Severity, Provenance), StoreError> {
     match check_store_footer(bytes) {
         FooterStatus::Valid => {}
-        FooterStatus::Absent => {
-            return Err(StoreError::format(
-                "missing or truncated footer (every writer-produced file ends in CEND)",
-            ))
-        }
+        FooterStatus::Absent => return Err(StoreError::format(NO_FOOTER)),
         FooterStatus::Mismatch { expected, actual } => {
             return Err(StoreError::Checksum {
                 expected,
@@ -215,69 +343,17 @@ pub fn read_store_parts(
             })
         }
     }
-    if bytes.len() < HEADER_LEN + FOOTER_LEN {
-        return Err(StoreError::format("file is shorter than header + footer"));
-    }
-    let (count, table_off) = parse_header(&bytes[..HEADER_LEN])?;
-    let table_end = table_off as usize + count * SECTION_ENTRY_LEN;
-    if table_end > bytes.len() - FOOTER_LEN {
-        return Err(StoreError::format("section table extends past the file"));
-    }
-    let sections = parse_sections(
-        &bytes[table_off as usize..table_end],
-        count,
-        (bytes.len() - FOOTER_LEN) as u64,
-    )?;
-
-    let meta_bytes = section_bytes(bytes, &sections.meta);
-    verify_section(meta_bytes, &sections.meta, "metadata")?;
-    let (md, prov) = decode_metadata(meta_bytes, limits)?;
-
-    let crc_bytes = section_bytes(bytes, &sections.crcs);
-    verify_section(crc_bytes, &sections.crcs, "chunk-CRC")?;
-    let sev_bytes = section_bytes(bytes, &sections.sev);
-    let (chunk_values, crcs) = parse_chunk_table(crc_bytes, sev_bytes.len())?;
-
-    let (nm, nc, nt) = md.shape();
-    if sev_bytes.len() != nm * nc * nt * 8 {
-        return Err(StoreError::format(format!(
-            "severity section is {} bytes but the shape {:?} needs {}",
-            sev_bytes.len(),
-            (nm, nc, nt),
-            nm * nc * nt * 8
-        )));
-    }
-    for (k, chunk) in sev_bytes.chunks(chunk_values * 8).enumerate() {
-        let actual = crc32(chunk);
-        if actual != crcs[k] {
-            return Err(StoreError::Checksum {
-                expected: crcs[k],
-                actual,
-                context: chunk_context(&md, k, chunk_values),
-            });
-        }
-    }
-    let sev = Severity::from_values(nm, nc, nt, decode_f64s(sev_bytes));
-    Ok((md, sev, prov))
-}
-
-fn section_bytes<'a>(bytes: &'a [u8], s: &Section) -> &'a [u8] {
-    &bytes[s.offset as usize..(s.offset + s.length) as usize]
+    let body = &bytes[..bytes.len() - FOOTER_LEN];
+    let layout = Layout::parse_image(body, body.len() as u64, limits)?;
+    let pages = &body[layout.sev_offset as usize..][..layout.sev_len];
+    let values = layout.decode_pages(pages, &mut |_, e| Err(e))?;
+    Ok(layout.into_parts(values))
 }
 
 /// Reads and strictly decodes a `.cubec` file with default limits.
 pub fn read_store_file(path: impl AsRef<Path>) -> Result<Experiment, StoreError> {
-    read_store_file_with(path, &ReadLimits::default())
-}
-
-/// Reads and strictly decodes a `.cubec` file with explicit limits.
-pub fn read_store_file_with(
-    path: impl AsRef<Path>,
-    limits: &ReadLimits,
-) -> Result<Experiment, StoreError> {
-    let path = path.as_ref();
-    let bytes = read_limited(path, limits)?;
-    read_store(&bytes, limits)
+    let limits = ReadLimits::default();
+    read_store(&read_limited(path.as_ref(), &limits)?, &limits)
 }
 
 /// Reads a file after checking its size against the input limit, so an
@@ -287,7 +363,7 @@ pub fn read_store_file_with(
 fn read_limited(path: &Path, limits: &ReadLimits) -> Result<Vec<u8>, StoreError> {
     let err = |e: std::io::Error| StoreError::io_at(path, e);
     let len = std::fs::metadata(path).map_err(err)?.len();
-    check_input_len(len, limits)?;
+    check_input_len(len, "file", limits)?;
     let mut bytes = std::fs::read(path).map_err(err)?;
     if let Some(e) = cube_xml::faults::inject("store.file", &mut bytes) {
         return Err(StoreError::io_at(path, e));
@@ -302,22 +378,17 @@ fn read_limited(path: &Path, limits: &ReadLimits) -> Result<Vec<u8>, StoreError>
 /// A `.cubec` file opened lazily: metadata decoded, severity pages left
 /// on disk until first touch.
 ///
-/// Opening reads only the header, section table, metadata section, and
-/// chunk-CRC table — a few kilobytes regardless of how large the
-/// severity data is. The dense severity values are loaded (and their
-/// chunk CRCs verified) on the first call to
+/// Opening reads only the footer, header, section table, metadata
+/// section, and chunk-CRC table — a few kilobytes regardless of how
+/// large the severity data is. The dense severity values are loaded
+/// (and their chunk CRCs verified) on the first call to
 /// [`severity`](Self::severity) and cached; the batch engine gathers
 /// straight from that borrowed page via the
 /// [`BatchOperand`] impl, never materializing an
 /// [`Experiment`].
 pub struct ColumnarExperiment {
     path: PathBuf,
-    metadata: Metadata,
-    provenance: Provenance,
-    sev_offset: u64,
-    sev_len: usize,
-    chunk_values: usize,
-    chunk_crcs: Vec<u32>,
+    layout: Layout,
     cache: OnceLock<Vec<f64>>,
 }
 
@@ -340,93 +411,44 @@ impl ColumnarExperiment {
         let err = |e: std::io::Error| StoreError::io_at(path, e);
         let mut f = File::open(path).map_err(err)?;
         let file_len = f.metadata().map_err(err)?.len();
-        check_input_len(file_len, limits)?;
-        if file_len < (HEADER_LEN + FOOTER_LEN) as u64 {
-            return Err(StoreError::format("file is shorter than header + footer"));
+        check_input_len(file_len, "file", limits)?;
+        let body = file_len.saturating_sub(FOOTER_LEN as u64);
+        let tail = read_at(&mut f, body, (file_len - body) as usize, path)?;
+        if footer_crc(&tail, file_len).is_none() {
+            return Err(StoreError::format(NO_FOOTER));
         }
-
-        let header = read_at(&mut f, 0, HEADER_LEN, path)?;
-        let (count, table_off) = parse_header(&header)?;
-        let footer = read_at(&mut f, file_len - FOOTER_LEN as u64, FOOTER_LEN, path)?;
-        if footer[12..16] != FOOTER_MAGIC
-            || u64::from_le_bytes(footer[4..12].try_into().unwrap()) != file_len
-        {
-            return Err(StoreError::format(
-                "missing or truncated footer (every writer-produced file ends in CEND)",
-            ));
-        }
-
-        let table_len = count
-            .checked_mul(SECTION_ENTRY_LEN)
-            .filter(|&l| table_off + l as u64 <= file_len - FOOTER_LEN as u64)
-            .ok_or_else(|| StoreError::format("section table extends past the file"))?;
-        let table = read_at(&mut f, table_off, table_len, path)?;
-        let sections = parse_sections(&table, count, file_len - FOOTER_LEN as u64)?;
-
-        let mut meta_bytes = read_at(
-            &mut f,
-            sections.meta.offset,
-            sections.meta.length as usize,
-            path,
-        )?;
-        // Fault seam at the repository-open boundary: an injected byte
-        // flip here is caught by the section CRC check below, i.e. the
-        // production corruption path, not a synthetic error.
-        if let Some(e) = cube_xml::faults::inject("store.open", &mut meta_bytes) {
-            return Err(StoreError::io_at(path, e));
-        }
-        verify_section(&meta_bytes, &sections.meta, "metadata")?;
-        let (metadata, provenance) = decode_metadata(&meta_bytes, limits)?;
-
-        let crc_bytes = read_at(
-            &mut f,
-            sections.crcs.offset,
-            sections.crcs.length as usize,
-            path,
-        )?;
-        verify_section(&crc_bytes, &sections.crcs, "chunk-CRC")?;
-        let sev_len = sections.sev.length as usize;
-        let (chunk_values, chunk_crcs) = parse_chunk_table(&crc_bytes, sev_len)?;
-
-        let (nm, nc, nt) = metadata.shape();
-        if sev_len != nm * nc * nt * 8 {
-            return Err(StoreError::format(format!(
-                "severity section is {sev_len} bytes but the shape {:?} needs {}",
-                (nm, nc, nt),
-                nm * nc * nt * 8
-            )));
-        }
-
+        let layout = Layout::parse(body, body, limits, &mut |offset, len, what| {
+            let mut bytes = read_at(&mut f, offset, len, path)?;
+            // Fault seam at the repository-open boundary: an injected
+            // byte flip in the metadata is caught by its section CRC,
+            // i.e. the production corruption path, not a synthetic error.
+            if what == METADATA {
+                if let Some(e) = cube_xml::faults::inject("store.open", &mut bytes) {
+                    return Err(StoreError::io_at(path, e));
+                }
+            }
+            Ok(Cow::Owned(bytes))
+        })?;
         Ok(Self {
             path: path.to_path_buf(),
-            metadata,
-            provenance,
-            sev_offset: sections.sev.offset,
-            sev_len,
-            chunk_values,
-            chunk_crcs,
+            layout,
             cache: OnceLock::new(),
         })
     }
 
     /// The decoded metadata.
     pub fn metadata(&self) -> &Metadata {
-        &self.metadata
+        &self.layout.metadata
     }
 
     /// The decoded provenance.
     pub fn provenance(&self) -> &Provenance {
-        &self.provenance
+        &self.layout.provenance
     }
 
     /// The severity shape `(metrics, call nodes, threads)`.
     pub fn shape(&self) -> (usize, usize, usize) {
-        self.metadata.shape()
-    }
-
-    /// The file this handle reads from.
-    pub fn path(&self) -> &Path {
-        &self.path
+        self.layout.metadata.shape()
     }
 
     /// Whether the severity pages have been pulled into memory yet.
@@ -446,46 +468,29 @@ impl ColumnarExperiment {
 
     fn load_severity(&self) -> Result<Vec<f64>, StoreError> {
         let mut f = File::open(&self.path).map_err(|e| StoreError::io_at(&self.path, e))?;
-        let mut bytes = read_at(&mut f, self.sev_offset, self.sev_len, &self.path)?;
+        let mut bytes = read_at(
+            &mut f,
+            self.layout.sev_offset,
+            self.layout.sev_len,
+            &self.path,
+        )?;
         // Fault seam at the severity-page boundary: corruption injected
-        // here trips the per-chunk CRC loop below. A failed load does
-        // not poison the OnceLock cache, so a later retry can succeed.
+        // here trips the page check below. A failed load does not
+        // poison the OnceLock cache, so a later retry can succeed.
         if let Some(e) = cube_xml::faults::inject("store.severity", &mut bytes) {
             return Err(StoreError::io_at(&self.path, e));
         }
-        for (k, chunk) in bytes.chunks(self.chunk_values * 8).enumerate() {
-            let actual = crc32(chunk);
-            if actual != self.chunk_crcs[k] {
-                return Err(StoreError::Checksum {
-                    expected: self.chunk_crcs[k],
-                    actual,
-                    context: chunk_context(&self.metadata, k, self.chunk_values),
-                });
-            }
-        }
-        Ok(decode_f64s(&bytes))
-    }
-
-    /// Materializes a validated [`Experiment`] (loads severity).
-    pub fn to_experiment(&self) -> Result<Experiment, StoreError> {
-        let values = self.severity()?.to_vec();
-        let (nm, nc, nt) = self.shape();
-        Experiment::new(
-            self.metadata.clone(),
-            Severity::from_values(nm, nc, nt, values),
-            self.provenance.clone(),
-        )
-        .map_err(StoreError::Model)
+        self.layout.decode_pages(&bytes, &mut |_, e| Err(e))
     }
 }
 
 impl BatchOperand for ColumnarExperiment {
     fn metadata(&self) -> &Metadata {
-        &self.metadata
+        &self.layout.metadata
     }
 
     fn provenance(&self) -> &Provenance {
-        &self.provenance
+        &self.layout.provenance
     }
 
     fn severity_shape(&self) -> (usize, usize, usize) {
@@ -539,25 +544,19 @@ pub struct StoreReport {
 ///
 /// The header, section table, metadata section, and chunk-CRC table
 /// are *structural*: damage there is unrecoverable and returns an
-/// error. Damage confined to severity pages — a truncated tail, a
-/// flipped byte failing its chunk CRC — zeroes exactly the affected
-/// chunks and reports them, with the experiment's provenance rewrapped
-/// as [`Provenance::Recovered`] naming the damaged structure.
-pub fn salvage_store_file(
-    path: impl AsRef<Path>,
-    limits: &ReadLimits,
-) -> Result<(Experiment, StoreReport), StoreError> {
-    salvage_store_file_as(path, None, limits)
-}
-
-/// [`salvage_store_file`] with an explicit *origin* — the name the
-/// recovery provenance note should call the damaged store.
+/// error, and so does a severity section that would make the file
+/// larger than `limits.max_input_bytes`. Damage confined to severity
+/// pages — a truncated tail, a flipped byte failing its chunk CRC —
+/// zeroes exactly the affected chunks and reports them, with the
+/// experiment's provenance rewrapped as [`Provenance::Recovered`]
+/// naming the damaged structure.
 ///
-/// When the bytes live inside a hash-sharded repository (or pass
-/// through a staging temp file), the transient filesystem path is the
-/// wrong name for the lineage record; the caller passes the durable
-/// one — e.g. the repository-relative `objects/ab/….cubec`. With
-/// `origin: None` the note format is unchanged.
+/// *origin* is the name the recovery provenance note should call the
+/// damaged store. When the bytes live inside a hash-sharded repository
+/// (or pass through a staging temp file), the transient filesystem path
+/// is the wrong name for the lineage record; the caller passes the
+/// durable one — e.g. the repository-relative `objects/ab/….cubec`.
+/// With `origin: None` the note names no file.
 pub fn salvage_store_file_as(
     path: impl AsRef<Path>,
     origin: Option<&str>,
@@ -566,110 +565,62 @@ pub fn salvage_store_file_as(
     let path = path.as_ref();
     let bytes = read_limited(path, limits)?;
     let checksum = check_store_footer(&bytes);
-    let body_len = match checksum {
-        FooterStatus::Absent => bytes.len() as u64, // truncated: no trailer to trust
-        _ => (bytes.len() - FOOTER_LEN) as u64,
+    // A truncated file has no trailer to trust, and its severity pages
+    // may run past the cut: only the structure must be present.
+    let body = match checksum {
+        FooterStatus::Absent => &bytes[..],
+        _ => &bytes[..bytes.len() - FOOTER_LEN],
     };
+    let layout = Layout::parse_image(body, u64::MAX, limits)?;
+    // Salvage never builds what the strict reader's limits would refuse.
+    let sev_end = layout.sev_offset + layout.sev_len as u64;
+    check_input_len(
+        sev_end.saturating_add(FOOTER_LEN as u64),
+        "the declared file",
+        limits,
+    )?;
 
-    if bytes.len() < HEADER_LEN {
-        return Err(StoreError::format("file is shorter than its header"));
-    }
-    let (count, table_off) = parse_header(&bytes[..HEADER_LEN])?;
-    let table_end = table_off as usize + count * SECTION_ENTRY_LEN;
-    if table_end as u64 > body_len {
-        return Err(StoreError::format("section table extends past the file"));
-    }
-    // Sections are validated against the length the writer recorded —
-    // a truncated file keeps its table intact (severity comes last), so
-    // per-chunk availability is checked below instead.
-    let sections = parse_sections(&bytes[table_off as usize..table_end], count, u64::MAX)?;
-
-    let meta_end = (sections.meta.offset + sections.meta.length) as usize;
-    if meta_end as u64 > body_len {
-        return Err(StoreError::format("metadata section extends past the file"));
-    }
-    let meta_bytes = section_bytes(&bytes, &sections.meta);
-    verify_section(meta_bytes, &sections.meta, "metadata")?;
-    let (md, prov) = decode_metadata(meta_bytes, limits)?;
-
-    let crcs_end = (sections.crcs.offset + sections.crcs.length) as usize;
-    if crcs_end as u64 > body_len {
-        return Err(StoreError::format(
-            "chunk-CRC section extends past the file",
-        ));
-    }
-    let crc_bytes = section_bytes(&bytes, &sections.crcs);
-    verify_section(crc_bytes, &sections.crcs, "chunk-CRC")?;
-    let sev_len = sections.sev.length as usize;
-    let (chunk_values, crcs) = parse_chunk_table(crc_bytes, sev_len)?;
-
-    let (nm, nc, nt) = md.shape();
-    if sev_len != nm * nc * nt * 8 {
-        return Err(StoreError::format(format!(
-            "severity section is {sev_len} bytes but the shape {:?} needs {}",
-            (nm, nc, nt),
-            nm * nc * nt * 8
-        )));
-    }
-
-    // Per-chunk recovery: keep chunks whose bytes are present and hash
-    // to their recorded CRC, zero the rest.
-    let mut values = vec![0.0f64; nm * nc * nt];
-    let chunk_bytes = chunk_values * 8;
-    let sev_off = sections.sev.offset as usize;
-    let available = (body_len as usize).saturating_sub(sev_off).min(sev_len);
-    let mut recovered = 0usize;
-    let mut loss: Option<String> = None;
-    let mut context: Option<String> = None;
-    for (k, &expected) in crcs.iter().enumerate() {
-        let lo = k * chunk_bytes;
-        let hi = (lo + chunk_bytes).min(sev_len);
-        let (what, ok) = if hi > available {
-            ("severity pages truncated", false)
-        } else {
-            let chunk = &bytes[sev_off + lo..sev_off + hi];
-            if crc32(chunk) == expected {
-                values[lo / 8..hi / 8].copy_from_slice(&decode_f64s(chunk));
-                ("", true)
-            } else {
-                ("severity page failed its checksum", false)
-            }
-        };
-        if ok {
-            recovered += 1;
-        } else if loss.is_none() {
-            loss = Some(what.to_string());
-            context = Some(chunk_context(&md, k, chunk_values));
+    let present = body.get(layout.sev_offset as usize..).unwrap_or_default();
+    let mut lost = 0;
+    let mut first = None;
+    let values = layout.decode_pages(present, &mut |k, e| {
+        lost += 1;
+        if first.is_none() {
+            let what = match e {
+                StoreError::Checksum { .. } => "severity page failed its checksum",
+                _ => "severity pages truncated",
+            };
+            first = Some((what.to_string(), layout.page_context(k)));
         }
-    }
+        Ok(())
+    })?;
 
-    let complete = recovered == crcs.len() && !checksum.is_mismatch();
+    let chunks_total = layout.chunk_crcs.len();
+    let complete = lost == 0 && !checksum.is_mismatch();
+    let (md, sev, prov) = layout.into_parts(values);
+    let mut exp = Experiment::new_unchecked(md, sev, prov);
+    if !complete {
+        let what = match &first {
+            Some((what, context)) => format!("{what} in {context}"),
+            None => "checksum mismatch".to_string(),
+        };
+        let origin = origin.map_or(String::new(), |o| format!("{o}: "));
+        let note = format!(
+            "{origin}{what}; {} of {chunks_total} chunks recovered",
+            chunks_total - lost
+        );
+        let source = exp.provenance().label();
+        exp.set_provenance(Provenance::recovered(source, note));
+    }
+    let (loss, context) = first.unzip();
     let report = StoreReport {
         complete,
-        chunks_recovered: recovered,
-        chunks_total: crcs.len(),
+        chunks_recovered: chunks_total - lost,
+        chunks_total,
         loss,
         context,
         checksum,
     };
-
-    let mut exp = Experiment::new_unchecked(md, Severity::from_values(nm, nc, nt, values), prov);
-    if !report.complete {
-        let what = match (&report.loss, &report.context) {
-            (Some(w), Some(c)) => format!("{w} in {c}"),
-            (Some(w), None) => w.clone(),
-            (None, _) => "checksum mismatch".to_string(),
-        };
-        let mut note = format!(
-            "{what}; {} of {} chunks recovered",
-            report.chunks_recovered, report.chunks_total
-        );
-        if let Some(origin) = origin {
-            note = format!("{origin}: {note}");
-        }
-        let source = exp.provenance().label();
-        exp.set_provenance(Provenance::recovered(source, note));
-    }
     Ok((exp, report))
 }
 
@@ -724,7 +675,6 @@ mod tests {
         assert_eq!(col.shape(), exp.severity().shape());
         assert_eq!(col.severity().unwrap(), exp.severity().values());
         assert!(col.is_loaded());
-        assert_eq!(col.to_experiment().unwrap(), exp);
     }
 
     #[test]
@@ -765,7 +715,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - FOOTER_LEN - 5] ^= 0xff;
         std::fs::write(&p, &bytes).unwrap();
-        let (rec, report) = salvage_store_file(&p, &ReadLimits::default()).unwrap();
+        let (rec, report) = salvage_store_file_as(&p, None, &ReadLimits::default()).unwrap();
         assert!(!report.complete);
         assert_eq!(report.chunks_total, 1);
         assert_eq!(report.chunks_recovered, 0);
@@ -790,7 +740,7 @@ mod tests {
         let bytes = write_store(&exp);
         let cut = bytes.len() - FOOTER_LEN - 6000; // into the last chunk
         std::fs::write(&p, &bytes[..cut]).unwrap();
-        let (rec, report) = salvage_store_file(&p, &ReadLimits::default()).unwrap();
+        let (rec, report) = salvage_store_file_as(&p, None, &ReadLimits::default()).unwrap();
         assert!(!report.complete);
         assert_eq!(report.checksum, FooterStatus::Absent);
         assert_eq!(report.chunks_total, 3);
@@ -813,7 +763,7 @@ mod tests {
         let mut bytes = write_store(&exp);
         bytes[HEADER_LEN + 3 * SECTION_ENTRY_LEN + 9] ^= 0xff; // inside the dictionary
         std::fs::write(&p, &bytes).unwrap();
-        let err = salvage_store_file(&p, &ReadLimits::default()).unwrap_err();
+        let err = salvage_store_file_as(&p, None, &ReadLimits::default()).unwrap_err();
         assert!(matches!(err, StoreError::Checksum { .. }), "{err}");
         assert!(err.to_string().contains("metadata section"), "{err}");
     }
@@ -824,7 +774,7 @@ mod tests {
         let d = tmpdir("ok");
         let p = d.join("ok.cubec");
         write_store_file(&exp, &p).unwrap();
-        let (rec, report) = salvage_store_file(&p, &ReadLimits::default()).unwrap();
+        let (rec, report) = salvage_store_file_as(&p, None, &ReadLimits::default()).unwrap();
         assert!(report.complete);
         assert_eq!(report.checksum, FooterStatus::Valid);
         assert!(report.loss.is_none() && report.context.is_none());
@@ -838,7 +788,7 @@ mod tests {
         let p = d.join("h.cubec");
         let bytes = write_store(&exp);
         std::fs::write(&p, &bytes[..40]).unwrap();
-        assert!(salvage_store_file(&p, &ReadLimits::default()).is_err());
+        assert!(salvage_store_file_as(&p, None, &ReadLimits::default()).is_err());
     }
 
     #[test]
@@ -851,18 +801,85 @@ mod tests {
             max_input_bytes: 10,
             ..ReadLimits::default()
         };
-        let err = read_store_file_with(&p, &limits).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StoreError::Limit {
-                    kind: LimitKind::InputBytes,
-                    ..
-                }
-            ),
-            "{err}"
-        );
+        let err = read_store(&std::fs::read(&p).unwrap(), &limits).unwrap_err();
+        assert!(is_input_limit(&err), "{err}");
+        let err = salvage_store_file_as(&p, None, &limits).unwrap_err();
+        assert!(is_input_limit(&err), "{err}");
         assert!(ColumnarExperiment::open_with(&p, &limits).is_err());
+    }
+
+    fn is_input_limit(err: &StoreError) -> bool {
+        matches!(
+            err,
+            StoreError::Limit {
+                kind: LimitKind::InputBytes,
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn forged_table_offset_is_a_format_error_in_every_reader() {
+        // `cube pack tests/fixtures/valid/full.cube` with the header's
+        // section-table offset set to 2^64 - 32 and the footer resealed:
+        // the offset plus the table length wraps around.
+        let bytes = include_bytes!("../../../tests/fixtures/corrupt/forged_table_offset.cubec");
+        assert_eq!(
+            u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
+            0u64.wrapping_sub(32)
+        );
+        let is_format = |r: Result<(), StoreError>| match r {
+            Err(StoreError::Format { message }) => message.contains("section table"),
+            _ => false,
+        };
+        assert!(is_format(
+            read_store(bytes, &ReadLimits::default()).map(drop)
+        ));
+        let d = tmpdir("forged");
+        let p = d.join("forged.cubec");
+        std::fs::write(&p, bytes).unwrap();
+        let lazy = ColumnarExperiment::open(&p).and_then(|col| col.severity().map(drop));
+        assert!(is_format(lazy));
+        assert!(is_format(
+            salvage_store_file_as(&p, None, &ReadLimits::default()).map(drop)
+        ));
+        let report = crate::lint_file(&p);
+        assert_eq!(report.diagnostics().len(), 1, "{report}");
+        assert_eq!(report.diagnostics()[0].code.as_str(), "E103");
+    }
+
+    #[test]
+    fn salvage_refuses_a_declared_size_over_the_input_limit() {
+        // 1024 metrics x 1024 call nodes x 1 thread: an 8 MiB severity
+        // section, cut off where it starts, so the file present is small.
+        let mut b = ExperimentBuilder::new("wide");
+        let m = b.def_module("a.c", "/a.c");
+        let r = b.def_region("main", m, RegionKind::Function, 1, 9);
+        let cs = b.def_call_site("a.c", 1, r);
+        let root = b.def_call_node(cs, None);
+        for _ in 1..1024 {
+            b.def_call_node(cs, Some(root));
+        }
+        for i in 0..1024 {
+            b.def_metric(format!("m{i}"), Unit::Seconds, "", None);
+        }
+        single_threaded_system(&mut b, 1);
+        let bytes = write_store(&b.build().unwrap());
+        let sev = Section::decode(&bytes[HEADER_LEN + 2 * SECTION_ENTRY_LEN..]).unwrap();
+        assert_eq!((sev.kind, sev.length), (SEC_SEVERITY, 8 << 20));
+        let d = tmpdir("declared");
+        let p = d.join("wide.cubec");
+        std::fs::write(&p, &bytes[..sev.offset as usize]).unwrap();
+        let limits = ReadLimits {
+            max_input_bytes: 1 << 20,
+            ..ReadLimits::default()
+        };
+        let err = salvage_store_file_as(&p, None, &limits).unwrap_err();
+        assert!(is_input_limit(&err), "{err}");
+        // Under the default limits the same cut salvages, every page lost.
+        let (rec, report) = salvage_store_file_as(&p, None, &ReadLimits::default()).unwrap();
+        assert_eq!((report.chunks_recovered, report.chunks_total), (0, 256));
+        assert_eq!(rec.severity().values().len(), 1 << 20);
     }
 
     #[test]
