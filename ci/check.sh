@@ -275,8 +275,11 @@ stage_store() {
         ./target/release/cube --threads "$t" merge \
             "$det/corpus/run0.cube" "$det/corpus/run1.cube" \
             -o "$det/merge.t$t.cube" >/dev/null
+        ./target/release/cube --threads "$t" merge \
+            "$det/corpus/run0.cube" "$det/corpus/run1.cube" "$det/corpus/run2.cube" \
+            -o "$det/merge3.t$t.cube" >/dev/null
     done
-    for op in mean diff merge; do
+    for op in mean diff merge merge3; do
         for t in 2 8; do
             if ! cmp "$det/$op.t1.cube" "$det/$op.t$t.cube"; then
                 echo "cube $op output differs between --threads 1 and --threads $t" >&2
@@ -456,6 +459,16 @@ stage_serve() {
         round=$((round + 1))
     done
 
+    echo "== serve gate: /eval merge matches cube merge of the same files"
+    ./target/release/cube merge "$det/corpus/run0.cube" "$det/corpus/run2.cubec" \
+        -o "$sdir/cli.merge.cube" >/dev/null
+    curl -sS -H 'Expect:' -X POST --data "merge($1,$3)" \
+        -o "$sdir/srv.merge.cube" "http://$addr/eval"
+    if ! cmp -s "$sdir/cli.merge.cube" "$sdir/srv.merge.cube"; then
+        echo "/eval 'merge($1,$3)' differs from cube merge of run0.cube run2.cubec" >&2
+        exit 1
+    fi
+
     echo "== serve gate: /eval pre-flight rejects invalid expressions"
     # A missing operand id must come back as the checker's stable A001
     # code with a structured diagnostics array — and must not grow the
@@ -486,6 +499,11 @@ stage_serve() {
         "http://$addr/check" >"$sdir/check.json"
     grep -q '"A008"' "$sdir/check.json"
     grep -q '"rewritten":"zero()"' "$sdir/check.json"
+    # A merge operand every metric of which an earlier one provides (a
+    # duplicate here) contributes no values: A011.
+    curl -sS -H 'Expect:' -X POST --data "merge($1,$1)" \
+        "http://$addr/check" >"$sdir/check.merge.json"
+    grep -q '"A011"' "$sdir/check.merge.json"
     # The fused cost block rides along in /check (and `cube check`).
     curl -sS -H 'Expect:' -X POST --data "$mean_expr" \
         "http://$addr/check" >"$sdir/check.fused.json"
@@ -681,6 +699,9 @@ stage_kernel() {
             -o "$o/store-diff.cube" >/dev/null
         $c merge "$det/corpus/run0.cube" "$kdir/pruned.cube" \
             -o "$o/gather-merge.cube" >/dev/null
+        # `scale`, whose digest was generated with the build before it
+        # became a plan expression.
+        $c scale "$det/corpus/run0.cube" -1.5 -o "$o/scale.cube" >/dev/null
         $c stats "$o/keep-going-minus.cube" "$det"/corpus/*.cube \
             "$kdir/missing.cube" --minus 3 --keep-going >/dev/null
         if ! (cd "$o" && sha256sum --check --quiet "$golden"); then

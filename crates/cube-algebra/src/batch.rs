@@ -26,7 +26,7 @@
 //!    copy.
 //! 3. **Evaluate in one pass.** [`BatchPlan::eval`] lowers an [`Expr`]
 //!    tree — an n-ary [`Reduction`] (`sum`, `mean`, `min`, `max`,
-//!    `variance`, `stddev`), or a composite such as the paper's
+//!    `variance`, `stddev`, `merge`), or a composite such as the paper's
 //!    "difference of averaged data" — into one [`crate::kernel`]
 //!    program and runs it in a single traversal of the operands. Direct
 //!    and extended operands are read in place; gathered ones are
@@ -37,9 +37,18 @@
 //! `diff(mean(A…), mean(B…))` costs one integration total instead of
 //! three.
 //!
-//! The pre-batch evaluation path is kept verbatim in [`pairwise`] as a
-//! differential oracle: `BatchPlan` results are tested value-identical
-//! against it.
+//! The pre-batch pairwise fold lives on as a differential oracle in
+//! the `cube-bench` crate (`cube_bench::pairwise`); `BatchPlan` results
+//! are tested value-identical against it.
+//!
+//! A nested composite integrates all of its operands at once, so it
+//! can differ from the same operators applied one library call at a
+//! time. For example, with ranks on nodes of one machine — A rank 0 on
+//! node 0, B rank 1 on node 1, C rank 1 on node 0 — the nested
+//! `ops::merge(&ops::merge(&a, &b), &c)` collapses the system to a
+//! `virtual machine`, because the intermediate result's partition
+//! conflicts with C's, while one plan over `[A, B, C]` copies A's
+//! machine.
 //!
 //! # Worked example: a k-experiment study
 //!
@@ -194,6 +203,9 @@ pub enum Reduction {
     Variance,
     /// Element-wise population standard deviation.
     Stddev,
+    /// The paper's merge: each metric from the first listed operand
+    /// that provides it, zero where none does.
+    Merge,
 }
 
 impl Reduction {
@@ -208,6 +220,7 @@ impl Reduction {
             Self::Max => "max",
             Self::Variance => "variance",
             Self::Stddev => "stddev",
+            Self::Merge => "merge",
         }
     }
 
@@ -222,6 +235,7 @@ impl Reduction {
             "max" => Self::Max,
             "variance" => Self::Variance,
             "stddev" => Self::Stddev,
+            "merge" => Self::Merge,
             _ => return None,
         })
     }
@@ -467,6 +481,8 @@ pub struct PlanTables {
     maps: Vec<OperandMap>,
     shape: (usize, usize, usize),
     sources: Vec<Source>,
+    /// Per operand, which integrated metrics it provides (`merge`).
+    provides: Vec<Vec<bool>>,
     /// Severity shapes the operands had at build time, revalidated on
     /// reuse by [`BatchPlan::from_tables`].
     operand_shapes: Vec<(usize, usize, usize)>,
@@ -484,6 +500,7 @@ impl PlanTables {
                 maps: Vec::new(),
                 shape: (0, 0, 0),
                 sources: Vec::new(),
+                provides: Vec::new(),
                 operand_shapes: Vec::new(),
             };
         }
@@ -504,11 +521,22 @@ impl PlanTables {
                 }
             })
             .collect();
+        let provides = maps
+            .iter()
+            .map(|map| {
+                let mut mask = vec![false; shape.0];
+                for m in &map.metrics {
+                    mask[m.index()] = true;
+                }
+                mask
+            })
+            .collect();
         Self {
             metadata,
             maps,
             shape,
             sources,
+            provides,
             operand_shapes: views.iter().map(|v| v.shape).collect(),
         }
     }
@@ -693,9 +721,14 @@ impl<'a> BatchPlan<'a> {
                 (None, _) => SlotInput::Dense(self.views[i].values),
             })
             .collect();
+        let masks: Vec<&[bool]> = prog
+            .slots()
+            .iter()
+            .map(|&i| self.tables.provides[i].as_slice())
+            .collect();
         let (nm, nc, nt) = self.tables.shape;
         let mut out = vec![0.0; nm * nc * nt];
-        kernel::eval_fused(&prog, &inputs, &mut out);
+        kernel::eval_fused(&prog, &inputs, &masks, nc * nt, &mut out);
         Ok(out)
     }
 
@@ -742,156 +775,6 @@ fn derived(metadata: Metadata, values: Vec<f64>, provenance: Provenance) -> Expe
     let result = Experiment::new_unchecked(metadata, severity, provenance);
     crate::invariant::debug_assert_closed(&result, "batch eval");
     result
-}
-
-// ---------------------------------------------------------------------------
-// the pairwise oracle
-// ---------------------------------------------------------------------------
-
-pub mod pairwise {
-    //! The pre-batch evaluation path, kept as a **differential
-    //! oracle**: every n-ary reduction here is the literal pairwise
-    //! fold (or, for the moments, the extend-everything reference),
-    //! re-running metadata integration at each step. `BatchPlan`
-    //! results are tested value-identical against these functions; the
-    //! `batch_reduce` bench in `cube-bench` measures the gap.
-
-    use cube_model::{Experiment, Provenance, Severity};
-
-    use crate::error::AlgebraError;
-    use crate::extend::extend_severity;
-    use crate::integrate::integrate;
-    use crate::options::MergeOptions;
-
-    fn labels(operands: &[&Experiment]) -> Vec<String> {
-        operands.iter().map(|e| e.provenance().label()).collect()
-    }
-
-    /// Left fold of a binary element-wise operation, integrating the
-    /// accumulator with the next operand at every step — the O(k)
-    /// integrations the batch engine exists to avoid.
-    fn fold(
-        name: &'static str,
-        operands: &[&Experiment],
-        options: MergeOptions,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Result<Experiment, AlgebraError> {
-        let Some((&head, rest)) = operands.split_first() else {
-            return Err(AlgebraError::EmptyOperandList { operator: name });
-        };
-        let mut acc = head.clone();
-        for op in rest {
-            let integrated = integrate(&[&acc, op], options);
-            let shape = integrated.metadata.shape();
-            let mut a = extend_severity(&acc, &integrated.maps[0], shape);
-            let b = extend_severity(op, &integrated.maps[1], shape);
-            for (d, s) in a.values_mut().iter_mut().zip(b.values()) {
-                *d = f(*d, *s);
-            }
-            acc = Experiment::new_unchecked(integrated.metadata, a, Provenance::default());
-        }
-        acc.set_provenance(Provenance::derived(name, labels(operands)));
-        crate::invariant::debug_assert_closed(&acc, name);
-        Ok(acc)
-    }
-
-    /// Pairwise-fold sum.
-    pub fn sum(
-        operands: &[&Experiment],
-        options: MergeOptions,
-    ) -> Result<Experiment, AlgebraError> {
-        fold("sum", operands, options, |x, y| x + y)
-    }
-
-    /// Pairwise-fold mean: fold the sum, then scale by `1/k`.
-    pub fn mean(
-        operands: &[&Experiment],
-        options: MergeOptions,
-    ) -> Result<Experiment, AlgebraError> {
-        let mut e = fold("mean", operands, options, |x, y| x + y)?;
-        let factor = 1.0 / operands.len() as f64;
-        for v in e.severity_mut().values_mut() {
-            *v *= factor;
-        }
-        Ok(e)
-    }
-
-    /// Pairwise-fold minimum.
-    pub fn min(
-        operands: &[&Experiment],
-        options: MergeOptions,
-    ) -> Result<Experiment, AlgebraError> {
-        fold("min", operands, options, f64::min)
-    }
-
-    /// Pairwise-fold maximum.
-    pub fn max(
-        operands: &[&Experiment],
-        options: MergeOptions,
-    ) -> Result<Experiment, AlgebraError> {
-        fold("max", operands, options, f64::max)
-    }
-
-    /// Reference population variance: integrates once but materializes
-    /// every operand's zero-extended array (the pre-batch
-    /// `stats::variance` implementation, verbatim).
-    pub fn variance(
-        operands: &[&Experiment],
-        options: MergeOptions,
-    ) -> Result<Experiment, AlgebraError> {
-        if operands.is_empty() {
-            return Err(AlgebraError::EmptyOperandList {
-                operator: "variance",
-            });
-        }
-        let integrated = integrate(operands, options);
-        let shape = integrated.metadata.shape();
-        let extended: Vec<_> = operands
-            .iter()
-            .zip(&integrated.maps)
-            .map(|(op, map)| extend_severity(op, map, shape))
-            .collect();
-        let k = operands.len() as f64;
-        let mut mean = extended[0].values().to_vec();
-        for e in &extended[1..] {
-            for (m, v) in mean.iter_mut().zip(e.values()) {
-                *m += v;
-            }
-        }
-        for m in &mut mean {
-            *m /= k;
-        }
-        let mut var = Severity::zeros(shape.0, shape.1, shape.2);
-        for e in &extended {
-            for ((out, &v), &m) in var.values_mut().iter_mut().zip(e.values()).zip(&mean) {
-                *out += (v - m) * (v - m);
-            }
-        }
-        for v in var.values_mut() {
-            *v /= k;
-        }
-        let result = Experiment::new_unchecked(
-            integrated.metadata,
-            var,
-            Provenance::derived("variance", labels(operands)),
-        );
-        crate::invariant::debug_assert_closed(&result, "variance");
-        Ok(result)
-    }
-
-    /// Reference population standard deviation (square root of
-    /// [`variance`]).
-    pub fn stddev(
-        operands: &[&Experiment],
-        options: MergeOptions,
-    ) -> Result<Experiment, AlgebraError> {
-        let mut e = variance(operands, options)?;
-        for v in e.severity_mut().values_mut() {
-            *v = v.sqrt();
-        }
-        e.set_provenance(Provenance::derived("stddev", labels(operands)));
-        Ok(e)
-    }
 }
 
 #[cfg(test)]
@@ -1128,38 +1011,33 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_oracle_agrees_on_a_small_series() {
-        let a = uniform("a", 2, 2.0);
-        let b = uniform("b", 3, 4.0);
-        let c = disjoint("c", 2, 6.0);
-        let ops: [&Experiment; 3] = [&a, &b, &c];
-        let plan = BatchPlan::new(&ops);
-        for r in [
-            Reduction::Sum,
-            Reduction::Mean,
-            Reduction::Min,
-            Reduction::Max,
-            Reduction::Variance,
-            Reduction::Stddev,
-        ] {
-            let fast = plan.reduce(r).unwrap();
-            let slow = match r {
-                Reduction::Sum => pairwise::sum(&ops, MergeOptions::default()),
-                Reduction::Mean => pairwise::mean(&ops, MergeOptions::default()),
-                Reduction::Min => pairwise::min(&ops, MergeOptions::default()),
-                Reduction::Max => pairwise::max(&ops, MergeOptions::default()),
-                Reduction::Variance => pairwise::variance(&ops, MergeOptions::default()),
-                Reduction::Stddev => pairwise::stddev(&ops, MergeOptions::default()),
-            }
+    fn nested_merge_can_differ_from_one_plan() {
+        // Machine `m`, nodes n0 and n1: A has rank 0 on n0, B rank 1 on
+        // n1, C rank 1 on n0. One integration of [A, B, C] checks C
+        // against A, which lacks rank 1, and copies `m`; the nested
+        // merge checks C against merge(A, B), whose rank 1 sits on n1,
+        // and collapses.
+        let on = |name: &str, rank: i32, node: usize| {
+            let mut b = ExperimentBuilder::new(name);
+            let t = b.def_metric(name, Unit::Seconds, "", None);
+            let m = b.def_module("a", "a");
+            let r = b.def_region("main", m, RegionKind::Function, 1, 1);
+            let cs = b.def_call_site("a", 1, r);
+            let root = b.def_call_node(cs, None);
+            let mach = b.def_machine("m");
+            let nodes = [b.def_node("n0", mach), b.def_node("n1", mach)];
+            let p = b.def_process(format!("rank {rank}"), rank, nodes[node]);
+            let th = b.def_thread("thread 0", 0, p);
+            b.set_severity(t, root, th, 1.0);
+            b.build().unwrap()
+        };
+        let (a, b, c) = (on("a", 0, 0), on("b", 1, 1), on("c", 1, 0));
+        let nested = crate::ops::merge(&crate::ops::merge(&a, &b), &c);
+        let one_plan = BatchPlan::new(&[&a, &b, &c])
+            .reduce(Reduction::Merge)
             .unwrap();
-            assert_eq!(fast.metadata(), slow.metadata(), "{r:?} metadata");
-            assert_eq!(
-                fast.severity().values(),
-                slow.severity().values(),
-                "{r:?} values"
-            );
-            assert_eq!(fast.provenance(), slow.provenance(), "{r:?} provenance");
-        }
+        assert_eq!(nested.metadata().machines()[0].name, "virtual machine");
+        assert_eq!(one_plan.metadata().machines()[0].name, "m");
     }
 
     #[test]

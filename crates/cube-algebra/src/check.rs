@@ -22,12 +22,12 @@
 //! | `A003` | error | operand index out of range (programmatic trees only) |
 //! | `A004` | warning | duplicate operand skews a non-idempotent reduction |
 //! | `A005` | warning | dead operand: provided but never referenced |
-//! | `A006` | warning | operands share no metrics (pure zero-extension) |
+//! | `A006` | warning | operands share no metrics (pure zero-extension; not for `merge`) |
 //! | `A007` | warning | thread-topology mismatch between operands |
 //! | `A008` | warning | statically zero result: `diff` of identical subtrees |
 //! | `A009` | warning | degenerate statistic: `variance`/`stddev` of one operand |
 //! | `A010` | warning | identity operation: single-operand reduction, `scale(e,1)` |
-//! | `A011` | warning | removable duplicate in an idempotent `min`/`max` |
+//! | `A011` | warning | removable operand of `min`/`max`/`merge`: a duplicate, or a `merge` operand every metric of which an earlier operand provides |
 //! | `A012` | warning | `scale` by 0 zeroes every finite value |
 //!
 //! Errors mean evaluation cannot produce a meaningful result and the
@@ -40,8 +40,8 @@
 //! that preserve the evaluated severity values *bit for bit* on finite
 //! data (the property pinned by `check_props.rs` across thread
 //! counts): `scale(e,1)` → `e`, duplicate operands removed from
-//! idempotent `min`/`max` lists, single-operand `mean`/`sum`/`min`/
-//! `max` → the operand itself, `diff(X,X)` and single-operand
+//! idempotent `min`/`max`/`merge` lists, single-operand `mean`/`sum`/
+//! `min`/`max`/`merge` → the operand itself, `diff(X,X)` and single-operand
 //! `variance`/`stddev` → the zero experiment ([`Expr::Zero`], with
 //! `zero` provenance). Provenance labels follow the rewritten tree;
 //! only the severity values and metadata are preserved exactly.
@@ -572,15 +572,15 @@ impl<'a, 'f> Checker<'a, 'f> {
                 usable.push(i);
             }
         }
-        // Duplicates: harmless noise in idempotent min/max (the rewrite
-        // pass removes them), a skewed statistic everywhere else.
+        // Duplicates: harmless noise in idempotent min/max/merge (the
+        // rewrite pass removes them), a skewed statistic everywhere else.
         let mut seen: Vec<usize> = Vec::new();
         for (k, &i) in idxs.iter().enumerate() {
             if i >= self.operands.len() {
                 continue;
             }
             if seen.contains(&i) {
-                let idempotent = matches!(r, Reduction::Min | Reduction::Max);
+                let idempotent = matches!(r, Reduction::Min | Reduction::Max | Reduction::Merge);
                 let (code, message) = if idempotent {
                     (
                         "A011",
@@ -640,8 +640,12 @@ impl<'a, 'f> Checker<'a, 'f> {
             .copied()
             .filter(|&i| self.metric_sets[i].is_some())
             .collect();
+        if r == Reduction::Merge {
+            self.check_merge_coverage(idxs, &arg_span);
+        }
         if known.len() >= 2 {
-            for &i in &known {
+            // Disjoint metric sets are what merge is for.
+            for &i in known.iter().filter(|_| r != Reduction::Merge) {
                 let mine = self.metric_sets[i].as_ref().expect("known metric set");
                 let shares = known.iter().any(|&j| {
                     j != i
@@ -679,6 +683,31 @@ impl<'a, 'f> Checker<'a, 'f> {
                     ),
                 );
             }
+        }
+    }
+
+    /// `A011` for a `merge` operand every metric of which an earlier
+    /// operand provides: merge takes each metric from its first
+    /// provider, so none of that operand's values are used. Duplicates
+    /// were already reported.
+    fn check_merge_coverage(&mut self, idxs: &[usize], arg_span: &dyn Fn(usize) -> Span) {
+        let mut provided = MetricSet::new();
+        for (k, &i) in idxs.iter().enumerate() {
+            if idxs[..k].contains(&i) {
+                continue;
+            }
+            let Some(mine) = self.metric_sets.get(i).cloned().flatten() else {
+                continue;
+            };
+            if !provided.is_empty() && mine.is_subset(&provided) {
+                let message = format!(
+                    "every metric of operand '{}' comes from an earlier operand \
+                     of merge; none of its values are used",
+                    self.name_of(i)
+                );
+                self.emit("A011", CheckLevel::Warning, arg_span(k), message);
+            }
+            provided.extend(mine);
         }
     }
 
@@ -788,8 +817,8 @@ impl<'a, 'f> Checker<'a, 'f> {
 /// | rule | rewrite |
 /// |---|---|
 /// | `scale-identity` | `scale(e, 1)` → `e` |
-/// | `idempotent-dedup` | duplicate operands removed from `min`/`max` |
-/// | `single-identity` | `mean`/`sum`/`min`/`max` of one operand → the operand |
+/// | `idempotent-dedup` | duplicate operands removed from `min`/`max`/`merge` |
+/// | `single-identity` | `mean`/`sum`/`min`/`max`/`merge` of one operand → the operand |
 /// | `zero-variance` | `variance`/`stddev` of one operand → `zero()` |
 /// | `zero-diff` | `diff(X, X)` → `zero()` |
 /// | `zero-scale` | `scale(zero(), f)` for `f ≥ 0` → `zero()` |
@@ -809,7 +838,9 @@ fn rw(expr: &Expr, notes: &mut Vec<RewriteNote>) -> Expr {
         Expr::Zero => Expr::Zero,
         Expr::Reduce(r, idxs) => {
             let mut list: Vec<usize> = idxs.clone();
-            if matches!(r, Reduction::Min | Reduction::Max) {
+            // Min and max are idempotent, and merge never picks a later
+            // duplicate: dropping one keeps the bits.
+            if matches!(r, Reduction::Min | Reduction::Max | Reduction::Merge) {
                 let before = list.len();
                 let mut seen = Vec::with_capacity(list.len());
                 list.retain(|&i| {

@@ -26,6 +26,12 @@
 //!    block of the operand's *zero-extended* values into scratch before
 //!    the block's tiles run. The plan supplies fills for operands whose
 //!    metadata differs from the integrated schema.
+//! 4. **A pick.** `merge` is a per-metric selection, not arithmetic:
+//!    [`Instr::Pick`] copies, per metric run, the first listed slot
+//!    whose operand provides that metric. The caller passes one mask
+//!    per slot (which integrated metrics its operand provides) and the
+//!    number of values per metric; a tile or block may straddle a
+//!    metric boundary.
 //!
 //! A plain per-element scalar interpreter, [`eval_scalar`], is kept as
 //! the **test oracle**: `kernel_props.rs` pins `eval_fused ==
@@ -44,7 +50,8 @@
 //!   sequence — reductions are left folds in operand order, `mean`
 //!   multiplies by a precomputed `1/k` (skipped when `k == 1`), the
 //!   moments divide by `k` (true division, not a reciprocal multiply),
-//!   `stddev` takes one final square root.
+//!   `stddev` takes one final square root, `merge` copies one operand's
+//!   value bit for bit.
 //! * A fill feeds exactly the zero-extended inputs: the operand's own
 //!   value, bit for bit, where it defines the tuple, `0.0` where not.
 //! * All of those operations are element-wise, so block and tile
@@ -146,6 +153,11 @@ pub enum Instr {
     },
     /// `r[dst] = sqrt(r[dst])` (the `stddev` finisher).
     Sqrt { dst: usize },
+    /// `r[dst] = operand[s]` for the first slot `s` of the program's
+    /// pick list `from..to` (the merge operands' slots, in list order)
+    /// whose operand provides the element's metric, `0.0` where none
+    /// does (the `merge` lowering).
+    Pick { dst: usize, from: usize, to: usize },
 }
 
 /// A fused kernel program: the flat lowering of one [`Expr`] tree.
@@ -160,6 +172,7 @@ pub struct KernelProgram {
     num_regs: usize,
     out: usize,
     slots: Vec<usize>,
+    picks: Vec<usize>,
 }
 
 impl KernelProgram {
@@ -175,6 +188,7 @@ impl KernelProgram {
             num_operands,
             instrs: Vec::new(),
             slots: Vec::new(),
+            picks: Vec::new(),
             free: Vec::new(),
             num_regs: 0,
         };
@@ -184,6 +198,7 @@ impl KernelProgram {
             num_regs: c.num_regs,
             out,
             slots: c.slots,
+            picks: c.picks,
         })
     }
 
@@ -205,9 +220,10 @@ impl KernelProgram {
         &self.slots
     }
 
-    /// The register holding the result after the last instruction.
-    pub fn out_reg(&self) -> usize {
-        self.out
+    /// The slot an [`Instr::Pick`] over `picks[from..to]` reads at
+    /// metric `m`, given one provided-metric mask per slot.
+    fn picked(&self, from: usize, to: usize, masks: &[&[bool]], m: usize) -> Option<usize> {
+        self.picks[from..to].iter().copied().find(|&s| masks[s][m])
     }
 }
 
@@ -217,6 +233,7 @@ struct Compiler {
     num_operands: usize,
     instrs: Vec<Instr>,
     slots: Vec<usize>,
+    picks: Vec<usize>,
     free: Vec<usize>,
     num_regs: usize,
 }
@@ -280,8 +297,8 @@ impl Compiler {
             }
             Expr::Scale(inner, factor) => {
                 let dst = self.lower(inner)?;
-                // Multiply unconditionally, even by 1.0, exactly as
-                // `ops::scale` does.
+                // Multiply unconditionally, even by 1.0: `scale(e, 1)`
+                // is a multiplication, which the rewrite pass may drop.
                 self.instrs.push(Instr::MulConst {
                     dst,
                     factor: *factor,
@@ -300,6 +317,17 @@ impl Compiler {
         }
         let k = idxs.len() as f64;
         match r {
+            Reduction::Merge => {
+                let dst = self.alloc();
+                let from = self.picks.len();
+                for &i in idxs {
+                    let slot = self.slot(i);
+                    self.picks.push(slot);
+                }
+                let to = self.picks.len();
+                self.instrs.push(Instr::Pick { dst, from, to });
+                Ok(dst)
+            }
             Reduction::Sum | Reduction::Mean | Reduction::Min | Reduction::Max => {
                 let op = match r {
                     Reduction::Min => FoldOp::Min,
@@ -474,25 +502,34 @@ fn reg_pair(regs: &mut [[f64; TILE]], dst: usize, src: usize) -> (&mut [f64; TIL
 // execution
 // ---------------------------------------------------------------------------
 
-/// Runs the program over one tile: elements `[at, at + n)` of every
-/// source, result landing in `block[.. n]`.
+/// One block's inputs, bound once for all of its tiles.
+struct Block<'a> {
+    /// Per slot, the operand's values over the block.
+    sources: Vec<&'a [f64]>,
+    /// Per slot, which metrics its operand provides ([`Instr::Pick`]).
+    masks: &'a [&'a [bool]],
+    /// Values per metric.
+    per_metric: usize,
+    /// Output index of the block's first element.
+    at: usize,
+}
+
+/// Runs the program over one tile: elements `[off, off + n)` of the
+/// block, result landing in `out[.. n]`.
 fn run_tile(
     prog: &KernelProgram,
-    sources: &[&[f64]],
-    at: usize,
+    block: &Block<'_>,
+    off: usize,
     n: usize,
     regs: &mut [[f64; TILE]],
     out: &mut [f64],
 ) {
+    let src = |slot: usize| &block.sources[slot][off..off + n];
     for instr in &prog.instrs {
         match *instr {
-            Instr::Load { dst, slot } => {
-                regs[dst][..n].copy_from_slice(&sources[slot][at..at + n]);
-            }
+            Instr::Load { dst, slot } => regs[dst][..n].copy_from_slice(src(slot)),
             Instr::Const { dst, value } => regs[dst][..n].fill(value),
-            Instr::Fold { dst, slot, op } => {
-                k_fold(&mut regs[dst][..n], &sources[slot][at..at + n], op);
-            }
+            Instr::Fold { dst, slot, op } => k_fold(&mut regs[dst][..n], src(slot), op),
             Instr::SubAssign { dst, src } => {
                 let (d, s) = reg_pair(regs, dst, src);
                 k_sub(&mut d[..n], &s[..n]);
@@ -501,9 +538,25 @@ fn run_tile(
             Instr::DivConst { dst, divisor } => k_div(&mut regs[dst][..n], divisor),
             Instr::SqDevAcc { dst, slot, mean } => {
                 let (d, m) = reg_pair(regs, dst, mean);
-                k_sqdev(&mut d[..n], &sources[slot][at..at + n], &m[..n]);
+                k_sqdev(&mut d[..n], src(slot), &m[..n]);
             }
             Instr::Sqrt { dst } => k_sqrt(&mut regs[dst][..n]),
+            Instr::Pick { dst, from, to } => {
+                // One metric run at a time: the tile may straddle a
+                // metric boundary.
+                let mut i = 0;
+                while i < n {
+                    let pos = block.at + off + i;
+                    let m = pos / block.per_metric;
+                    let run = ((m + 1) * block.per_metric - pos).min(n - i);
+                    let d = &mut regs[dst][i..i + run];
+                    match prog.picked(from, to, block.masks, m) {
+                        Some(s) => d.copy_from_slice(&src(s)[i..i + run]),
+                        None => d.fill(0.0),
+                    }
+                    i += run;
+                }
+            }
         }
     }
     out[..n].copy_from_slice(&regs[prog.out][..n]);
@@ -546,7 +599,14 @@ thread_local! {
 /// block's tiles run, every slot is bound to the block's range — a
 /// dense slice in place, a fill into its own block-sized stripe of the
 /// worker's scratch.
-fn run_blocks(prog: &KernelProgram, inputs: &[SlotInput<'_>], base: usize, chunk: &mut [f64]) {
+fn run_blocks(
+    prog: &KernelProgram,
+    inputs: &[SlotInput<'_>],
+    masks: &[&[bool]],
+    per_metric: usize,
+    base: usize,
+    chunk: &mut [f64],
+) {
     let fills = inputs
         .iter()
         .filter(|i| matches!(i, SlotInput::Fill(_)))
@@ -559,11 +619,11 @@ fn run_blocks(prog: &KernelProgram, inputs: &[SlotInput<'_>], base: usize, chunk
     if scratch.len() < fills * stripe {
         scratch.resize(fills * stripe, 0.0);
     }
-    for (b, block) in chunk.chunks_mut(BLOCK_VALUES).enumerate() {
+    for (b, out) in chunk.chunks_mut(BLOCK_VALUES).enumerate() {
         let at = base + b * BLOCK_VALUES;
-        let n = block.len();
+        let n = out.len();
         let mut stripes = scratch.chunks_exact_mut(stripe);
-        let sources: Vec<&[f64]> = inputs
+        let sources = inputs
             .iter()
             .map(|input| match *input {
                 SlotInput::Dense(s) => &s[at..at + n],
@@ -575,10 +635,16 @@ fn run_blocks(prog: &KernelProgram, inputs: &[SlotInput<'_>], base: usize, chunk
                 }
             })
             .collect();
+        let block = Block {
+            sources,
+            masks,
+            per_metric,
+            at,
+        };
         let mut off = 0;
         while off < n {
             let t = TILE.min(n - off);
-            run_tile(prog, &sources, off, t, &mut regs, &mut block[off..]);
+            run_tile(prog, &block, off, t, &mut regs, &mut out[off..]);
             off += t;
         }
     }
@@ -589,12 +655,22 @@ fn run_blocks(prog: &KernelProgram, inputs: &[SlotInput<'_>], base: usize, chunk
 /// [`BLOCK_VALUES`] block at a time: serially below the element
 /// threshold, in tasks of eight blocks on the worker pool above it.
 ///
-/// `inputs` bind the program's slots in [`KernelProgram::slots`] order;
-/// every dense input must be exactly `out.len()` long. Results are
+/// `inputs` and `masks` bind the program's slots in
+/// [`KernelProgram::slots`] order; every dense input must be exactly
+/// `out.len()` long. `masks[s][m]` says whether slot `s`'s operand
+/// provides metric `m`, and each metric spans `per_metric` consecutive
+/// elements of `out`; only [`Instr::Pick`] reads them. Results are
 /// bit-identical to [`eval_scalar`] over the materialized inputs at
 /// every thread count.
-pub fn eval_fused(prog: &KernelProgram, inputs: &[SlotInput<'_>], out: &mut [f64]) {
+pub fn eval_fused(
+    prog: &KernelProgram,
+    inputs: &[SlotInput<'_>],
+    masks: &[&[bool]],
+    per_metric: usize,
+    out: &mut [f64],
+) {
     assert_eq!(inputs.len(), prog.slots.len(), "one input per program slot");
+    assert_eq!(masks.len(), prog.slots.len(), "one mask per program slot");
     for input in inputs {
         if let SlotInput::Dense(s) = input {
             assert_eq!(s.len(), out.len(), "dense input length matches the output");
@@ -603,21 +679,31 @@ pub fn eval_fused(prog: &KernelProgram, inputs: &[SlotInput<'_>], out: &mut [f64
     if out.len() >= PAR_THRESHOLD {
         out.par_chunks_mut(TASK_VALUES)
             .enumerate()
-            .for_each(|(t, chunk)| run_blocks(prog, inputs, t * TASK_VALUES, chunk));
+            .for_each(|(t, chunk)| {
+                run_blocks(prog, inputs, masks, per_metric, t * TASK_VALUES, chunk)
+            });
     } else {
-        run_blocks(prog, inputs, 0, out);
+        run_blocks(prog, inputs, masks, per_metric, 0, out);
     }
 }
 
 /// The scalar reference interpreter: one element at a time, plain `f64`
 /// registers. This is the differential oracle the lane kernels are
-/// pinned against — deliberately simple, never vectorized.
-pub fn eval_scalar(prog: &KernelProgram, sources: &[&[f64]], out: &mut [f64]) {
+/// pinned against — deliberately simple, never vectorized. `masks` and
+/// `per_metric` are as for [`eval_fused`].
+pub fn eval_scalar(
+    prog: &KernelProgram,
+    sources: &[&[f64]],
+    masks: &[&[bool]],
+    per_metric: usize,
+    out: &mut [f64],
+) {
     assert_eq!(
         sources.len(),
         prog.slots.len(),
         "one source per program slot"
     );
+    assert_eq!(masks.len(), prog.slots.len(), "one mask per program slot");
     for s in sources {
         assert_eq!(s.len(), out.len(), "source length matches the output");
     }
@@ -636,25 +722,14 @@ pub fn eval_scalar(prog: &KernelProgram, sources: &[&[f64]], out: &mut [f64]) {
                     regs[dst] += x * x;
                 }
                 Instr::Sqrt { dst } => regs[dst] = regs[dst].sqrt(),
+                Instr::Pick { dst, from, to } => {
+                    regs[dst] = prog
+                        .picked(from, to, masks, i / per_metric)
+                        .map_or(0.0, |s| sources[s][i]);
+                }
             }
         }
         *o = regs[prog.out];
-    }
-}
-
-// ---------------------------------------------------------------------------
-// in-place scaling (`ops::scale`, which keeps its operand's metadata)
-// ---------------------------------------------------------------------------
-
-/// `dst[i] *= factor` over whole arrays: the `scale` element-wise
-/// kernel, lane-chunked and parallel above the element threshold.
-/// Bit-identical to a serial scalar loop at any thread count.
-pub fn scale_in_place(dst: &mut [f64], factor: f64) {
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_chunks_mut(BLOCK_VALUES)
-            .for_each(|d| k_mul(d, factor));
-    } else {
-        k_mul(dst, factor);
     }
 }
 
@@ -681,8 +756,10 @@ mod tests {
         let mut fused = vec![0.0; n];
         let mut scalar = vec![0.0; n];
         let inputs: Vec<SlotInput<'_>> = sources.iter().map(|&s| SlotInput::Dense(s)).collect();
-        eval_fused(prog, &inputs, &mut fused);
-        eval_scalar(prog, sources, &mut scalar);
+        // One metric every operand provides.
+        let masks = vec![&[true][..]; sources.len()];
+        eval_fused(prog, &inputs, &masks, n.max(1), &mut fused);
+        eval_scalar(prog, sources, &masks, n.max(1), &mut scalar);
         (fused, scalar)
     }
 
@@ -750,18 +827,5 @@ mod tests {
         let (fused, scalar) = run_both(&prog, &[], 5);
         assert_bits_eq(&fused, &scalar, "zero program");
         assert!(fused.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn scale_kernel_matches_a_scalar_loop() {
-        for n in [0, 1, 3, 4, 5, 1000] {
-            let mut c = values(n, 11);
-            let mut reference = c.clone();
-            for d in reference.iter_mut() {
-                *d *= -1.75;
-            }
-            scale_in_place(&mut c, -1.75);
-            assert_bits_eq(&c, &reference, &format!("scale at n={n}"));
-        }
     }
 }

@@ -33,11 +33,15 @@
 //! | operator | arity | purpose |
 //! |---|---|---|
 //! | [`ops::diff`] | 2 | before/after comparison of code or parameter changes |
-//! | [`ops::merge`] | 2 | integrate data from different sources/event sets |
+//! | [`ops::merge`] | 2 (n as [`Reduction::Merge`]) | integrate data from different sources/event sets |
 //! | [`ops::mean`] | n | smooth noise, summarize parameter ranges |
 //! | [`ops::sum`], [`ops::min`], [`ops::max`] | n | natural extensions (the paper's §5.1 takes the *minimum* of a series) |
 //! | [`ops::scale`] | 1 | scalar multiple, for normalization pipelines |
 //! | [`cut::prune`], [`cut::reroot`] | 1 | call-tree surgery (the later `cube_cut` utility) |
+//!
+//! Every operator but `cut` is one [`Expr`] evaluated by a [`BatchPlan`]
+//! on the fused kernel ([`kernel`]); build the plan yourself to pass
+//! [`MergeOptions`] or to evaluate a composite over one integration.
 //!
 //! ```
 //! use cube_algebra::ops;

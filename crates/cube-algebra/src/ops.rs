@@ -7,10 +7,9 @@
 //!    into one integrated [`cube_model::Metadata`] by top-down
 //!    structural matching, recording where each operand entity landed.
 //! 2. **Element-wise arithmetic** zero-extends each operand's severity
-//!    array onto the integrated shape ([`crate::extend`]) and combines
-//!    the aligned arrays pointwise — subtraction for [`diff`],
-//!    first-provider selection for [`merge`], accumulation and scaling
-//!    for [`mean`], and so on.
+//!    array onto the integrated shape and combines the aligned arrays
+//!    pointwise — subtraction for [`diff`], first-provider selection
+//!    for [`merge`], accumulation and scaling for [`mean`], and so on.
 //!
 //! The payoff is *closure*: operands are experiments and results are
 //! complete experiments — integrated metadata, a severity function
@@ -21,23 +20,23 @@
 //! difference of means, the merge of a minimum series, ...) are plain
 //! function composition.
 //!
-//! The arithmetic operators are thin: [`diff`] and the n-ary
-//! reductions evaluate through a [`BatchPlan`], whose fused kernel
-//! ([`crate::kernel`]) zero-extends operands block by block instead of
-//! materializing them, and [`scale`] calls the kernel's in-place scale
-//! directly. [`merge`] is a per-metric selection, not arithmetic, and
-//! keeps its own extend-and-copy body.
+//! Every operator here is one [`Expr`] evaluated by a [`BatchPlan`],
+//! whose fused kernel ([`crate::kernel`]) zero-extends operands block
+//! by block instead of materializing them. For explicit integration
+//! switches, build the plan with [`BatchPlan::with_options`] and
+//! evaluate the same expression.
 
-use cube_model::{Experiment, Provenance, Severity};
+use cube_model::Experiment;
 
 use crate::batch::{BatchPlan, Expr, Reduction};
 use crate::error::AlgebraError;
-use crate::extend::extend_severity;
-use crate::integrate::integrate;
-use crate::options::MergeOptions;
 
-fn label(e: &Experiment) -> String {
-    e.provenance().label()
+/// Evaluates `expr` over one plan of `operands`, whose expression
+/// always compiles.
+fn eval(operands: &[&Experiment], expr: &Expr) -> Experiment {
+    BatchPlan::new(operands)
+        .into_eval(expr)
+        .expect("the operator's expression compiles over its operands")
 }
 
 // ---------------------------------------------------------------------------
@@ -75,18 +74,10 @@ fn label(e: &Experiment) -> String {
 /// assert_eq!(zero.severity().values(), &[0.0]);
 /// ```
 pub fn diff(minuend: &Experiment, subtrahend: &Experiment) -> Experiment {
-    diff_with(minuend, subtrahend, MergeOptions::default())
-}
-
-/// [`diff`] with explicit integration switches.
-pub fn diff_with(
-    minuend: &Experiment,
-    subtrahend: &Experiment,
-    options: MergeOptions,
-) -> Experiment {
-    BatchPlan::with_options(&[minuend, subtrahend], options)
-        .into_eval(&Expr::diff(Expr::Operand(0), Expr::Operand(1)))
-        .expect("a two-operand difference always compiles")
+    eval(
+        &[minuend, subtrahend],
+        &Expr::diff(Expr::Operand(0), Expr::Operand(1)),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -99,7 +90,10 @@ pub fn diff_with(
 /// For each metric of the result, the severity comes from the *first*
 /// operand if that operand provides the metric, and from the second
 /// otherwise — the paper's "if it is provided by both experiments we
-/// take it from the first one".
+/// take it from the first one". To merge more than two experiments in
+/// one integration, evaluate [`Reduction::Merge`] on a [`BatchPlan`];
+/// that can lay out the system dimension differently from nested
+/// calls (see [`crate::batch`]).
 ///
 /// ```
 /// use cube_algebra::ops;
@@ -127,48 +121,14 @@ pub fn diff_with(
 /// assert_eq!(joint.severity().values(), &[4.0, 1e6]);
 /// ```
 pub fn merge(first: &Experiment, second: &Experiment) -> Experiment {
-    merge_with(first, second, MergeOptions::default())
-}
-
-/// [`merge`] with explicit integration switches.
-pub fn merge_with(first: &Experiment, second: &Experiment, options: MergeOptions) -> Experiment {
-    let integrated = integrate(&[first, second], options);
-    let shape = integrated.metadata.shape();
-    // Independent zero-extensions, forked as in `diff_with`.
-    let (a, b) = rayon::join(
-        || extend_severity(first, &integrated.maps[0], shape),
-        || extend_severity(second, &integrated.maps[1], shape),
-    );
-
-    // Which result metrics does the first operand provide?
-    let mut provided_by_first = vec![false; shape.0];
-    for m in &integrated.maps[0].metrics {
-        provided_by_first[m.index()] = true;
-    }
-
-    let block = shape.1 * shape.2;
-    let mut out = Severity::zeros(shape.0, shape.1, shape.2);
-    for (mi, provided) in provided_by_first.iter().enumerate() {
-        let src = if *provided { a.values() } else { b.values() };
-        out.values_mut()[mi * block..(mi + 1) * block]
-            .copy_from_slice(&src[mi * block..(mi + 1) * block]);
-    }
-    let result = Experiment::new_unchecked(
-        integrated.metadata,
-        out,
-        Provenance::derived("merge", vec![label(first), label(second)]),
-    );
-    crate::invariant::debug_assert_closed(&result, "merge");
-    result
+    eval(&[first, second], &Expr::reduce(Reduction::Merge, 0..2))
 }
 
 // ---------------------------------------------------------------------------
 // n-ary reductions: mean, sum, min, max
 //
-// These delegate to the batch engine: one metadata integration across
-// all k operands, one pass over the integrated rows. The pre-batch
-// pairwise fold survives in `crate::batch::pairwise` as the
-// differential oracle these entry points are tested against.
+// One metadata integration across all k operands, one pass over the
+// integrated rows.
 // ---------------------------------------------------------------------------
 
 /// The mean operator: element-wise arithmetic mean of any number of
@@ -201,55 +161,23 @@ pub fn merge_with(first: &Experiment, second: &Experiment, options: MergeOptions
 /// assert!(ops::mean(&[]).is_err());
 /// ```
 pub fn mean(operands: &[&Experiment]) -> Result<Experiment, AlgebraError> {
-    mean_with(operands, MergeOptions::default())
-}
-
-/// [`mean`] with explicit integration switches.
-pub fn mean_with(
-    operands: &[&Experiment],
-    options: MergeOptions,
-) -> Result<Experiment, AlgebraError> {
-    BatchPlan::with_options(operands, options).reduce(Reduction::Mean)
+    BatchPlan::new(operands).reduce(Reduction::Mean)
 }
 
 /// Element-wise sum of any number of experiments.
 pub fn sum(operands: &[&Experiment]) -> Result<Experiment, AlgebraError> {
-    sum_with(operands, MergeOptions::default())
-}
-
-/// [`sum`] with explicit integration switches.
-pub fn sum_with(
-    operands: &[&Experiment],
-    options: MergeOptions,
-) -> Result<Experiment, AlgebraError> {
-    BatchPlan::with_options(operands, options).reduce(Reduction::Sum)
+    BatchPlan::new(operands).reduce(Reduction::Sum)
 }
 
 /// Element-wise minimum — the selection the paper's §5.1 applies to a
 /// series of ten runs to suppress system noise.
 pub fn min(operands: &[&Experiment]) -> Result<Experiment, AlgebraError> {
-    min_with(operands, MergeOptions::default())
-}
-
-/// [`min`] with explicit integration switches.
-pub fn min_with(
-    operands: &[&Experiment],
-    options: MergeOptions,
-) -> Result<Experiment, AlgebraError> {
-    BatchPlan::with_options(operands, options).reduce(Reduction::Min)
+    BatchPlan::new(operands).reduce(Reduction::Min)
 }
 
 /// Element-wise maximum.
 pub fn max(operands: &[&Experiment]) -> Result<Experiment, AlgebraError> {
-    max_with(operands, MergeOptions::default())
-}
-
-/// [`max`] with explicit integration switches.
-pub fn max_with(
-    operands: &[&Experiment],
-    options: MergeOptions,
-) -> Result<Experiment, AlgebraError> {
-    BatchPlan::with_options(operands, options).reduce(Reduction::Max)
+    BatchPlan::new(operands).reduce(Reduction::Max)
 }
 
 // ---------------------------------------------------------------------------
@@ -261,22 +189,14 @@ pub fn max_with(
 /// `scale(sum, 1.0/k)` averages — useful for building composite
 /// operators by hand.
 pub fn scale(e: &Experiment, factor: f64) -> Experiment {
-    let mut sev = e.severity().clone();
-    crate::kernel::scale_in_place(sev.values_mut(), factor);
-    let result = Experiment::new_unchecked(
-        e.metadata().clone(),
-        sev,
-        Provenance::derived("scale", vec![label(e), format!("{factor}")]),
-    );
-    crate::invariant::debug_assert_closed(&result, "scale");
-    result
+    eval(&[e], &Expr::scale(Expr::Operand(0), factor))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cube_model::builder::single_threaded_system;
-    use cube_model::{ExperimentBuilder, RegionKind, Unit};
+    use cube_model::{ExperimentBuilder, Provenance, RegionKind, Unit};
 
     /// One metric, one call node, `ranks` ranks, value `v` everywhere.
     fn uniform(name: &str, ranks: usize, v: f64) -> Experiment {
@@ -362,6 +282,24 @@ mod tests {
             .eval(&Expr::diff(Expr::Operand(0), Expr::Operand(1)))
             .unwrap();
         assert_eq!(bits(&d), bits(&plan));
+    }
+
+    #[test]
+    fn merge_keeps_a_gathered_negative_zero() {
+        // a (2 ranks) provides `time` and wins it everywhere; gathered
+        // onto b's 3 ranks, its stored -0.0 is copied bit for bit and
+        // only the absent rank reads the zero-extension's +0.0.
+        let mut a = uniform("a", 2, 1.0);
+        a.severity_mut().values_mut().fill(-0.0);
+        let b = uniform("b", 3, 0.0);
+        let bits: Vec<u64> = merge(&a, &b)
+            .severity()
+            .values()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let neg = (-0.0f64).to_bits();
+        assert_eq!(bits, [neg, neg, 0]);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!          | REDUCER "(" name ("," name)* ")"
 //!          | name
 //! REDUCER := "mean" | "sum" | "min" | "max" | "variance" | "stddev"
+//!          | "merge"
 //! name    := [A-Za-z0-9_.-]+        (function words are reserved)
 //! number  := anything f64::from_str accepts, finite
 //! ```
@@ -22,7 +23,8 @@
 //! Whitespace is allowed around every token. Reducers take operand
 //! *names* (not sub-expressions), mirroring [`Expr::Reduce`]'s
 //! index-list form; `diff` and `scale` nest arbitrarily up to a fixed
-//! depth cap.
+//! depth cap. `merge(A,B,…)` is the paper's merge folded left: each
+//! metric comes from the first listed operand that provides it.
 //!
 //! # Errors
 //!
@@ -306,7 +308,7 @@ impl<'s> Parser<'s> {
                     word_at,
                     format!(
                         "unknown function '{word}' (expected diff, scale, \
-                         mean, sum, min, max, variance, or stddev)"
+                         mean, sum, min, max, variance, stddev, or merge)"
                     ),
                 ));
             }
@@ -514,7 +516,7 @@ mod tests {
 
     #[test]
     fn every_reducer_and_nesting_parses() {
-        for r in ["mean", "sum", "min", "max", "variance", "stddev"] {
+        for r in ["mean", "sum", "min", "max", "variance", "stddev", "merge"] {
             let p = parse_expr(&format!("{r}(x,y)")).unwrap();
             assert_eq!(p.canonical(), format!("{r}(x,y)"));
         }

@@ -20,39 +20,20 @@ use cube_model::{CallNodeId, Experiment, MetricId, ThreadId};
 
 use crate::batch::{BatchPlan, Reduction};
 use crate::error::AlgebraError;
-use crate::options::MergeOptions;
 
 /// Element-wise population variance of a series, as a derived
 /// experiment over the integrated metadata.
 ///
-/// Delegates to the batch engine — one metadata integration, two
-/// blocked passes (mean, then averaged squared deviations). The
-/// pre-batch extend-everything implementation survives verbatim in
-/// [`crate::batch::pairwise::variance`] as its differential oracle.
+/// Delegates to the batch engine — one metadata integration, one fused
+/// pass (mean, then averaged squared deviations, per element).
 pub fn variance(operands: &[&Experiment]) -> Result<Experiment, AlgebraError> {
-    variance_with(operands, MergeOptions::default())
-}
-
-/// [`variance`] with explicit integration switches.
-pub fn variance_with(
-    operands: &[&Experiment],
-    options: MergeOptions,
-) -> Result<Experiment, AlgebraError> {
-    BatchPlan::with_options(operands, options).reduce(Reduction::Variance)
+    BatchPlan::new(operands).reduce(Reduction::Variance)
 }
 
 /// Element-wise population standard deviation of a series, as a derived
 /// experiment.
 pub fn stddev(operands: &[&Experiment]) -> Result<Experiment, AlgebraError> {
-    stddev_with(operands, MergeOptions::default())
-}
-
-/// [`stddev`] with explicit integration switches.
-pub fn stddev_with(
-    operands: &[&Experiment],
-    options: MergeOptions,
-) -> Result<Experiment, AlgebraError> {
-    BatchPlan::with_options(operands, options).reduce(Reduction::Stddev)
+    BatchPlan::new(operands).reduce(Reduction::Stddev)
 }
 
 /// One severity tuple in a hotspot listing.

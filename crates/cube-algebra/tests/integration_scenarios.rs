@@ -3,7 +3,9 @@
 //! duplicate siblings, n-ary folds, recursive-looking chains, and the
 //! interaction of system modes with multithreaded operands.
 
-use cube_algebra::{integrate, ops, CallSiteEq, MergeOptions, SystemMergeMode};
+use cube_algebra::{
+    integrate, ops, BatchPlan, CallSiteEq, MergeOptions, Reduction, SystemMergeMode,
+};
 use cube_model::builder::single_threaded_system;
 use cube_model::{CallNodeId, Experiment, ExperimentBuilder, RegionKind, Unit};
 
@@ -200,7 +202,9 @@ fn merge_options_do_not_change_totals() {
         MergeOptions::default().with_system_mode(SystemMergeMode::Collapse),
         MergeOptions::default().with_system_mode(SystemMergeMode::CopyFirst),
     ] {
-        let s = ops::sum_with(&[&a, &b], opts).unwrap();
+        let s = BatchPlan::with_options(&[&a, &b], opts)
+            .reduce(Reduction::Sum)
+            .unwrap();
         s.validate().unwrap();
         let total: f64 = s.severity().values().iter().sum();
         assert!(

@@ -7,15 +7,17 @@
 //!    against [`kernel::eval_scalar`] (the per-element oracle), across
 //!    every reduction, composite trees, and the SIMD tail lengths
 //!    `0 / 1 / LANE−1 / LANE / LANE+1` plus tile and block boundaries,
-//!    with dense and block-fill inputs;
+//!    with dense and block-fill inputs, and `merge`'s pick with metric
+//!    boundaries inside lanes, tiles and blocks;
 //! 2. NaN policy — additive reductions propagate NaN, `min`/`max` drop
 //!    it (Rust `f64::min`/`max` semantics), fused and scalar agreeing
 //!    bit for bit;
 //! 3. plan level — [`BatchPlan::eval`] over real experiments against a
 //!    test-side oracle: every operand zero-extended with
-//!    `extend_severity_values` through `plan.maps()`, then
-//!    `eval_scalar`. Dense, thread-prefix, per-thread-gather, extended
-//!    (non-injective), block-straddling and parallel-sized plans.
+//!    `extend_severity_values` through `plan.maps()`, and its
+//!    provided-metric mask read off the same maps, then `eval_scalar`.
+//!    Dense, thread-prefix, per-thread-gather, extended (non-injective),
+//!    block-straddling, parallel-sized and mixed-metric-set plans.
 //!
 //! The CI kernel stage runs this suite directly and `make miri` runs it
 //! under the interpreter (sizes shrink under miri; the borrow juggling
@@ -33,13 +35,14 @@ use cube_model::{Experiment, ExperimentBuilder, RegionKind, Severity, Unit};
 /// slow and the serial block loop exercises the same borrows).
 const BIG: usize = if cfg!(miri) { 3 * TILE + 7 } else { 80_000 };
 
-const ALL_REDUCTIONS: [Reduction; 6] = [
+const ALL_REDUCTIONS: [Reduction; 7] = [
     Reduction::Sum,
     Reduction::Mean,
     Reduction::Min,
     Reduction::Max,
     Reduction::Variance,
     Reduction::Stddev,
+    Reduction::Merge,
 ];
 
 /// Deterministic value stream with sign changes and magnitude spread.
@@ -67,16 +70,34 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 }
 
 /// Runs `prog` through both interpreters and asserts bit-equality.
-fn pin(prog: &KernelProgram, data: &[Vec<f64>], what: &str) -> Vec<f64> {
+/// `provides[i]` masks operand `i`'s metrics, `per_metric` values each.
+fn pin_picks(
+    prog: &KernelProgram,
+    data: &[Vec<f64>],
+    provides: &[Vec<bool>],
+    per_metric: usize,
+    what: &str,
+) -> Vec<f64> {
     let n = data.first().map_or(0, Vec::len);
     let sources: Vec<&[f64]> = prog.slots().iter().map(|&i| data[i].as_slice()).collect();
+    let masks: Vec<&[bool]> = prog
+        .slots()
+        .iter()
+        .map(|&i| provides[i].as_slice())
+        .collect();
     let inputs: Vec<SlotInput<'_>> = sources.iter().map(|&s| SlotInput::Dense(s)).collect();
     let mut fused = vec![0.0; n];
     let mut scalar = vec![0.0; n];
-    kernel::eval_fused(prog, &inputs, &mut fused);
-    kernel::eval_scalar(prog, &sources, &mut scalar);
+    kernel::eval_fused(prog, &inputs, &masks, per_metric, &mut fused);
+    kernel::eval_scalar(prog, &sources, &masks, per_metric, &mut scalar);
     assert_bits_eq(&fused, &scalar, what);
     fused
+}
+
+/// [`pin_picks`] over one metric every operand provides.
+fn pin(prog: &KernelProgram, data: &[Vec<f64>], what: &str) -> Vec<f64> {
+    let n = data.first().map_or(0, Vec::len);
+    pin_picks(prog, data, &vec![vec![true]; data.len()], n.max(1), what)
 }
 
 // ---------------------------------------------------------------------------
@@ -186,7 +207,7 @@ fn fill_inputs_match_dense_inputs_in_whole_blocks() {
         };
         let inputs = [SlotInput::Dense(&data[0]), SlotInput::Fill(&fill)];
         let mut out = vec![0.0; n];
-        kernel::eval_fused(&prog, &inputs, &mut out);
+        kernel::eval_fused(&prog, &inputs, &[&[true], &[true]], n.max(1), &mut out);
         assert_bits_eq(&out, &dense, &format!("fill at n={n}"));
         let mut calls = fill.calls.into_inner().unwrap();
         calls.sort_unstable();
@@ -195,6 +216,47 @@ fn fill_inputs_match_dense_inputs_in_whole_blocks() {
             .map(|at| (at, BLOCK_VALUES.min(n - at)))
             .collect();
         assert_eq!(calls, blocks, "fill ranges at n={n}");
+    }
+}
+
+#[test]
+fn pick_takes_the_first_provider_across_metric_boundaries() {
+    // Five metrics: each has a different first provider in the merge
+    // lists, and the last has none. Metric runs of 3 end inside a lane,
+    // of TILE + 5 inside a tile, of BLOCK_VALUES - 3 inside a block,
+    // and the largest runs on the pool.
+    let provides = vec![
+        vec![true, false, true, false, false],
+        vec![true, true, false, false, false],
+        vec![false, false, true, true, false],
+    ];
+    let (first, second) = ([2, 0, 1], [1, 2]);
+    let expr = Expr::diff(
+        Expr::reduce(Reduction::Merge, first),
+        Expr::reduce(Reduction::Merge, second),
+    );
+    let prog = KernelProgram::compile(&expr, 3).unwrap();
+    let mut runs = vec![3, TILE + 5, BLOCK_VALUES - 3];
+    if !cfg!(miri) {
+        runs.push(BIG / 5 + 1);
+    }
+    for per_metric in runs {
+        let n = 5 * per_metric;
+        let data: Vec<Vec<f64>> = (0..3).map(|s| values(n, s + 61)).collect();
+        let got = pin_picks(
+            &prog,
+            &data,
+            &provides,
+            per_metric,
+            &format!("pick/{per_metric}"),
+        );
+        let pick = |list: &[usize], i: usize| {
+            list.iter()
+                .find(|&&o| provides[o][i / per_metric])
+                .map_or(0.0, |&o| data[o][i])
+        };
+        let want: Vec<f64> = (0..n).map(|i| pick(&first, i) - pick(&second, i)).collect();
+        assert_bits_eq(&got, &want, &format!("pick by hand/{per_metric}"));
     }
 }
 
@@ -314,12 +376,19 @@ fn plan_exprs() -> Vec<(&'static str, Expr)> {
         Expr::scale(Expr::reduce(Reduction::Stddev, 0..3), 2.5),
     ));
     exprs.push(("zero", Expr::Zero));
+    exprs.push((
+        "diff-of-merges",
+        Expr::diff(
+            Expr::reduce(Reduction::Merge, [0, 1]),
+            Expr::reduce(Reduction::Merge, [2, 1, 0]),
+        ),
+    ));
     exprs
 }
 
 /// The test-side oracle: zero-extends every operand onto the plan's
-/// shape through `plan.maps()`, then interprets the program one element
-/// at a time.
+/// shape through `plan.maps()`, masks the metrics each map reaches,
+/// then interprets the program one element at a time.
 fn oracle(plan: &BatchPlan<'_>, operands: &[&dyn BatchOperand], expr: &Expr) -> Vec<f64> {
     let prog = KernelProgram::compile(expr, operands.len()).unwrap();
     let shape = plan.shape();
@@ -330,9 +399,23 @@ fn oracle(plan: &BatchPlan<'_>, operands: &[&dyn BatchOperand], expr: &Expr) -> 
             extend_severity_values(op.severity_values(), op.severity_shape(), map, shape)
         })
         .collect();
+    let provides: Vec<Vec<bool>> = plan
+        .maps()
+        .iter()
+        .map(|map| {
+            (0..shape.0)
+                .map(|m| map.metrics.iter().any(|id| id.index() == m))
+                .collect()
+        })
+        .collect();
     let sources: Vec<&[f64]> = prog.slots().iter().map(|&i| extended[i].values()).collect();
+    let masks: Vec<&[bool]> = prog
+        .slots()
+        .iter()
+        .map(|&i| provides[i].as_slice())
+        .collect();
     let mut out = vec![0.0; shape.0 * shape.1 * shape.2];
-    kernel::eval_scalar(&prog, &sources, &mut out);
+    kernel::eval_scalar(&prog, &sources, &masks, shape.1 * shape.2, &mut out);
     out
 }
 
@@ -487,6 +570,35 @@ fn rows_straddling_blocks_match_oracle() {
         "a non-prefix thread map"
     );
     pin_plan(&as_operands(&exps), &plan_exprs(), "straddling");
+}
+
+#[test]
+fn merge_over_different_metric_sets_matches_oracle() {
+    // `narrow` provides m0..m1 on four ranks and is gathered; `wide`
+    // provides m0..m4 on the integrated shape and is read in place.
+    // Each merge list gives the shared metrics to its first operand and
+    // the rest to `wide`, or to no one.
+    let exps = vec![
+        experiment("narrow", 2, 3, 4, 601),
+        experiment("wide", 5, 3, 6, 602),
+    ];
+    let plan = BatchPlan::new(&exps.iter().collect::<Vec<_>>());
+    assert!(needs_extension(&plan, &exps, 0) && !needs_extension(&plan, &exps, 1));
+    let exprs = [
+        ("narrow-first", Expr::reduce(Reduction::Merge, [0, 1])),
+        ("wide-first", Expr::reduce(Reduction::Merge, [1, 0])),
+        ("narrow-only", Expr::reduce(Reduction::Merge, [0])),
+        (
+            "diff-of-merges",
+            Expr::diff(
+                Expr::reduce(Reduction::Merge, [0, 1]),
+                Expr::reduce(Reduction::Merge, [1, 0, 1]),
+            ),
+        ),
+    ];
+    pin_plan(&as_operands(&exps), &exprs, "mixed metric sets");
+    let merged = plan.eval(&exprs[0].1).unwrap();
+    assert_ne!(merged.severity().values(), exps[1].severity().values());
 }
 
 #[test]

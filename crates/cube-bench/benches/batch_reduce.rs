@@ -2,7 +2,7 @@
 //!
 //! The batch engine (`cube_algebra::batch::BatchPlan`) integrates
 //! metadata once and reduces all k operands in a single pass; the
-//! pairwise oracle (`cube_algebra::batch::pairwise`) folds the same
+//! pairwise oracle (`cube_bench::pairwise`) folds the same
 //! series through k−1 binary merges, re-running integration and
 //! re-allocating zero-extended arrays at every step. The gap between
 //! the two, at the `metadata_merge` bench shapes, is the acceptance
@@ -11,9 +11,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use cube_algebra::batch::{pairwise, BatchPlan, Expr, Reduction};
+use cube_algebra::batch::{BatchPlan, Expr, Reduction};
 use cube_algebra::{ops, MergeOptions};
-use cube_bench::{synthetic_experiment, synthetic_overlapping, SyntheticShape};
+use cube_bench::{pairwise, synthetic_experiment, synthetic_overlapping, SyntheticShape};
 use cube_model::Experiment;
 
 const SHAPE: SyntheticShape = SyntheticShape {

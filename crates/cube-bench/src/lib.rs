@@ -20,6 +20,12 @@
 //! `trace_analysis` (EXPERT throughput + the per-event counter
 //! trace-size blowup), `par_elementwise` (Rayon ablation + the
 //! `pool_scaling` thread-count sweep behind EXPERIMENTS.md).
+//!
+//! [`pairwise`] is the pre-batch pairwise fold, the differential oracle
+//! the batch engine's tests and the `batch_reduce` bench compare
+//! against.
+
+pub mod pairwise;
 
 use cube_model::builder::single_threaded_system;
 use cube_model::{Experiment, ExperimentBuilder, MetricId, RegionKind, Unit};

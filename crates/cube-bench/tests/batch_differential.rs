@@ -5,11 +5,14 @@
 //! "Identical" is deliberately strict — equal integrated metadata,
 //! bit-equal severity values (`==` on the f64 slices, not a tolerance),
 //! and equal provenance — because the batch rewiring of
-//! `ops::mean`/`sum`/`min`/`max` and `stats::variance`/`stddev` is only
-//! sound if nothing observable changed.
+//! `ops::mean`/`sum`/`min`/`max`/`merge` and `stats::variance`/`stddev`
+//! is only sound if nothing observable changed. For `merge` the oracle
+//! is the nested pairwise merge, so these series also pin one k-ary
+//! integration against nested library calls.
 
-use cube_algebra::batch::{pairwise, BatchPlan, Expr, Reduction};
+use cube_algebra::batch::{BatchPlan, Expr, Reduction};
 use cube_algebra::{ops, stats, MergeOptions};
+use cube_bench::pairwise;
 use cube_bench::{synthetic_disjoint, synthetic_experiment, synthetic_overlapping, SyntheticShape};
 use cube_model::builder::single_threaded_system;
 use cube_model::{Experiment, ExperimentBuilder, RegionKind, Unit};
@@ -20,13 +23,14 @@ const SHAPE: SyntheticShape = SyntheticShape {
     threads: 6,
 };
 
-const ALL: [Reduction; 6] = [
+const ALL: [Reduction; 7] = [
     Reduction::Sum,
     Reduction::Mean,
     Reduction::Min,
     Reduction::Max,
     Reduction::Variance,
     Reduction::Stddev,
+    Reduction::Merge,
 ];
 
 fn oracle(r: Reduction, operands: &[&Experiment]) -> Experiment {
@@ -38,6 +42,7 @@ fn oracle(r: Reduction, operands: &[&Experiment]) -> Experiment {
         Reduction::Max => pairwise::max(operands, o),
         Reduction::Variance => pairwise::variance(operands, o),
         Reduction::Stddev => pairwise::stddev(operands, o),
+        Reduction::Merge => pairwise::merge(operands, o),
     }
     .expect("oracle evaluation succeeds")
 }
@@ -200,7 +205,7 @@ fn rewired_entry_points_match_the_oracle() {
     let runs: Vec<Experiment> = (0..4u64).map(|i| synthetic_experiment(SHAPE, i)).collect();
     let refs: Vec<&Experiment> = runs.iter().collect();
     let o = MergeOptions::default();
-    let cases: [(Experiment, Experiment); 6] = [
+    let cases: [(Experiment, Experiment); 7] = [
         (ops::sum(&refs).unwrap(), pairwise::sum(&refs, o).unwrap()),
         (ops::mean(&refs).unwrap(), pairwise::mean(&refs, o).unwrap()),
         (ops::min(&refs).unwrap(), pairwise::min(&refs, o).unwrap()),
@@ -212,6 +217,10 @@ fn rewired_entry_points_match_the_oracle() {
         (
             stats::stddev(&refs).unwrap(),
             pairwise::stddev(&refs, o).unwrap(),
+        ),
+        (
+            ops::merge(refs[0], refs[1]),
+            pairwise::merge(&refs[..2], o).unwrap(),
         ),
     ];
     for (fast, slow) in &cases {
@@ -263,6 +272,33 @@ fn ranks_experiment(name: &str, ranks: usize, v: f64) -> Experiment {
         b.set_severity(t, root, tid, v);
     }
     b.build().unwrap()
+}
+
+/// One `cycles` metric under a different region: shares nothing with
+/// [`ranks_experiment`] but the ranks.
+fn disjoint_experiment(name: &str, ranks: usize, v: f64) -> Experiment {
+    let mut b = ExperimentBuilder::new(name);
+    let t = b.def_metric("cycles", Unit::Occurrences, "", None);
+    let m = b.def_module("z", "z");
+    let r = b.def_region("other", m, RegionKind::Function, 1, 1);
+    let cs = b.def_call_site("z", 1, r);
+    let root = b.def_call_node(cs, None);
+    let ts = single_threaded_system(&mut b, ranks);
+    for &tid in &ts {
+        b.set_severity(t, root, tid, v);
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn pairwise_oracle_agrees_on_a_small_series() {
+    let a = ranks_experiment("a", 2, 2.0);
+    let b = ranks_experiment("b", 3, 4.0);
+    let c = disjoint_experiment("c", 2, 6.0);
+    let ops: [&Experiment; 3] = [&a, &b, &c];
+    for r in ALL {
+        assert_identical(r, &ops, "small series");
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cube diff  OLD.cube NEW.cube -o DIFF.cube    # difference operator
-//! cube merge A.cube B.cube     -o OUT.cube     # merge operator
+//! cube merge A.cube B.cube …   -o OUT.cube     # merge operator
 //! cube mean  R1.cube R2.cube … -o OUT.cube     # mean operator
 //! cube min|max|sum …           -o OUT.cube     # series reductions
 //! cube scale A.cube 0.5        -o OUT.cube     # scalar multiple
@@ -13,7 +13,7 @@
 //! cube cut   A.cube --reroot REGION -o OUT.cube
 //! cube stddev R1.cube R2.cube … -o OUT.cube    # series variability
 //! cube stats OUT.cube R1.cube R2.cube …        # batch reduction
-//!            [--op mean|sum|min|max|variance|stddev] [--minus K]
+//!            [--op mean|sum|min|max|variance|stddev|merge] [--minus K]
 //! cube info  A.cube                            # summary
 //! cube stat  A.cube                            # per-metric totals
 //! cube calltree A.cube [--metric M]            # call tree with values
@@ -41,16 +41,18 @@
 //! `docs/STORE.md`) wherever it takes a `.cube` path, for inputs and
 //! outputs alike; the format is chosen by file extension.
 //!
-//! The operator subcommands (`diff`, `mean`, `sum`, `min`, `max`,
-//! `stddev`, `stats`) are the [`Expr`]s they evaluate and share one
-//! path: every input is read on the worker pool by the strict readers
-//! (whole-file checksum and data model checked, as for every other
-//! subcommand), then one plan evaluates the expression and the result
-//! is stored. `merge` shares the loader. All of them accept
-//! `--keep-going`: unreadable inputs are skipped with a per-input
-//! summary and the expression is restricted to the survivors by the
-//! rule `/eval?keep_going=1` applies ([`Expr::restrict`]) — `mean`
-//! renormalizes, while a skipped `diff` side is still an error.
+//! The operator subcommands (`diff`, `merge`, `mean`, `sum`, `min`,
+//! `max`, `stddev`, `scale`, `stats`) are the [`Expr`]s they evaluate
+//! and share one path: every input is read on the worker pool by the
+//! strict readers (whole-file checksum and data model checked, as for
+//! every other subcommand), then one plan evaluates the expression and
+//! the result is stored. All of them take the integration switches
+//! (`--strict-csite`, `--collapse`, `--copy-first`) and `--keep-going`:
+//! unreadable inputs are skipped with a per-input summary and the
+//! expression is restricted to the survivors by the rule
+//! `/eval?keep_going=1` applies ([`Expr::restrict`]) — `mean`
+//! renormalizes and `merge` keeps its surviving providers, while a
+//! skipped `diff` side or `scale` input is still an error.
 //!
 //! The global `--threads N` flag (valid anywhere on the command line,
 //! also settable via the `CUBE_THREADS` environment variable) sizes the
@@ -61,7 +63,7 @@ pub mod browse;
 
 use std::fmt::Write as _;
 
-use cube_algebra::{ops, BatchPlan, CallSiteEq, Expr, MergeOptions, Reduction, SystemMergeMode};
+use cube_algebra::{BatchPlan, CallSiteEq, Expr, MergeOptions, Reduction, SystemMergeMode};
 use cube_display::{BrowserState, NormalizationRef, ProgramView, RenderOptions, ValueMode};
 use cube_model::aggregate::{metric_total, MetricSelection};
 use cube_model::Experiment;
@@ -93,9 +95,9 @@ pub fn run(args: &[String]) -> Result<Outcome, String> {
         return Err(usage());
     };
     match cmd.as_str() {
-        "diff" | "mean" | "sum" | "min" | "max" | "stddev" | "stats" => operator_cmd(rest, cmd),
-        "merge" => merge_cmd(rest),
-        "scale" => scale(rest),
+        "diff" | "merge" | "mean" | "sum" | "min" | "max" | "stddev" | "scale" | "stats" => {
+            operator_cmd(rest, cmd)
+        }
         "cut" => cut(rest),
         "info" => info(rest),
         "stat" => stat(rest),
@@ -379,11 +381,12 @@ fn load_inputs(paths: &[String], keep_going: bool) -> Result<Inputs, String> {
 // operator subcommands
 // ---------------------------------------------------------------------------
 
-/// The arithmetic operator subcommands, each the [`Expr`] it evaluates
-/// over its inputs:
+/// The operator subcommands, each the [`Expr`] it evaluates over its
+/// inputs:
 ///
 /// - `diff A B -o OUT` is `diff(A, B)`;
-/// - `mean|sum|min|max|stddev IN… -o OUT` reduces every input;
+/// - `merge|mean|sum|min|max|stddev IN… -o OUT` reduces every input;
+/// - `scale IN F -o OUT` is `scale(IN, F)`;
 /// - `stats OUT IN… [--op R] [--minus K]` reduces every input with `R`
 ///   (default `mean`), or with `--minus K` evaluates the paper's
 ///   "difference of reduced series" `diff(R(first n−K), R(last K))` —
@@ -393,27 +396,32 @@ fn load_inputs(paths: &[String], keep_going: bool) -> Result<Inputs, String> {
 /// store once. Under `--keep-going` the expression is restricted to
 /// the inputs that loaded ([`Expr::restrict`], the rule `/eval` applies
 /// to `keep_going`): a skipped input leaves its reduction, so `mean`
-/// renormalizes over the survivors and `--minus` groups keep their
-/// argument positions, but a skipped `diff` side is an error.
+/// renormalizes over the survivors, `merge` keeps the surviving
+/// providers and `--minus` groups keep their argument positions, but a
+/// skipped `diff` side or `scale` input is an error.
 fn operator_cmd(args: &[String], cmd: &str) -> Result<Outcome, String> {
     let p = parse(args)?;
-    let (out, inputs) = match (cmd, p.positional.split_first()) {
-        ("stats", Some((out, inputs))) if !inputs.is_empty() => (out.as_str(), inputs),
+    let output = p.output.as_deref().ok_or("missing -o OUTPUT");
+    let (out, inputs) = match (cmd, &p.positional[..]) {
+        ("stats", [out, inputs @ ..]) if !inputs.is_empty() => (out.as_str(), inputs),
         ("stats", _) => {
             return Err("cube stats takes OUTPUT followed by at least one input file".into())
         }
-        ("diff", _) if p.positional.len() != 2 => {
-            return Err("cube diff takes exactly two input files".into())
-        }
-        (_, None) => return Err(format!("cube {cmd} needs at least one input file")),
-        _ => (
-            p.output.as_deref().ok_or("missing -o OUTPUT")?,
-            &p.positional[..],
-        ),
+        ("diff", [_, _]) => (output?, &p.positional[..]),
+        ("diff", _) => return Err("cube diff takes exactly two input files".into()),
+        ("scale", [input, _]) => (output?, std::slice::from_ref(input)),
+        ("scale", _) => return Err("cube scale takes INPUT and FACTOR".into()),
+        (_, []) => return Err(format!("cube {cmd} needs at least one input file")),
+        (_, inputs) => (output?, inputs),
     };
     let n = inputs.len();
     let expr = match cmd {
         "diff" => Expr::diff(Expr::Operand(0), Expr::Operand(1)),
+        "scale" => {
+            let f = &p.positional[1];
+            let factor = f.parse().map_err(|_| format!("'{f}' is not a number"))?;
+            Expr::scale(Expr::Operand(0), factor)
+        }
         "stats" => {
             let name = p.value("--op").unwrap_or("mean");
             let r = Reduction::from_name(name).ok_or_else(|| format!("unknown --op '{name}'"))?;
@@ -450,45 +458,6 @@ fn operator_cmd(args: &[String], cmd: &str) -> Result<Outcome, String> {
         loaded.report,
         result.provenance().label()
     ))
-}
-
-/// `cube merge A B -o OUT` — the merge operator ([`ops::merge_with`]),
-/// a per-metric selection rather than arithmetic, so not an [`Expr`].
-/// It shares the operators' loader; under `--keep-going` a broken input
-/// degrades to a pass-through of the survivor.
-fn merge_cmd(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 2 {
-        return Err("cube merge takes exactly two input files".into());
-    }
-    let out = p.output.as_deref().ok_or("missing -o OUTPUT")?;
-    let loaded = load_inputs(&p.positional, p.flag("--keep-going"))?;
-    let result = match loaded.exps.as_slice() {
-        [a, b] => ops::merge_with(a, b, p.merge_options()),
-        [survivor] => survivor.clone(),
-        _ => return Err(loaded.required()),
-    };
-    store(&result, out)?;
-    ok(format!(
-        "{}wrote {out}: {}\n",
-        loaded.report,
-        result.provenance().label()
-    ))
-}
-
-fn scale(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 2 {
-        return Err("cube scale takes INPUT and FACTOR".into());
-    }
-    let a = load(&p.positional[0])?;
-    let factor: f64 = p.positional[1]
-        .parse()
-        .map_err(|_| format!("'{}' is not a number", p.positional[1]))?;
-    let result = ops::scale(&a, factor);
-    let out = p.output.ok_or("missing -o OUTPUT")?;
-    store(&result, &out)?;
-    ok(format!("wrote {out}: {}\n", result.provenance().label()))
 }
 
 fn cut(args: &[String]) -> Result<Outcome, String> {
@@ -1693,12 +1662,24 @@ mod tests {
     fn stats_op_selection_matches_nary_subcommands() {
         let a = write_sample("bo1.cube", 2.0);
         let b = write_sample("bo2.cube", 4.0);
-        for op in ["mean", "sum", "min", "max", "variance", "stddev"] {
+        let c = write_sample("bo3.cube", 3.0);
+        for op in ["mean", "sum", "min", "max", "variance", "stddev", "merge"] {
             let out = tmp(&format!("bo_{op}.cube")).to_string_lossy().into_owned();
-            run(&args(&["stats", &out, &a, &b, "--op", op])).unwrap();
+            run(&args(&["stats", &out, &a, &b, &c, "--op", op])).unwrap();
             let e = read_experiment_file(&out).unwrap();
             e.validate().unwrap();
             assert!(e.provenance().label().starts_with(op), "{op}");
+            if op != "variance" {
+                let direct = tmp(&format!("bo_{op}_direct.cube"))
+                    .to_string_lossy()
+                    .into_owned();
+                run(&args(&[op, &a, &b, &c, "-o", &direct])).unwrap();
+                assert_eq!(
+                    std::fs::read(&out).unwrap(),
+                    std::fs::read(&direct).unwrap(),
+                    "{op}"
+                );
+            }
         }
         assert!(run(&args(&["stats", "x.cube", &a, "--op", "median"])).is_err());
     }

@@ -395,14 +395,6 @@ impl Metadata {
         (0..self.threads.len() as u32).map(ThreadId::new)
     }
 
-    /// Looks up a thread by `(process rank, thread number)`.
-    pub fn find_thread(&self, rank: i32, number: u32) -> Option<ThreadId> {
-        self.threads
-            .iter()
-            .position(|t| t.number == number && self.processes[t.process.index()].rank == rank)
-            .map(ThreadId::from_index)
-    }
-
     /// Adds a Cartesian process topology.
     pub fn add_topology(&mut self, topology: CartTopology) -> usize {
         self.topologies.push(topology);
@@ -695,8 +687,6 @@ mod tests {
         assert_eq!(md.find_metric("mpi"), Some(MetricId::new(1)));
         assert_eq!(md.find_metric("nope"), None);
         assert_eq!(md.find_process_by_rank(0), Some(ProcessId::new(0)));
-        assert_eq!(md.find_thread(0, 0), Some(ThreadId::new(0)));
-        assert_eq!(md.find_thread(1, 0), None);
     }
 
     #[test]

@@ -153,14 +153,6 @@ impl Severity {
         &self.values[start..start + self.num_threads]
     }
 
-    /// Number of `(metric, call node)` rows in the store.
-    ///
-    /// Together with [`Severity::row_at`] this lets batch evaluators
-    /// iterate rows by flat index without re-deriving the layout.
-    pub fn num_rows(&self) -> usize {
-        self.num_metrics * self.num_call_nodes
-    }
-
     /// Flat row index of `(metric, call node)`:
     /// `row_at(row_index(m, c)) == row(m, c)`.
     #[inline]
@@ -390,7 +382,6 @@ mod tests {
     fn row_hooks_agree_with_coordinate_access() {
         let mut s = Severity::zeros(2, 3, 4);
         s.set(m(1), c(2), t(3), 9.0);
-        assert_eq!(s.num_rows(), 6);
         for mi in 0..2u32 {
             for ci in 0..3u32 {
                 let r = s.row_index(m(mi), c(ci));
@@ -402,11 +393,8 @@ mod tests {
 
     #[test]
     fn row_hooks_on_empty_store() {
-        let s = Severity::zeros(0, 0, 0);
-        assert_eq!(s.num_rows(), 0);
-        // Degenerate shapes with zero threads still enumerate rows.
+        // Degenerate shapes with zero threads still address rows.
         let z = Severity::zeros(2, 2, 0);
-        assert_eq!(z.num_rows(), 4);
         assert_eq!(z.row_at(3), &[] as &[f64]);
     }
 

@@ -48,14 +48,6 @@ impl CartTopology {
             .map(|(_, c)| c.as_slice())
     }
 
-    /// The process at a coordinate, if any.
-    pub fn process_at(&self, coord: &[u32]) -> Option<ProcessId> {
-        self.coords
-            .iter()
-            .find(|(_, c)| c.as_slice() == coord)
-            .map(|(p, _)| *p)
-    }
-
     /// Validates the topology against a process-table size.
     pub fn validate(&self, num_processes: usize) -> Result<(), ModelError> {
         if self.dims.is_empty() || self.dims.contains(&0) {
@@ -126,8 +118,6 @@ mod tests {
         t.validate(4).unwrap();
         assert_eq!(t.ndims(), 2);
         assert_eq!(t.coord_of(ProcessId::new(2)), Some(&[0u32, 1][..]));
-        assert_eq!(t.process_at(&[1, 1]), Some(ProcessId::new(3)));
-        assert_eq!(t.process_at(&[9, 9]), None);
     }
 
     #[test]

@@ -118,11 +118,6 @@ pub fn unescape_cow(s: &str, at: Position) -> Result<Cow<'_, str>, XmlError> {
     Ok(Cow::Owned(out))
 }
 
-/// Resolves entity and character references in raw text.
-pub fn unescape(s: &str, at: Position) -> Result<String, XmlError> {
-    unescape_cow(s, at).map(Cow::into_owned)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,23 +143,23 @@ mod tests {
     #[test]
     fn unescape_predefined() {
         assert_eq!(
-            unescape("a &lt; b &amp;&amp; c &gt; &quot;d&quot; &apos;", AT).unwrap(),
+            unescape_cow("a &lt; b &amp;&amp; c &gt; &quot;d&quot; &apos;", AT).unwrap(),
             "a < b && c > \"d\" '"
         );
     }
 
     #[test]
     fn unescape_character_references() {
-        assert_eq!(unescape("&#65;&#x42;&#x63;", AT).unwrap(), "ABc");
-        assert_eq!(unescape("newline:&#10;", AT).unwrap(), "newline:\n");
+        assert_eq!(unescape_cow("&#65;&#x42;&#x63;", AT).unwrap(), "ABc");
+        assert_eq!(unescape_cow("newline:&#10;", AT).unwrap(), "newline:\n");
     }
 
     #[test]
     fn unescape_rejects_bad_references() {
-        assert!(unescape("&unknown;", AT).is_err());
-        assert!(unescape("&#xZZ;", AT).is_err());
-        assert!(unescape("&#1114112;", AT).is_err()); // beyond char::MAX
-        assert!(unescape("&amp", AT).is_err()); // unterminated
+        assert!(unescape_cow("&unknown;", AT).is_err());
+        assert!(unescape_cow("&#xZZ;", AT).is_err());
+        assert!(unescape_cow("&#1114112;", AT).is_err()); // beyond char::MAX
+        assert!(unescape_cow("&amp", AT).is_err()); // unterminated
     }
 
     #[test]
@@ -195,8 +190,8 @@ mod tests {
             "ünïcødé 🚀",
         ];
         for s in samples {
-            assert_eq!(unescape(&escape_text(s), AT).unwrap(), s, "text: {s:?}");
-            assert_eq!(unescape(&escape_attr(s), AT).unwrap(), s, "attr: {s:?}");
+            assert_eq!(unescape_cow(&escape_text(s), AT).unwrap(), s, "text: {s:?}");
+            assert_eq!(unescape_cow(&escape_attr(s), AT).unwrap(), s, "attr: {s:?}");
         }
     }
 }

@@ -48,51 +48,17 @@ pub fn write_experiment(exp: &Experiment) -> String {
     String::from_utf8(bytes).expect("writer emits UTF-8 only")
 }
 
-/// How [`write_experiment_file_with`] commits an experiment to disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WriteOptions {
-    /// Write through a same-directory temporary file, `sync_all`, then
-    /// atomically rename over the target — a crash at any point leaves
-    /// the pre-existing target byte-identical. Default `true`.
-    pub durable: bool,
-    /// Append the CRC-32 checksum footer (`docs/FORMAT.md` §10) so
-    /// readers can detect silent corruption. Default `true`.
-    pub checksum: bool,
-}
-
-impl Default for WriteOptions {
-    fn default() -> Self {
-        Self {
-            durable: true,
-            checksum: true,
-        }
-    }
-}
-
 /// Writes an experiment to a file: atomic, durable, and checksummed.
 ///
 /// Streams directly into a buffered file handle — the document is
-/// never materialized in memory. Equivalent to
-/// [`write_experiment_file_with`] with [`WriteOptions::default`]: the
-/// document is written to a temporary file in the target's directory,
-/// synced, and renamed into place, so a crash mid-write never corrupts
-/// a pre-existing target.
-pub fn write_experiment_file(exp: &Experiment, path: impl AsRef<Path>) -> Result<(), XmlError> {
-    write_experiment_file_with(exp, path, WriteOptions::default())
-}
-
-/// Writes an experiment to a file with explicit [`WriteOptions`].
+/// never materialized in memory. The document, with its CRC-32
+/// checksum footer (`docs/FORMAT.md` §10), is written to a temporary
+/// file in the target's directory, synced, and renamed into place, so
+/// a crash mid-write never corrupts a pre-existing target.
 ///
 /// I/O errors carry `path` (or the temporary path while staging).
-pub fn write_experiment_file_with(
-    exp: &Experiment,
-    path: impl AsRef<Path>,
-    options: WriteOptions,
-) -> Result<(), XmlError> {
+pub fn write_experiment_file(exp: &Experiment, path: impl AsRef<Path>) -> Result<(), XmlError> {
     let path = path.as_ref();
-    if !options.durable {
-        return write_file_direct(exp, path, options.checksum);
-    }
     // Stage in the same directory so the final rename cannot cross a
     // filesystem boundary (cross-device renames are not atomic).
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
@@ -111,7 +77,7 @@ pub fn write_experiment_file_with(
         .into_owned();
     let tmp = dir.join(format!(".{name}.tmp.{}", std::process::id()));
     let res = (|| -> Result<(), XmlError> {
-        write_file_direct(exp, &tmp, options.checksum)?;
+        write_file_direct(exp, &tmp)?;
         std::fs::rename(&tmp, path).map_err(|e| XmlError::io_at(path, e))
     })();
     if res.is_err() {
@@ -120,10 +86,10 @@ pub fn write_experiment_file_with(
     res
 }
 
-/// Streams the document into `path` directly (no staging), flushing
-/// and syncing before returning so no buffered block can be silently
-/// dropped at [`std::io::BufWriter`] drop time.
-fn write_file_direct(exp: &Experiment, path: &Path, checksum: bool) -> Result<(), XmlError> {
+/// Streams the document and its footer into `path` directly (no
+/// staging), flushing and syncing before returning so no buffered block
+/// can be silently dropped at [`std::io::BufWriter`] drop time.
+fn write_file_direct(exp: &Experiment, path: &Path) -> Result<(), XmlError> {
     use std::io::Write as _;
     let err = |e: std::io::Error| XmlError::io_at(path, e);
     let file = std::fs::File::create(path).map_err(err)?;
@@ -133,11 +99,9 @@ fn write_file_direct(exp: &Experiment, path: &Path, checksum: bool) -> Result<()
         Err(XmlError::Io { source, .. }) => return Err(err(source)),
         Err(e) => return Err(e),
     };
-    if checksum {
-        let line = footer_line(out.crc(), out.len());
-        // The footer itself is outside the checksummed region.
-        out.get_mut().write_all(line.as_bytes()).map_err(err)?;
-    }
+    let line = footer_line(out.crc(), out.len());
+    // The footer itself is outside the checksummed region.
+    out.get_mut().write_all(line.as_bytes()).map_err(err)?;
     let mut buf = out.into_inner();
     buf.flush().map_err(err)?;
     let file = buf.into_inner().map_err(|e| err(e.into_error()))?;
@@ -483,22 +447,14 @@ mod tests {
     }
 
     #[test]
-    fn no_checksum_option_omits_footer() {
+    fn written_body_before_the_footer_is_write_experiment() {
         let e = sample();
-        let dir = tmp_dir("nofooter");
-        let path = dir.join("plain.cube");
-        write_experiment_file_with(
-            &e,
-            &path,
-            WriteOptions {
-                durable: false,
-                checksum: false,
-            },
-        )
-        .unwrap();
+        let dir = tmp_dir("body");
+        let path = dir.join("body.cube");
+        write_experiment_file(&e, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(check_footer(&text), FooterStatus::Absent);
-        assert_eq!(text, write_experiment(&e));
+        let body = &text[..text.find("<!-- cube:crc32").expect("a footer")];
+        assert_eq!(body, write_experiment(&e));
         std::fs::remove_file(path).ok();
     }
 

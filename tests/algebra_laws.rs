@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 
-use cube_algebra::batch::pairwise;
-use cube_algebra::{integrate, ops, stats, MergeOptions};
+use cube_algebra::{integrate, ops, stats, BatchPlan, MergeOptions, Reduction};
+use cube_bench::pairwise;
 use cube_model::builder::single_threaded_system;
 use cube_model::{Experiment, ExperimentBuilder, MetricId, RegionKind, Unit};
 
@@ -406,6 +406,10 @@ proptest! {
             (ops::max(&refs).unwrap(), pairwise::max(&refs, o()).unwrap()),
             (stats::variance(&refs).unwrap(), pairwise::variance(&refs, o()).unwrap()),
             (stats::stddev(&refs).unwrap(), pairwise::stddev(&refs, o()).unwrap()),
+            (
+                BatchPlan::new(&refs).reduce(Reduction::Merge).unwrap(),
+                pairwise::merge(&refs, o()).unwrap(),
+            ),
         ];
         for (fast, slow) in &cases {
             assert_same_totals(&canonical_totals(fast), &canonical_totals(slow))?;
@@ -457,6 +461,10 @@ proptest! {
             (ops::sum(&refs).unwrap(), pairwise::sum(&refs, o()).unwrap()),
             (ops::min(&refs).unwrap(), pairwise::min(&refs, o()).unwrap()),
             (ops::max(&refs).unwrap(), pairwise::max(&refs, o()).unwrap()),
+            (
+                BatchPlan::new(&refs).reduce(Reduction::Merge).unwrap(),
+                pairwise::merge(&refs, o()).unwrap(),
+            ),
         ];
         for (fast, slow) in &oracles {
             prop_assert_eq!(severity_bits(fast), severity_bits(slow));
@@ -588,7 +596,7 @@ proptest! {
     /// over the in-memory experiments.
     #[test]
     fn batch_agrees_across_backends(sa in spec_strategy(), sb in spec_strategy()) {
-        use cube_algebra::{BatchOperand, BatchPlan, Expr, Reduction};
+        use cube_algebra::{BatchOperand, Expr};
         static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("cube_laws_store_{}", std::process::id()));

@@ -119,6 +119,7 @@ fn eval_matches_cli_bytes_across_threads_and_cache_states() {
         "diff(mean({},{}),mean({},{}))",
         ids[0], ids[1], ids[2], ids[3]
     );
+    let merge_expr = format!("merge({},{})", ids[2], ids[1]);
 
     for (round, threads) in ["1", "2", "8"].iter().enumerate() {
         let mean_out = dir
@@ -151,9 +152,26 @@ fn eval_matches_cli_bytes_across_threads_and_cache_states() {
             "--threads",
             threads,
         ]);
+        let merge_out = dir
+            .join(format!("merge.t{threads}.cube"))
+            .to_string_lossy()
+            .into_owned();
+        cube(&[
+            "merge",
+            &objects[2],
+            &objects[1],
+            "-o",
+            &merge_out,
+            "--threads",
+            threads,
+        ]);
         // The CLI set the global pool; the in-process server workers
         // evaluate on that same pool now.
-        for (expr, cli_file) in [(&mean_expr, &mean_out), (&composite_expr, &comp_out)] {
+        for (expr, cli_file) in [
+            (&mean_expr, &mean_out),
+            (&composite_expr, &comp_out),
+            (&merge_expr, &merge_out),
+        ] {
             let reply = request(addr, "POST", "/eval", expr.as_bytes());
             assert_eq!(reply.status, 200, "{}", reply.text());
             let cache = reply.header("x-cache").expect("x-cache header").to_string();
@@ -267,6 +285,65 @@ fn eval_rejects_missing_experiment_before_any_work() {
         !handle.is_loaded(),
         "pre-flight must not touch severity pages"
     );
+
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The paper's Fig. 3 through the served expression language: one
+/// `/eval` merging the EXPERT run with both CONE event sets equals the
+/// nested library merges the figure is built from, in metadata and
+/// severity bits.
+#[test]
+fn eval_merges_figure3_like_the_library() {
+    use cube_suite::cone::{ConeProfiler, EventSet};
+    use cube_suite::simmpi::apps::{sweep3d, Sweep3dConfig};
+
+    let dir = workdir("fig3");
+    let server = cube_serve::start(
+        cube_serve::ServeConfig {
+            workers: 1,
+            ..cube_serve::ServeConfig::default()
+        },
+        &dir.join("repo"),
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+
+    let program = sweep3d(&Sweep3dConfig::default());
+    let mut tracer = EpilogTracer::new("power4", 4);
+    simulate(&program, &MachineModel::default(), &mut tracer).unwrap();
+    let ex = cube_suite::expert::analyze(
+        &tracer.into_trace(),
+        &cube_suite::expert::AnalyzeOptions::default(),
+    )
+    .unwrap();
+    let cone = |set: EventSet| {
+        let mut profiler = ConeProfiler::new(set).unwrap().with_layout("power4", 4);
+        simulate(&program, &MachineModel::default(), &mut profiler).unwrap();
+        profiler.into_experiment().unwrap()
+    };
+    let (fp, l1) = (cone(EventSet::flops()), cone(EventSet::l1_cache()));
+
+    let ids: Vec<String> = [&ex, &fp, &l1]
+        .iter()
+        .map(|e| {
+            let reply = request(addr, "PUT", "/experiments", &cube_store::write_store(e));
+            assert_eq!(reply.status, 201, "{}", reply.text());
+            json_field(&reply.text(), "id").expect("ingest returns an id")
+        })
+        .collect();
+    let expr = format!("merge({},{},{})", ids[0], ids[1], ids[2]);
+    let reply = request(addr, "POST", "/eval", expr.as_bytes());
+    assert_eq!(reply.status, 200, "{}", reply.text());
+    let served = cube_xml::read_experiment(&reply.text()).unwrap();
+    let nested = cube_algebra::ops::merge(&cube_algebra::ops::merge(&ex, &fp), &l1);
+    assert_eq!(served.metadata(), nested.metadata());
+    let bits = |e: &cube_model::Experiment| -> Vec<u64> {
+        e.severity().values().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&served), bits(&nested));
 
     server.shutdown();
     server.join();

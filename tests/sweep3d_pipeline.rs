@@ -2,7 +2,7 @@
 //! counter conflicts force separate CONE runs; EXPERT and both CONE
 //! profiles merge into one experiment with the joint metric forest.
 
-use cube_algebra::ops;
+use cube_algebra::{ops, BatchPlan, Reduction};
 use cube_model::aggregate::{call_value, metric_total, CallSelection, MetricSelection};
 use cube_model::Experiment;
 use cube_suite::cone::{ConeError, ConeProfiler, CounterKind, EventSet};
@@ -72,6 +72,17 @@ fn figure3_merge_carries_all_three_sources() {
     // Counter totals survive from their respective runs.
     assert!((total(&merged, "PAPI_FP_INS") - total(&fp, "PAPI_FP_INS")).abs() < 1e-6);
     assert!((total(&merged, "PAPI_L1_DCM") - total(&l1, "PAPI_L1_DCM")).abs() < 1e-6);
+    // The same figure in one plan: one integration of all three runs,
+    // each metric from its first provider, equals the nested merges in
+    // metadata and severity bits.
+    let one_plan = BatchPlan::new(&[&ex, &fp, &l1])
+        .reduce(Reduction::Merge)
+        .unwrap();
+    assert_eq!(one_plan.metadata(), merged.metadata());
+    let bits = |e: &Experiment| -> Vec<u64> {
+        e.severity().values().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&one_plan), bits(&merged));
 }
 
 #[test]
