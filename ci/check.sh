@@ -599,6 +599,12 @@ stage_chaos() {
             206)
                 grep -q '"status":"degraded"' "$cdir/got.$kind"
                 grep -q '"omitted_operands":\[{' "$cdir/got.$kind"
+                # An expired deadline is a 504, never an omitted operand.
+                if grep -q '"code":"deadline_exceeded"' "$cdir/got.$kind"; then
+                    echo "degraded /eval '$expr' omitted an operand for its deadline:" >&2
+                    cat "$cdir/got.$kind" >&2
+                    exit 1
+                fi
                 ;;
             503 | 504)
                 grep -q '"code":"' "$cdir/got.$kind"

@@ -550,11 +550,6 @@ impl PlanTables {
     pub fn shape(&self) -> (usize, usize, usize) {
         self.shape
     }
-
-    /// Number of operands the tables were built over.
-    pub fn num_operands(&self) -> usize {
-        self.operand_shapes.len()
-    }
 }
 
 /// A reusable batch-evaluation plan over k operand experiments.
@@ -649,11 +644,6 @@ impl<'a> BatchPlan<'a> {
     /// The integrated severity shape `(metrics, call nodes, threads)`.
     pub fn shape(&self) -> (usize, usize, usize) {
         self.tables.shape
-    }
-
-    /// Number of operands in the plan.
-    pub fn num_operands(&self) -> usize {
-        self.operands.len()
     }
 
     /// Whether the plan has no operands (every reduction then errors).

@@ -1047,6 +1047,28 @@ mod tests {
     }
 
     #[test]
+    fn programmatic_trees_get_a002_and_a003() {
+        let a = experiment("time", Unit::Seconds, 1);
+        let names = ["A".to_string()];
+        let facts = [OperandFacts::known("A", a.metadata())];
+
+        // The empty list references nothing, so `A` is dead as well.
+        let empty = Expr::reduce(Reduction::Mean, 0..0);
+        let report = check_expr(&empty, None, &names, &facts);
+        assert_eq!(codes(&report), ["A002", "A005"]);
+        assert!(report.diagnostics[0].message.contains("mean over an empty"));
+        assert!(!report.ok());
+
+        let stray = Expr::diff(Expr::Operand(0), Expr::Operand(3));
+        let report = check_expr(&stray, None, &names, &facts);
+        assert_eq!(codes(&report), ["A003"]);
+        assert!(report.diagnostics[0].message.contains("index 3"));
+        assert!(!report.ok());
+        let stray = Expr::reduce(Reduction::Sum, [0, 7]);
+        assert_eq!(codes(&check_expr(&stray, None, &names, &facts)), ["A003"]);
+    }
+
+    #[test]
     fn compatibility_mismatches_are_flagged() {
         let a = experiment("time", Unit::Seconds, 2);
         let b = experiment("visits", Unit::Occurrences, 2);

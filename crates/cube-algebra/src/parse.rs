@@ -163,11 +163,13 @@ impl ParsedExpr {
 /// indices substituted with their names). This is the inverse of
 /// [`parse_expr`] up to whitespace for every tree the parser produces;
 /// the rewrite engine's synthetic [`Expr::Zero`] renders as `zero()`,
-/// which is *not* part of the input grammar.
+/// which is *not* part of the input grammar. An index without a name
+/// (checked as `A003`) renders as `?`.
 pub fn render_expr(expr: &Expr, names: &[String]) -> String {
     fn go(e: &Expr, names: &[String], out: &mut String) {
+        let name = |i: usize| names.get(i).map_or("?", String::as_str);
         match e {
-            Expr::Operand(i) => out.push_str(&names[*i]),
+            Expr::Operand(i) => out.push_str(name(*i)),
             Expr::Reduce(r, idxs) => {
                 out.push_str(r.name());
                 out.push('(');
@@ -175,7 +177,7 @@ pub fn render_expr(expr: &Expr, names: &[String]) -> String {
                     if k > 0 {
                         out.push(',');
                     }
-                    out.push_str(&names[i]);
+                    out.push_str(name(i));
                 }
                 out.push(')');
             }

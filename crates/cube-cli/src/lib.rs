@@ -67,7 +67,7 @@ use cube_algebra::{BatchPlan, CallSiteEq, Expr, MergeOptions, Reduction, SystemM
 use cube_display::{BrowserState, NormalizationRef, ProgramView, RenderOptions, ValueMode};
 use cube_model::aggregate::{metric_total, MetricSelection};
 use cube_model::Experiment;
-use cube_serve::json::json_string;
+use cube_serve::json::{json_string, lint_diagnostics};
 use cube_store::{ColumnarExperiment, StoreError};
 use cube_xml::{read_experiment_file, write_experiment_file, ReadLimits, XmlError};
 use rayon::prelude::*;
@@ -233,6 +233,26 @@ impl Parsed {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// `--format human|json`: whether JSON was asked for.
+    fn json_format(&self) -> Result<bool, String> {
+        match self.value("--format") {
+            None | Some("human") => Ok(false),
+            Some("json") => Ok(true),
+            Some(other) => Err(format!(
+                "unknown --format '{other}' (try 'human' or 'json')"
+            )),
+        }
+    }
+
+    /// `--deny warnings`: whether warnings are denied too.
+    fn deny_warnings(&self) -> Result<bool, String> {
+        match self.value("--deny") {
+            None => Ok(false),
+            Some("warnings") => Ok(true),
+            Some(other) => Err(format!("unknown --deny class '{other}' (try 'warnings')")),
+        }
     }
 
     fn merge_options(&self) -> MergeOptions {
@@ -712,20 +732,8 @@ fn lint_cmd(args: &[String]) -> Result<Outcome, String> {
     if p.positional.is_empty() {
         return Err("cube lint needs at least one input file".into());
     }
-    let deny_warnings = match p.value("--deny") {
-        None => false,
-        Some("warnings") => true,
-        Some(other) => return Err(format!("unknown --deny class '{other}' (try 'warnings')")),
-    };
-    let json = match p.value("--format") {
-        None | Some("human") => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(format!(
-                "unknown --format '{other}' (try 'human' or 'json')"
-            ))
-        }
-    };
+    let deny_warnings = p.deny_warnings()?;
+    let json = p.json_format()?;
 
     let reports: Vec<(&String, cube_model::Report)> = p
         .positional
@@ -750,23 +758,11 @@ fn lint_cmd(args: &[String]) -> Result<Outcome, String> {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{{\"path\":{},\"diagnostics\":[", json_string(path));
-            for (j, d) in report.diagnostics().iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"code\":\"{}\",\"level\":\"{}\",\"location\":{},\"message\":{}}}",
-                    d.code,
-                    d.level(),
-                    json_string(&d.location.to_string()),
-                    json_string(&d.message)
-                );
-            }
             let _ = write!(
                 s,
-                "],\"errors\":{},\"warnings\":{}}}",
+                "{{\"path\":{},\"diagnostics\":{},\"errors\":{},\"warnings\":{}}}",
+                json_string(path),
+                lint_diagnostics(report),
                 report.num_errors(),
                 report.num_warnings()
             );
@@ -847,20 +843,8 @@ fn check_cmd(args: &[String]) -> Result<Outcome, String> {
     let Some((expr_src, files)) = p.positional.split_first() else {
         return Err("cube check needs an expression (and its operand files)".into());
     };
-    let deny_warnings = match p.value("--deny") {
-        None => false,
-        Some("warnings") => true,
-        Some(other) => return Err(format!("unknown --deny class '{other}' (try 'warnings')")),
-    };
-    let json = match p.value("--format") {
-        None | Some("human") => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(format!(
-                "unknown --format '{other}' (try 'human' or 'json')"
-            ))
-        }
-    };
+    let deny_warnings = p.deny_warnings()?;
+    let json = p.json_format()?;
 
     let parsed = match cube_algebra::parse_expr(expr_src) {
         Ok(parsed) => parsed,
@@ -884,28 +868,21 @@ fn check_cmd(args: &[String]) -> Result<Outcome, String> {
         }
     };
 
-    // Bind each expression operand to at most one provided file.
-    let mut bound: Vec<Option<&String>> = Vec::with_capacity(parsed.operands.len());
+    // Bind each expression operand to at most one provided file and
+    // open it for metadata only; provided files no name binds are dead
+    // operands, facts without metadata.
+    let mut unused: Vec<&str> = files.iter().map(String::as_str).collect();
+    let mut inputs: Vec<Result<CheckedInput, String>> = Vec::new();
     for name in &parsed.operands {
-        let matches: Vec<&String> = files.iter().filter(|f| name_binds_file(name, f)).collect();
-        if matches.len() > 1 {
-            return Err(format!(
-                "operand '{name}' matches more than one provided file ({})",
-                matches
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-        bound.push(matches.first().copied());
-    }
-
-    // Metadata-only opens of the bound files, one per file.
-    let loaded: Vec<Option<Result<CheckedInput, String>>> = files
-        .iter()
-        .map(|file| {
-            bound.contains(&Some(file)).then(|| {
+        let matches: Vec<&str> = files
+            .iter()
+            .map(String::as_str)
+            .filter(|f| name_binds_file(name, f))
+            .collect();
+        inputs.push(match matches[..] {
+            [] => Err("not among the provided operand files".to_string()),
+            [file] => {
+                unused.retain(|f| *f != file);
                 if is_cubec(file) {
                     ColumnarExperiment::open(file)
                         .map(CheckedInput::Store)
@@ -915,37 +892,29 @@ fn check_cmd(args: &[String]) -> Result<Outcome, String> {
                         .map(CheckedInput::Xml)
                         .map_err(|e| e.to_string())
                 }
-            })
+            }
+            _ => {
+                return Err(format!(
+                    "operand '{name}' matches more than one provided file ({})",
+                    matches.join(", ")
+                ))
+            }
+        });
+    }
+    let facts: Vec<cube_algebra::OperandFacts<'_>> = parsed
+        .operands
+        .iter()
+        .zip(&inputs)
+        .map(|(name, input)| match input {
+            Ok(input) => cube_algebra::OperandFacts::known(name, input.metadata()),
+            Err(e) => cube_algebra::OperandFacts::unknown(name, e.clone()),
         })
+        .chain(unused.into_iter().map(|file| cube_algebra::OperandFacts {
+            name: file.to_string(),
+            metadata: None,
+            note: None,
+        }))
         .collect();
-
-    let mut facts: Vec<cube_algebra::OperandFacts<'_>> = Vec::new();
-    for (name, b) in parsed.operands.iter().zip(&bound) {
-        let fact = match b {
-            Some(file) => {
-                let i = files.iter().position(|f| &f == file).unwrap_or(0);
-                match &loaded[i] {
-                    Some(Ok(input)) => cube_algebra::OperandFacts::known(name, input.metadata()),
-                    Some(Err(e)) => cube_algebra::OperandFacts::unknown(name, e.clone()),
-                    None => cube_algebra::OperandFacts::unknown(name, "not opened"),
-                }
-            }
-            None => {
-                cube_algebra::OperandFacts::unknown(name, "not among the provided operand files")
-            }
-        };
-        facts.push(fact);
-    }
-    // Provided files no expression name binds to become dead operands.
-    for file in files {
-        if !bound.contains(&Some(file)) {
-            facts.push(cube_algebra::OperandFacts {
-                name: file.clone(),
-                metadata: None,
-                note: None,
-            });
-        }
-    }
 
     let report = cube_algebra::check(&parsed, &facts);
     let denied = report.denied(deny_warnings);
@@ -1108,15 +1077,7 @@ fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
     if p.positional.len() != 1 {
         return Err("cube fsck takes exactly one repository directory".into());
     }
-    let json = match p.value("--format") {
-        None | Some("human") => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(format!(
-                "unknown --format '{other}' (try 'human' or 'json')"
-            ))
-        }
-    };
+    let json = p.json_format()?;
     let root = std::path::Path::new(&p.positional[0]);
     if !root.join(cube_serve::REPO_MARKER).exists() {
         let msg = format!(

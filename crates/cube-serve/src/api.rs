@@ -11,24 +11,35 @@
 //! | GET    | `/healthz`                 | —               | JSON    |
 //!
 //! `/eval` responses are byte-identical to the files `cube stats` /
-//! `cube diff` write: the CUBE body followed by the checksum footer
-//! line. That identity is what the CI serve gate diffs, and it holds
-//! on cache hits too — the `X-Cache` header says which path produced
-//! the bytes.
+//! `cube diff` write, because both come from one encoder,
+//! [`cube_xml::write_experiment_to`]: the CUBE body and its checksum
+//! footer in one pass. That identity is what the CI serve gate diffs,
+//! and it holds on cache hits too — the `X-Cache` header says which
+//! path produced the bytes.
 //!
-//! Every `/eval` runs the static checker ([`cube_algebra::check()`]) as
-//! a mandatory pre-flight after the cache lookup: operands are opened
-//! metadata-only (the lazy `.cubec` path — no severity pages are read)
-//! and a statically-invalid expression is rejected with its `A0xx`
-//! code and full diagnostics array *before* any evaluation work or
-//! cache insertion. `/check` exposes the same analysis directly,
-//! returning the full report (diagnostics, rewrite, cost estimate) in
-//! the same JSON shape `cube check --format json` prints.
+//! Every `/eval` that misses the result cache runs one sequence of
+//! stages: open the operands metadata-only (the lazy `.cubec` path, no
+//! severity pages read) within the request deadline; pre-flight them
+//! through the static checker ([`cube_algebra::check()`]), which
+//! rejects a statically invalid expression with its `A0xx` code and
+//! full diagnostics array before any evaluation work or cache
+//! insertion; load their severity; restrict the expression to the
+//! operands that loaded ([`cube_algebra::Expr::restrict`]); check the
+//! deadline; plan, evaluate and encode. Only the ending differs. With
+//! every operand loaded, the plan and result caches are used and the
+//! answer is `200`. With operands omitted under `?keep_going=1`, the
+//! plan is built fresh, nothing is cached and the answer is the `206`
+//! envelope. An expired deadline at any stage is `504`, never an
+//! omitted operand.
+//!
+//! `/check` reads its body and opens its operands exactly as `/eval`
+//! does, and returns the full report (diagnostics, rewrite, cost
+//! estimate) in the same JSON shape `cube check --format json` prints.
 
 use crate::cache::lock_recover;
 use crate::error::ServeError;
 use crate::http::{Deadline, Request, Response};
-use crate::json::{extract_string_field, json_string};
+use crate::json::{extract_string_field, json_string, lint_diagnostics};
 use crate::server::Shared;
 use cube_algebra::{
     check, parse_expr, render_expr, BatchOperand, BatchPlan, MergeOptions, OperandFacts,
@@ -36,8 +47,7 @@ use cube_algebra::{
 };
 use cube_model::Provenance;
 use cube_store::ColumnarExperiment;
-use cube_xml::footer::{crc32, footer_line};
-use cube_xml::write_experiment;
+use cube_xml::{encoded_len_hint, write_experiment_to};
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -54,7 +64,7 @@ pub fn handle(shared: &Shared, req: &Request, deadline: &Deadline) -> Response {
         ("PUT", ["experiments"]) => ingest(shared, req),
         ("GET", ["experiments", id, "stats"]) => experiment_stats(shared, id, deadline),
         ("GET", ["experiments", id, "lint"]) => experiment_lint(shared, id),
-        ("POST", ["check"]) => check_endpoint(shared, req),
+        ("POST", ["check"]) => check_endpoint(shared, req, deadline),
         ("POST", ["eval"]) => eval(shared, req, deadline),
         ("GET", ["stats"]) => Ok(server_stats(shared)),
         ("GET", ["healthz"]) => Ok(healthz(shared)),
@@ -148,28 +158,16 @@ fn experiment_stats(
 fn experiment_lint(shared: &Shared, id: &str) -> Result<Response, ServeError> {
     let path = shared.repo.locate(id)?;
     let report = cube_store::lint_file(&path);
-    let mut s = format!("{{\"id\":\"{id}\",\"diagnostics\":[");
-    for (i, d) in report.diagnostics().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"code\":\"{}\",\"level\":\"{}\",\"location\":{},\"message\":{}}}",
-            d.code,
-            d.level(),
-            json_string(&d.location.to_string()),
-            json_string(&d.message)
-        );
-    }
-    let _ = write!(
-        s,
-        "],\"errors\":{},\"warnings\":{},\"ok\":{}}}",
-        report.num_errors(),
-        report.num_warnings(),
-        !report.has_errors()
-    );
-    Ok(Response::json(200, s))
+    Ok(Response::json(
+        200,
+        format!(
+            "{{\"id\":\"{id}\",\"diagnostics\":{},\"errors\":{},\"warnings\":{},\"ok\":{}}}",
+            lint_diagnostics(&report),
+            report.num_errors(),
+            report.num_warnings(),
+            !report.has_errors()
+        ),
+    ))
 }
 
 fn server_stats(shared: &Shared) -> Response {
@@ -228,74 +226,53 @@ fn healthz(shared: &Shared) -> Response {
     )
 }
 
-/// The expression text from a `/eval` body: either a flat JSON object
-/// with an `expr` field, or the expression itself as plain text.
-fn body_expr(req: &Request) -> Result<String, ServeError> {
+/// The expression text and optional `bind` field of an `/eval` or
+/// `/check` body: either a flat JSON object with an `expr` field, or
+/// the expression itself as plain text. `/eval` ignores `bind`.
+fn read_body(req: &Request) -> Result<(String, Option<String>), ServeError> {
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| ServeError::bad_request("bad_encoding", "request body is not UTF-8"))?;
     let trimmed = text.trim();
     if trimmed.starts_with('{') {
-        extract_string_field(trimmed, "expr").ok_or_else(|| {
+        let expr = extract_string_field(trimmed, "expr").ok_or_else(|| {
             ServeError::bad_request("missing_expr", "JSON body has no string \"expr\" field")
-        })
+        })?;
+        Ok((expr, extract_string_field(trimmed, "bind")))
     } else if trimmed.is_empty() {
         Err(ServeError::bad_request(
             "missing_expr",
             "empty body; send an expression or {\"expr\": \"...\"}",
         ))
     } else {
-        Ok(trimmed.to_string())
+        Ok((trimmed.to_string(), None))
     }
 }
 
-/// Renders a derived experiment exactly as `write_experiment_file`
-/// commits it to disk: the CUBE body followed by the checksum footer.
-fn render_cube_bytes(exp: &cube_model::Experiment) -> Vec<u8> {
-    let body = write_experiment(exp);
-    let mut bytes = body.into_bytes();
-    let line = footer_line(crc32(&bytes), bytes.len() as u64);
-    bytes.extend_from_slice(line.as_bytes());
-    bytes
-}
+/// One operand's open, or why it failed.
+type Opened = Result<Arc<ColumnarExperiment>, ServeError>;
 
-fn plan_for<'a>(
+/// Opens each id metadata-only within the request deadline, keeping
+/// per-operand outcomes so that a failure can become an `A001` fact or
+/// an omitted operand. An expired deadline is the answer instead.
+fn open_each<'a>(
     shared: &Shared,
-    parsed: &ParsedExpr,
-    ops: &[&'a dyn BatchOperand],
-) -> Result<BatchPlan<'a>, ServeError> {
-    let plan_key = parsed.operands.join(",");
-    if let Some(tables) = lock_recover(&shared.plans).get(&plan_key) {
-        // Content ids key the cache, so cached tables can only mismatch
-        // if an object was replaced underneath us; rebuild in that case.
-        if let Ok(plan) = BatchPlan::from_tables(ops, tables) {
-            return Ok(plan);
-        }
-    }
-    let tables = Arc::new(PlanTables::build(ops, MergeOptions::default()));
-    lock_recover(&shared.plans).insert(plan_key, Arc::clone(&tables));
-    BatchPlan::from_tables(ops, tables).map_err(ServeError::from)
-}
-
-/// Opens each operand id metadata-only, keeping per-operand outcomes
-/// so resolution failures become `A001` facts instead of aborting the
-/// whole request before the checker can report them all.
-fn open_operands(
-    shared: &Shared,
-    pairs: &[(String, String)],
-) -> Vec<(String, Result<Arc<ColumnarExperiment>, ServeError>)> {
-    pairs
-        .iter()
-        .map(|(name, id)| (name.clone(), shared.repo.open(id)))
-        .collect()
+    ids: impl Iterator<Item = &'a str>,
+    deadline: &Deadline,
+) -> Result<Vec<Opened>, ServeError> {
+    check_deadline(deadline, "resolving operands")?;
+    ids.map(|id| match shared.repo.open_within(id, deadline) {
+        Err(e) if e.status == 504 => Err(e),
+        opened => Ok(opened),
+    })
+    .collect()
 }
 
 /// Operand facts for the checker, borrowing metadata from the opened
 /// handles. Only metadata is consulted — severity pages stay unread.
-fn facts_of(
-    opened: &[(String, Result<Arc<ColumnarExperiment>, ServeError>)],
-) -> Vec<OperandFacts<'_>> {
-    opened
+fn facts_of<'a>(names: &[String], opened: &'a [Opened]) -> Vec<OperandFacts<'a>> {
+    names
         .iter()
+        .zip(opened)
         .map(|(name, res)| match res {
             Ok(handle) => OperandFacts::known(name.clone(), handle.metadata()),
             Err(e) => OperandFacts::unknown(name.clone(), e.message.clone()),
@@ -309,12 +286,8 @@ fn facts_of(
 /// not resolve, 422 for other static errors, with the full `A0xx`
 /// diagnostics array attached. Runs before any plan construction,
 /// evaluation, or cache insertion.
-fn preflight(
-    parsed: &ParsedExpr,
-    opened: &[(String, Result<Arc<ColumnarExperiment>, ServeError>)],
-) -> Result<(), ServeError> {
-    let facts = facts_of(opened);
-    let report = check(parsed, &facts);
+fn preflight(parsed: &ParsedExpr, opened: &[Opened]) -> Result<(), ServeError> {
+    let report = check(parsed, &facts_of(&parsed.operands, opened));
     if report.num_errors() == 0 {
         return Ok(());
     }
@@ -350,52 +323,114 @@ fn query_flag(req: &Request, name: &str) -> bool {
     })
 }
 
-/// Answers a degraded `/eval`: evaluates the expression restricted to
-/// the surviving operands ([`cube_algebra::Expr::restrict`], the rule
-/// the CLI's `--keep-going` applies) and reports the omitted ones. A
-/// structurally required operand that failed is the error instead.
-/// `206` with a JSON envelope (not raw CUBE bytes — the
-/// `omitted_operands` report is part of the answer); never cached,
-/// because the result does not correspond to the canonical expression.
-fn degraded_response(
+/// The plan over `ops`. With a `key`, its tables come from and go to
+/// the plan cache; without one they are built fresh and dropped.
+fn plan_for<'a>(
     shared: &Shared,
-    parsed: &ParsedExpr,
-    handles: Vec<Option<Arc<ColumnarExperiment>>>,
-    failures: &[(usize, String, ServeError)],
-) -> Result<Response, ServeError> {
-    let alive: Vec<bool> = handles.iter().map(Option::is_some).collect();
-    let Some(degraded) = parsed.expr.restrict(&alive) else {
-        let (_, _, e) = &failures[0];
-        let mut e = e.clone();
-        e.message = format!(
-            "{} (operand is structurally required; keep_going cannot omit it)",
-            e.message
+    key: Option<String>,
+    ops: &[&'a dyn BatchOperand],
+) -> Result<BatchPlan<'a>, ServeError> {
+    let cached = key
+        .as_ref()
+        .and_then(|k| lock_recover(&shared.plans).get(k));
+    // Content ids key the cache, so cached tables can only mismatch if
+    // an object was replaced underneath us; rebuild in that case.
+    if let Some(Ok(plan)) = cached.map(|tables| BatchPlan::from_tables(ops, tables)) {
+        return Ok(plan);
+    }
+    let tables = Arc::new(PlanTables::build(ops, MergeOptions::default()));
+    if let Some(key) = key {
+        lock_recover(&shared.plans).insert(key, Arc::clone(&tables));
+    }
+    BatchPlan::from_tables(ops, tables).map_err(ServeError::from)
+}
+
+fn eval(shared: &Shared, req: &Request, deadline: &Deadline) -> Result<Response, ServeError> {
+    shared.evals.fetch_add(1, Ordering::Relaxed);
+    let keep_going = query_flag(req, "keep_going");
+    let parsed = parse_expr(&read_body(req)?.0)?;
+    let key = parsed.canonical();
+    if let Some(bytes) = lock_recover(&shared.results).get(&key) {
+        return Ok(
+            Response::bytes(200, "application/cube+xml", bytes.as_ref().clone())
+                .with_header("x-cache", "hit"),
         );
-        return Err(e);
+    }
+    let opened = open_each(shared, parsed.operands.iter().map(String::as_str), deadline)?;
+    // Static resolution failures (bad/unknown ids) go through the
+    // checker so the client gets the full A0xx diagnostics. Transient
+    // availability failures (503) are not static facts: when they are
+    // the only failures, the checker is skipped and plan-level
+    // validation covers the survivors.
+    let any_static = opened.iter().any(|r| matches!(r, Err(e) if e.status < 500));
+    if any_static || opened.iter().all(Result::is_ok) {
+        preflight(&parsed, &opened)?;
+    }
+    // Guarded severity loads — the second disk boundary an /eval
+    // crosses. A failure here or at the open omits the operand.
+    let mut alive = Vec::with_capacity(opened.len());
+    let (mut handles, mut omitted) = (Vec::new(), Vec::new());
+    for (index, (id, res)) in parsed.operands.iter().zip(opened).enumerate() {
+        let loaded = res.and_then(|h| shared.repo.ensure_severity(id, &h, deadline).map(|()| h));
+        alive.push(loaded.is_ok());
+        match loaded {
+            Ok(handle) => handles.push(handle),
+            Err(e) if e.status == 504 => return Err(e),
+            Err(e) => omitted.push((index, id, e)),
+        }
+    }
+    let expr = match omitted.first() {
+        // Restricted to every operand, the expression is itself.
+        None => parsed.expr.clone(),
+        Some((_, _, e)) if !keep_going => return Err(e.clone()),
+        Some((_, _, e)) => parsed.expr.restrict(&alive).ok_or_else(|| {
+            let mut e = e.clone();
+            e.message = format!(
+                "{} (operand is structurally required; keep_going cannot omit it)",
+                e.message
+            );
+            e
+        })?,
     };
-    let (survivors, names): (Vec<Arc<ColumnarExperiment>>, Vec<String>) = handles
-        .into_iter()
-        .zip(&parsed.operands)
-        .filter_map(|(slot, name)| Some((slot?, name.clone())))
-        .unzip();
-    let ops: Vec<&dyn BatchOperand> = survivors
+    check_deadline(deadline, "evaluating the expression")?;
+    let ops: Vec<&dyn BatchOperand> = handles
         .iter()
         .map(|h| h.as_ref() as &dyn BatchOperand)
         .collect();
-    // Degraded plans are built fresh, not cached: their operand set is
-    // an accident of which reads failed, not a stable key.
-    let tables = Arc::new(PlanTables::build(&ops, MergeOptions::default()));
-    let plan = BatchPlan::from_tables(&ops, tables)?;
-    let exp = plan.eval(&degraded)?;
-    let bytes = render_cube_bytes(&exp);
+    // A degraded plan is built fresh, not cached: its operand set is an
+    // accident of which reads failed, not a stable key.
+    let plan = plan_for(
+        shared,
+        omitted.is_empty().then(|| parsed.operands.join(",")),
+        &ops,
+    )?;
+    let exp = plan.eval(&expr)?;
+    let bytes = write_experiment_to(&exp, Vec::with_capacity(encoded_len_hint(&exp)))?;
+    if omitted.is_empty() {
+        let bytes = Arc::new(bytes);
+        lock_recover(&shared.results).insert(key, Arc::clone(&bytes));
+        return Ok(
+            Response::bytes(200, "application/cube+xml", bytes.as_ref().clone())
+                .with_header("x-cache", "miss"),
+        );
+    }
+    // Degraded: a JSON envelope, not raw CUBE bytes — the omission
+    // report is part of the answer — and never cached, because the
+    // result does not correspond to the canonical expression.
     shared.degraded_evals.fetch_add(1, Ordering::Relaxed);
-
+    let names: Vec<String> = parsed
+        .operands
+        .iter()
+        .zip(&alive)
+        .filter(|(_, &a)| a)
+        .map(|(name, _)| name.clone())
+        .collect();
     let mut body = format!(
         "{{\"status\":\"degraded\",\"expr\":{},\"used\":{},\"omitted_operands\":[",
-        json_string(&render_expr(&degraded, &names)),
-        survivors.len(),
+        json_string(&render_expr(&expr, &names)),
+        handles.len(),
     );
-    for (k, (index, id, e)) in failures.iter().enumerate() {
+    for (k, (index, id, e)) in omitted.iter().enumerate() {
         if k > 0 {
             body.push(',');
         }
@@ -415,153 +450,60 @@ fn degraded_response(
     Ok(Response::json(206, body).with_header("x-cache", "degraded"))
 }
 
-fn eval(shared: &Shared, req: &Request, deadline: &Deadline) -> Result<Response, ServeError> {
-    shared.evals.fetch_add(1, Ordering::Relaxed);
-    let keep_going = query_flag(req, "keep_going");
-    let text = body_expr(req)?;
-    let parsed = parse_expr(&text)?;
-    let key = parsed.canonical();
-    if let Some(bytes) = lock_recover(&shared.results).get(&key) {
-        return Ok(
-            Response::bytes(200, "application/cube+xml", bytes.as_ref().clone())
-                .with_header("x-cache", "hit"),
-        );
-    }
-    check_deadline(deadline, "resolving operands")?;
-    let pairs: Vec<(String, String)> = parsed
-        .operands
-        .iter()
-        .map(|id| (id.clone(), id.clone()))
-        .collect();
-    let opened: Vec<(String, Result<Arc<ColumnarExperiment>, ServeError>)> = pairs
-        .iter()
-        .map(|(name, id)| (name.clone(), shared.repo.open_within(id, deadline)))
-        .collect();
-    // Static resolution failures (bad/unknown ids) go through the
-    // checker so the client gets the full A0xx diagnostics; transient
-    // availability failures (503/504) are *not* static facts and take
-    // the retry/degrade path below instead — when some operands are
-    // unavailable the checker is skipped and plan-level validation
-    // covers the survivors.
-    let any_static = opened
-        .iter()
-        .any(|(_, r)| matches!(r, Err(e) if e.status < 500));
-    if any_static || opened.iter().all(|(_, r)| r.is_ok()) {
-        preflight(&parsed, &opened)?;
-    }
-
-    // Guarded severity loads — the second disk boundary an /eval
-    // crosses. Failures here and open failures above both feed the
-    // degraded path when the client opted in.
-    let mut handles: Vec<Option<Arc<ColumnarExperiment>>> = Vec::with_capacity(opened.len());
-    let mut failures: Vec<(usize, String, ServeError)> = Vec::new();
-    for (index, (id, res)) in opened.into_iter().enumerate() {
-        match res {
-            Ok(handle) => match shared.repo.ensure_severity(&id, &handle, deadline) {
-                Ok(()) => handles.push(Some(handle)),
-                Err(e) if e.status == 504 => return Err(e),
-                Err(e) => {
-                    handles.push(None);
-                    failures.push((index, id, e));
-                }
-            },
-            Err(e) => {
-                handles.push(None);
-                failures.push((index, id, e));
-            }
-        }
-    }
-    if !failures.is_empty() {
-        if !keep_going {
-            let (_, _, e) = failures.swap_remove(0);
-            return Err(e);
-        }
-        return degraded_response(shared, &parsed, handles, &failures);
-    }
-
-    check_deadline(deadline, "evaluating the expression")?;
-    let handles: Vec<Arc<ColumnarExperiment>> = handles.into_iter().flatten().collect();
-    let ops: Vec<&dyn BatchOperand> = handles
-        .iter()
-        .map(|h| h.as_ref() as &dyn BatchOperand)
-        .collect();
-    let plan = plan_for(shared, &parsed, &ops)?;
-    let exp = plan.eval(&parsed.expr)?;
-    let bytes = Arc::new(render_cube_bytes(&exp));
-    lock_recover(&shared.results).insert(key, Arc::clone(&bytes));
-    Ok(
-        Response::bytes(200, "application/cube+xml", bytes.as_ref().clone())
-            .with_header("x-cache", "miss"),
-    )
-}
-
 /// Parses the optional flat `bind` field (`"A=id,B=id"`) of a
 /// `/check` body into (name, id) pairs.
 fn parse_bindings(bind: Option<&str>) -> Result<Vec<(String, String)>, ServeError> {
-    let Some(bind) = bind else {
-        return Ok(Vec::new());
-    };
-    let mut out = Vec::new();
-    for pair in bind.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        let Some((name, id)) = pair.split_once('=') else {
-            return Err(ServeError::bad_request(
+    bind.unwrap_or_default()
+        .split(',')
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
+        .map(|pair| match pair.split_once('=') {
+            Some((name, id)) => Ok((name.trim().to_string(), id.trim().to_string())),
+            None => Err(ServeError::bad_request(
                 "bad_bind",
                 format!("binding '{pair}' is not of the form name=id"),
-            ));
-        };
-        out.push((name.trim().to_string(), id.trim().to_string()));
-    }
-    Ok(out)
+            )),
+        })
+        .collect()
 }
 
 /// `POST /check`: the static checker as an endpoint. The body is the
 /// expression as plain text, or a flat JSON object with `expr` and an
 /// optional `bind` field mapping expression names to repository ids
 /// (`"A=<id>,B=<id>"`); without a binding each operand name must be a
-/// repository id itself, exactly as `/eval` resolves them. Returns the
-/// full report — the same JSON `cube check --format json` prints —
-/// with status 200 even when diagnostics contain errors; only a body
-/// that fails to parse is a 4xx.
-fn check_endpoint(shared: &Shared, req: &Request) -> Result<Response, ServeError> {
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| ServeError::bad_request("bad_encoding", "request body is not UTF-8"))?;
-    let trimmed = text.trim();
-    let (expr_text, bind) = if trimmed.starts_with('{') {
-        let expr = extract_string_field(trimmed, "expr").ok_or_else(|| {
-            ServeError::bad_request("missing_expr", "JSON body has no string \"expr\" field")
-        })?;
-        (expr, extract_string_field(trimmed, "bind"))
-    } else if trimmed.is_empty() {
-        return Err(ServeError::bad_request(
-            "missing_expr",
-            "empty body; send an expression or {\"expr\":\"...\",\"bind\":\"name=id,...\"}",
-        ));
-    } else {
-        (trimmed.to_string(), None)
-    };
-    let parsed = parse_expr(&expr_text)?;
+/// repository id itself, exactly as `/eval` resolves them. Operands
+/// open as `/eval` opens them, within the request deadline (`504` when
+/// it expires). Returns the full report — the same JSON
+/// `cube check --format json` prints — with status 200 even when
+/// diagnostics contain errors.
+fn check_endpoint(
+    shared: &Shared,
+    req: &Request,
+    deadline: &Deadline,
+) -> Result<Response, ServeError> {
+    let (text, bind) = read_body(req)?;
+    let parsed = parse_expr(&text)?;
     let bindings = parse_bindings(bind.as_deref())?;
-    let mut pairs: Vec<(String, String)> = parsed
-        .operands
-        .iter()
-        .map(|name| {
-            let id = bindings
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(name.as_str(), |(_, id)| id.as_str());
-            (name.clone(), id.to_string())
-        })
-        .collect();
-    // Bindings that name no operand of the expression still become
-    // facts, so the checker reports them as dead operands (A005) —
-    // the same behavior as unused file arguments on the CLI.
-    for (name, id) in &bindings {
-        if !parsed.operands.contains(name) {
-            pairs.push((name.clone(), id.clone()));
-        }
-    }
-    let opened = open_operands(shared, &pairs);
-    let facts = facts_of(&opened);
-    let report = check(&parsed, &facts);
-    Ok(Response::json(200, report.to_json(&expr_text)))
+    let ids = parsed.operands.iter().map(|name| {
+        bindings
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(name.as_str(), |(_, id)| id.as_str())
+    });
+    let opened = open_each(shared, ids, deadline)?;
+    let mut facts = facts_of(&parsed.operands, &opened);
+    // Bindings that name no operand of the expression are dead operands
+    // (A005). They need no metadata and are not opened, just as unused
+    // file arguments are facts without metadata on the CLI.
+    facts.extend(
+        bindings
+            .into_iter()
+            .filter(|(name, _)| !parsed.operands.contains(name))
+            .map(|(name, _)| OperandFacts {
+                name,
+                metadata: None,
+                note: None,
+            }),
+    );
+    Ok(Response::json(200, check(&parsed, &facts).to_json(&text)))
 }

@@ -3,6 +3,8 @@
 //! (`{"expr": "..."}`). The server never needs a general JSON parser,
 //! and not having one keeps the request path free of recursion.
 
+use std::fmt::Write as _;
+
 /// Renders `s` as a JSON string literal with the escapes the grammar
 /// requires (quote, backslash, control characters).
 pub fn json_string(s: &str) -> String {
@@ -23,6 +25,28 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// A lint report's diagnostics as a JSON array of `code`, `level`,
+/// `location` and `message` objects, the form `cube lint --format json`
+/// and `GET /experiments/{id}/lint` both print.
+pub fn lint_diagnostics(report: &cube_model::Report) -> String {
+    let mut s = String::from("[");
+    for (i, d) in report.diagnostics().iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        let _ = write!(
+            s,
+            "{{\"code\":\"{}\",\"level\":\"{}\",\"location\":{},\"message\":{}}}",
+            d.code,
+            d.level(),
+            json_string(&d.location.to_string()),
+            json_string(&d.message)
+        );
+    }
+    s.push(']');
+    s
 }
 
 /// Extracts the string value of `field` from a flat JSON object,

@@ -272,14 +272,9 @@ impl Repository {
         })
     }
 
-    /// Opens the experiment stored under `id`, sharing handles through
-    /// the LRU cache. Unknown ids are a 404, malformed ids a 400.
-    /// Equivalent to [`Repository::open_within`] with no deadline.
-    pub fn open(&self, id: &str) -> Result<Arc<ColumnarExperiment>, ServeError> {
-        self.open_within(id, &Deadline::none())
-    }
-
-    /// Opens `id` under the repository's resilience policy: a
+    /// Opens the experiment stored under `id` metadata-only, sharing
+    /// handles through the LRU cache. Unknown ids are a 404, malformed
+    /// ids a 400. The read runs under the resilience policy: a
     /// quarantined id is rejected `503` up front, transient read
     /// failures (I/O errors, checksum mismatches) are retried with
     /// jittered exponential backoff inside `deadline`, and persistent
@@ -428,7 +423,7 @@ impl Repository {
 
     /// Validates `id` and returns the object's path if it exists —
     /// without opening it, so callers like the lint endpoint can
-    /// inspect objects too damaged for [`Repository::open`].
+    /// inspect objects too damaged for [`Repository::open_within`].
     pub fn locate(&self, id: &str) -> Result<PathBuf, ServeError> {
         if !valid_id(id) {
             return Err(ServeError::bad_request(
@@ -564,18 +559,18 @@ mod tests {
         let root = temp_root("open");
         let repo = Repository::open_or_init(&root, ReadLimits::default(), 8).unwrap();
         let got = repo.ingest(&write_store(&sample(2.0))).unwrap();
-        let h1 = repo.open(&got.id).unwrap();
-        let h2 = repo.open(&got.id).unwrap();
+        let h1 = repo.open_within(&got.id, &Deadline::none()).unwrap();
+        let h2 = repo.open_within(&got.id, &Deadline::none()).unwrap();
         assert!(Arc::ptr_eq(&h1, &h2), "second open hits the handle cache");
         assert_eq!(h1.severity().unwrap()[0], 2.0);
 
-        let missing = match repo.open("0123456789abcdef") {
+        let missing = match repo.open_within("0123456789abcdef", &Deadline::none()) {
             Ok(_) => panic!("expected a 404"),
             Err(e) => e,
         };
         assert_eq!(missing.status, 404);
         assert_eq!(missing.code, "unknown_experiment");
-        let bad = match repo.open("nope") {
+        let bad = match repo.open_within("nope", &Deadline::none()) {
             Ok(_) => panic!("expected a 400"),
             Err(e) => e,
         };
@@ -670,7 +665,7 @@ mod tests {
     }
 
     fn open_err(repo: &Repository, id: &str) -> ServeError {
-        match repo.open(id) {
+        match repo.open_within(id, &Deadline::none()) {
             Ok(_) => panic!("expected {id} to fail to open"),
             Err(e) => e,
         }
@@ -711,9 +706,12 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(open_err(&repo, id).code, "quarantined");
         }
-        assert!(repo.open(id).is_ok(), "the probe closes the breaker");
+        assert!(
+            repo.open_within(id, &Deadline::none()).is_ok(),
+            "the probe closes the breaker"
+        );
         assert_eq!(repo.open_breakers(), 0);
-        assert!(repo.open(id).is_ok());
+        assert!(repo.open_within(id, &Deadline::none()).is_ok());
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -17,6 +17,7 @@
 //! `.cube` reader and writer; strict reads and
 //! [`read_experiment_salvage`] share the reader's one document loop.
 
+use std::io::Write;
 use std::path::Path;
 
 use cube_model::{Experiment, Provenance};
@@ -38,14 +39,29 @@ pub const FORMAT_VERSION: &str = "1.0";
 /// pre-sized buffer; no intermediate element tree or per-row strings
 /// are built.
 pub fn write_experiment(exp: &Experiment) -> String {
-    let (nm, nc, nt) = exp.severity().shape();
-    // Rough pre-size: ~20 bytes per severity cell covers typical
-    // shortest-float text plus markup; metadata is small next to that.
-    let hint = 4096 + nm * nc * nt * 20;
-    let bytes = crate::writer::CubeWriter::new(Vec::with_capacity(hint))
+    let bytes = crate::writer::CubeWriter::new(Vec::with_capacity(encoded_len_hint(exp)))
         .write(exp)
         .expect("writing to a Vec cannot fail");
     String::from_utf8(bytes).expect("writer emits UTF-8 only")
+}
+
+/// A buffer size for `exp`'s encoding: ~20 bytes per severity cell
+/// covers typical shortest-float text plus markup; metadata is small
+/// next to that.
+pub fn encoded_len_hint(exp: &Experiment) -> usize {
+    let (nm, nc, nt) = exp.severity().shape();
+    4096 + nm * nc * nt * 20
+}
+
+/// Writes `exp` as a whole `.cube` file into `out` — the document, then
+/// its checksum footer — in one pass through [`Crc32Writer`], and
+/// returns `out`. These are the bytes [`write_experiment_file`] commits.
+pub fn write_experiment_to<W: Write>(exp: &Experiment, out: W) -> Result<W, XmlError> {
+    let mut out = crate::writer::CubeWriter::new(Crc32Writer::new(out)).write(exp)?;
+    let line = footer_line(out.crc(), out.len());
+    // The footer itself is outside the checksummed region.
+    out.get_mut().write_all(line.as_bytes())?;
+    Ok(out.into_inner())
 }
 
 /// Writes an experiment to a file: atomic, durable, and checksummed.
@@ -86,27 +102,20 @@ pub fn write_experiment_file(exp: &Experiment, path: impl AsRef<Path>) -> Result
     res
 }
 
-/// Streams the document and its footer into `path` directly (no
-/// staging), flushing and syncing before returning so no buffered block
-/// can be silently dropped at [`std::io::BufWriter`] drop time.
+/// Streams [`write_experiment_to`] into `path` directly (no staging),
+/// flushing and syncing before returning so no buffered block can be
+/// silently dropped at [`std::io::BufWriter`] drop time.
 fn write_file_direct(exp: &Experiment, path: &Path) -> Result<(), XmlError> {
-    use std::io::Write as _;
     let err = |e: std::io::Error| XmlError::io_at(path, e);
     let file = std::fs::File::create(path).map_err(err)?;
-    let out = Crc32Writer::new(std::io::BufWriter::new(file));
-    let mut out = match crate::writer::CubeWriter::new(out).write(exp) {
-        Ok(out) => out,
+    let mut buf = match write_experiment_to(exp, std::io::BufWriter::new(file)) {
+        Ok(buf) => buf,
         Err(XmlError::Io { source, .. }) => return Err(err(source)),
         Err(e) => return Err(e),
     };
-    let line = footer_line(out.crc(), out.len());
-    // The footer itself is outside the checksummed region.
-    out.get_mut().write_all(line.as_bytes()).map_err(err)?;
-    let mut buf = out.into_inner();
     buf.flush().map_err(err)?;
     let file = buf.into_inner().map_err(|e| err(e.into_error()))?;
-    file.sync_all().map_err(err)?;
-    Ok(())
+    file.sync_all().map_err(err)
 }
 
 // ---------------------------------------------------------------------------

@@ -80,8 +80,9 @@ pub mod writer;
 pub use error::{LimitKind, XmlError};
 pub use footer::FooterStatus;
 pub use format::{
-    read_experiment, read_experiment_file, read_experiment_salvage, read_experiment_salvage_as,
-    read_experiment_salvage_file_as, write_experiment, write_experiment_file, SalvageReport,
+    encoded_len_hint, read_experiment, read_experiment_file, read_experiment_salvage,
+    read_experiment_salvage_as, read_experiment_salvage_file_as, write_experiment,
+    write_experiment_file, write_experiment_to, SalvageReport,
 };
 pub use lint::{lint_file, lint_read, lint_str, read_experiment_strict};
 pub use reader::{CubeReader, ReadLimits};

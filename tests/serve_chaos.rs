@@ -14,7 +14,9 @@
 //! A deterministic coda corrupts one object on disk and asserts the
 //! degraded path precisely: `503` without opt-in, `206` with it, an
 //! error for structurally required operands, and a `degraded` health
-//! signal once the breaker trips.
+//! signal once the breaker trips. It then damages a second object's
+//! metadata under a short deadline: `/eval`, with or without
+//! `keep_going`, and `/check` all answer `504` within the budget.
 
 #[path = "serve_util/mod.rs"]
 mod serve_util;
@@ -206,6 +208,10 @@ fn chaos_schedule_never_hangs_or_corrupts_responses() {
                                 Some("degraded"),
                                 "{text}"
                             );
+                            assert!(
+                                !text.contains("\"code\":\"deadline_exceeded\""),
+                                "an expired deadline is never an omitted operand: {text}"
+                            );
                             let omitted = omitted_ids(&text);
                             assert!(!omitted.is_empty(), "206 with nothing omitted: {text}");
                             for id in &omitted {
@@ -351,6 +357,57 @@ fn chaos_schedule_never_hangs_or_corrupts_responses() {
         "{health}"
     );
 
+    server.shutdown();
+    server.join();
+
+    // --- Phase 4: an expired deadline is the answer ----------------
+    // Flip one byte inside the metadata section of a second object, so
+    // every open of it fails the section CRC: a transient error, which
+    // is retried until the 300 ms budget runs out. Degraded mode must
+    // not omit the operand for it, and /check must not outlive it.
+    let victim = repo
+        .join("objects")
+        .join(&ids[1][..2])
+        .join(format!("{}.cubec", ids[1]));
+    let mut bytes = std::fs::read(&victim).expect("second object exists");
+    let le = |at: usize, n: usize| {
+        (0..n).fold(0usize, |v, k| v | (usize::from(bytes[at + k]) << (8 * k)))
+    };
+    // Header: section count (u32) at 12, section table offset (u64) at
+    // 16. Table rows are 32 bytes: kind (u32; 1 = METADATA), flags,
+    // payload offset (u64) at 8, payload length (u64) at 16.
+    let (count, table) = (le(12, 4), le(16, 8));
+    let row = (0..count)
+        .map(|k| table + 32 * k)
+        .find(|&row| le(row, 4) == 1)
+        .expect("a metadata section");
+    let at = le(row + 8, 8) + le(row + 16, 8) / 2;
+    bytes[at] ^= 0xFF;
+    std::fs::write(&victim, &bytes).unwrap();
+
+    let config = cube_serve::ServeConfig {
+        request_deadline_ms: 300,
+        read_retries: 60,
+        backoff_base_ms: 1,
+        breaker_threshold: 0,
+        ..uncached(None)
+    };
+    let server = cube_serve::start(config, &repo).expect("deadline server starts");
+    let addr = server.local_addr();
+    let pair = format!("mean({},{})", ids[0], ids[1]);
+    for path in ["/eval", "/eval?keep_going=1", "/check"] {
+        let started = Instant::now();
+        let reply = request(addr, "POST", path, pair.as_bytes());
+        let took = started.elapsed();
+        assert_eq!(reply.status, 504, "{path}: {}", reply.text());
+        assert_eq!(
+            json_field(&reply.text(), "code").as_deref(),
+            Some("deadline_exceeded"),
+            "{path}: {}",
+            reply.text()
+        );
+        assert!(took < Duration::from_secs(1), "{path} took {took:?}");
+    }
     server.shutdown();
     server.join();
 }

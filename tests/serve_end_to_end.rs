@@ -10,9 +10,14 @@
 #[path = "serve_util/mod.rs"]
 mod serve_util;
 
+use cube_serve::http::Deadline;
 use serve_util::{json_field, json_number, request};
+use std::collections::HashSet;
 use std::path::PathBuf;
 
+use cube_algebra::{BatchOperand, BatchPlan, MergeOptions};
+use cube_model::builder::single_threaded_system;
+use cube_model::{Experiment, ExperimentBuilder, RegionKind, Unit};
 use cube_suite::simmpi::apps::{pescan, PescanConfig};
 use cube_suite::simmpi::{simulate, EpilogTracer, MachineModel};
 use cube_xml::write_experiment_file;
@@ -280,7 +285,11 @@ fn eval_rejects_missing_experiment_before_any_work() {
 
     // The resolvable operand was opened metadata-only: its cached
     // handle never pulled severity pages into memory.
-    let handle = server.shared().repo.open(&good).expect("handle cached");
+    let handle = server
+        .shared()
+        .repo
+        .open_within(&good, &Deadline::none())
+        .expect("handle cached");
     assert!(
         !handle.is_loaded(),
         "pre-flight must not touch severity pages"
@@ -344,6 +353,164 @@ fn eval_merges_figure3_like_the_library() {
         e.severity().values().iter().map(|v| v.to_bits()).collect()
     };
     assert_eq!(bits(&served), bits(&nested));
+
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The deterministic LCG the other harnesses use.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// The metrics the random experiments draw from, each taking two or
+/// three neighbours, so metric sets overlap in part.
+const METRICS: [(&str, Unit); 4] = [
+    ("time", Unit::Seconds),
+    ("visits", Unit::Occurrences),
+    ("bytes", Unit::Bytes),
+    ("mpi", Unit::Seconds),
+];
+
+/// Experiment `k` of six: its own metric set, one of three leaf
+/// regions under `main`, and 2–4 ranks, so most plans gather.
+fn random_experiment(rng: &mut Lcg, k: usize) -> Experiment {
+    let mut b = ExperimentBuilder::new(format!("random run {k}"));
+    let metrics: Vec<_> = (0..2 + k % 2)
+        .map(|j| METRICS[(k + j) % METRICS.len()])
+        .map(|(name, unit)| b.def_metric(name, unit, "", None))
+        .collect();
+    let m = b.def_module("main.c", "/src/main.c");
+    let main_r = b.def_region("main", m, RegionKind::Function, 1, 99);
+    let leaf_r = b.def_region(format!("solve{}", k % 3), m, RegionKind::Function, 10, 20);
+    let cs_main = b.def_call_site("main.c", 1, main_r);
+    let root = b.def_call_node(cs_main, None);
+    let cs_leaf = b.def_call_site("main.c", 40, leaf_r);
+    let leaf = b.def_call_node(cs_leaf, Some(root));
+    let threads = single_threaded_system(&mut b, 2 + k % 3);
+    for &metric in &metrics {
+        for cnode in [root, leaf] {
+            for &t in &threads {
+                let value = (rng.below(4000) as f64 - 1000.0) / 16.0;
+                b.set_severity(metric, cnode, t, value);
+            }
+        }
+    }
+    b.build().expect("random experiment builds")
+}
+
+const REDUCERS: [&str; 7] = ["mean", "sum", "min", "max", "variance", "stddev", "merge"];
+const FACTORS: [&str; 5] = ["0.5", "-1.5", "2", "1.000000003", "0"];
+
+/// A random expression over `ids`, nesting `diff` and `scale` at most
+/// `depth` deep above its operands and reductions.
+fn random_expr(rng: &mut Lcg, ids: &[String], depth: usize) -> String {
+    let operand = |rng: &mut Lcg| ids[rng.below(ids.len())].clone();
+    match rng.below(if depth == 0 { 2 } else { 4 }) {
+        0 => operand(rng),
+        1 => {
+            let list: Vec<String> = (0..1 + rng.below(4)).map(|_| operand(rng)).collect();
+            format!("{}({})", REDUCERS[rng.below(7)], list.join(","))
+        }
+        2 => format!(
+            "diff({},{})",
+            random_expr(rng, ids, depth - 1),
+            random_expr(rng, ids, depth - 1)
+        ),
+        _ => format!(
+            "scale({},{})",
+            random_expr(rng, ids, depth - 1),
+            FACTORS[rng.below(FACTORS.len())]
+        ),
+    }
+}
+
+/// For random expressions over experiments that gather, every `/eval`
+/// body, miss and hit, at 1, 2 and 8 threads, equals the library's own
+/// pipeline over the stored objects: one plan over the expression's
+/// operands, evaluated, then `write_experiment_to`.
+#[test]
+fn eval_matches_the_library_on_random_expressions() {
+    let dir = workdir("random");
+    let server = cube_serve::start(
+        cube_serve::ServeConfig {
+            workers: 2,
+            ..cube_serve::ServeConfig::default()
+        },
+        &dir.join("repo"),
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+
+    let mut rng = Lcg(0x5EED_2026);
+    let ids: Vec<String> = (0..6)
+        .map(|k| {
+            let bytes = cube_store::write_store(&random_experiment(&mut rng, k));
+            let reply = request(addr, "PUT", "/experiments", &bytes);
+            assert_eq!(reply.status, 201, "{}", reply.text());
+            json_field(&reply.text(), "id").expect("ingest returns an id")
+        })
+        .collect();
+    let stored: Vec<Experiment> = ids
+        .iter()
+        .map(|id| {
+            let path = dir
+                .join("repo")
+                .join(cube_serve::Repository::relative_object_path(id));
+            cube_store::read_store_file(&path).expect("stored object reads back")
+        })
+        .collect();
+
+    let mut seen = HashSet::new();
+    let mut exprs = Vec::new();
+    while exprs.len() < 120 {
+        let text = random_expr(&mut rng, &ids, 3);
+        let parsed = cube_algebra::parse_expr(&text).expect("generated text parses");
+        if seen.insert(parsed.canonical()) {
+            exprs.push((text, parsed));
+        }
+    }
+    let all: String = exprs.iter().map(|(text, _)| text.as_str()).collect();
+    for op in REDUCERS.iter().chain(&["diff", "scale"]) {
+        assert!(all.contains(&format!("{op}(")), "no {op} was generated");
+    }
+    for factor in FACTORS {
+        assert!(all.contains(&format!(",{factor})")), "no scale by {factor}");
+    }
+    for (k, (text, parsed)) in exprs.iter().enumerate() {
+        rayon::set_threads([1, 2, 8][k % 3]);
+        let ops: Vec<&dyn BatchOperand> = parsed
+            .operands
+            .iter()
+            .map(|id| &stored[ids.iter().position(|i| i == id).unwrap()] as &dyn BatchOperand)
+            .collect();
+        let exp = BatchPlan::from_operands(&ops, MergeOptions::default())
+            .eval(&parsed.expr)
+            .unwrap_or_else(|e| panic!("{text}: {e}"));
+        let want = cube_xml::write_experiment_to(&exp, Vec::new()).unwrap();
+        for cache in ["miss", "hit"] {
+            let reply = request(addr, "POST", "/eval", text.as_bytes());
+            assert_eq!(reply.status, 200, "{text}: {}", reply.text());
+            assert_eq!(reply.header("x-cache"), Some(cache), "{text}");
+            assert!(
+                reply.body == want,
+                "/eval ({cache}) of {text} differs from the library's bytes"
+            );
+        }
+    }
 
     server.shutdown();
     server.join();
