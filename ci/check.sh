@@ -10,8 +10,8 @@
 #           byte equality, pack/unpack round-trip, the speedup gate
 #   serve   /eval byte-equality with the CLI, caches, pre-flight, drain
 #   chaos   fault-injected serving, fsck, the serve_chaos harness
-#   kernel  fused-kernel unit suite and the golden-digest gate over
-#           dense and gathered operands
+#   kernel  fused-kernel unit suite, the release-mode formatter check,
+#           and the golden-digest gate over dense and gathered operands
 #
 # `CI_STAGES="lint kernel" ci/check.sh` runs a subset (comma or space
 # separated). Stages are independent: whichever subset is selected,
@@ -653,6 +653,15 @@ stage_kernel() {
 
     echo "== kernel gate: fused-kernel unit suite (bitwise vs the scalar oracle)"
     cargo test -q -p cube-algebra --test kernel_props
+
+    echo "== kernel gate: the severity formatter prints what {} prints (release)"
+    # 10,000,000 random bit patterns, 1,000 random mantissas at each of
+    # the 2,047 finite exponents, and 2,000,000 values shaped like mean,
+    # scale and stddev results: `push_f64` (fixed-micro, then Ryu) must
+    # match std's `{}` byte for byte on every one. The digests below pin
+    # only the corpus's values; this pins the formatter.
+    cargo test -q --release -p cube-xml --lib -- --ignored --exact \
+        fmt64::tests::matches_std_at_release_scale
 
     echo "== kernel gate: outputs match the golden digests (threads 1/2/8)"
     # ci/kernel_golden.txt holds the SHA-256 of every output below as

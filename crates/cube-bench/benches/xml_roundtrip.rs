@@ -1,11 +1,15 @@
 //! Throughput of the `.cube` XML pipeline: streaming write and read
 //! (`write_experiment` / `read_experiment`) over the same document at
-//! three shapes.
+//! three shapes, plus the path derived results take: the write of
+//! `scale(mean of four, 1 + 3e-9)` of each shape, whose full-precision
+//! values miss the formatter's fixed-micro tier, and the CRC-32 of the
+//! large derived document.
 //!
 //! A counting global allocator additionally reports, outside the timed
 //! loops, the *peak transient heap* of one write and one read:
 //! allocations live during the call beyond its inputs and retained
-//! result. Both should stay O(row).
+//! result. Beyond the result, a write holds one wave of severity text
+//! (16 blocks of up to 4,096 values); a read stays O(row).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -14,6 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use cube_bench::{synthetic_experiment, SyntheticShape};
+use cube_model::Experiment;
 
 // ---------------------------------------------------------------------------
 // counting allocator (measurement only; never used inside timed loops)
@@ -86,6 +91,17 @@ fn shape(n: usize) -> SyntheticShape {
     }
 }
 
+/// `scale(mean of four seeds, 1 + 3e-9)` at `shape(n)`: the shape of
+/// a derived `/eval` result.
+fn derived(n: usize) -> Experiment {
+    let runs: Vec<Experiment> = (1..=4)
+        .map(|seed| synthetic_experiment(shape(n), seed))
+        .collect();
+    let refs: Vec<&Experiment> = runs.iter().collect();
+    let mean = cube_algebra::ops::mean(&refs).expect("the runs share one shape");
+    cube_algebra::ops::scale(&mean, 1.0 + 3e-9)
+}
+
 fn report_peak_memory() {
     eprintln!("xml peak transient heap (beyond inputs; result included for writes/reads):");
     for (label, n) in SIZES {
@@ -96,12 +112,17 @@ fn report_peak_memory() {
         drop(out);
         let (r_stream, out) = peak_during(|| cube_xml::read_experiment(&text).unwrap());
         drop(out);
+        let d = derived(n);
+        let (w_derived, out) = peak_during(|| cube_xml::write_experiment(&d));
 
         eprintln!(
-            "  {label:<6} ({:>9} bytes xml): write stream {:>7.3} MiB | read stream {:>7.3} MiB",
+            "  {label:<6} ({:>9} bytes xml): write stream {:>7.3} MiB | read stream {:>7.3} MiB \
+             | derived write ({:>9} bytes) {:>7.3} MiB",
             text.len(),
             mib(w_stream),
             mib(r_stream),
+            out.len(),
+            mib(w_derived),
         );
     }
 }
@@ -120,6 +141,19 @@ fn bench_xml(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("read-stream", label), &n, |bench, _| {
             bench.iter(|| cube_xml::read_experiment(black_box(&text)).unwrap())
         });
+        let d = derived(n);
+        let derived_text = cube_xml::write_experiment(&d);
+        group.throughput(Throughput::Bytes(derived_text.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new("write-stream-derived", label),
+            &n,
+            |bench, _| bench.iter(|| cube_xml::write_experiment(black_box(&d))),
+        );
+        if label == "large" {
+            group.bench_with_input(BenchmarkId::new("crc32", label), &n, |bench, _| {
+                bench.iter(|| cube_xml::footer::crc32(black_box(derived_text.as_bytes())))
+            });
+        }
     }
     group.finish();
 }

@@ -405,8 +405,11 @@ fn eval(shared: &Shared, req: &Request, deadline: &Deadline) -> Result<Response,
         &ops,
     )?;
     let exp = plan.eval(&expr)?;
-    let bytes = write_experiment_to(&exp, Vec::with_capacity(encoded_len_hint(&exp)))?;
+    let mut bytes = write_experiment_to(&exp, Vec::with_capacity(encoded_len_hint(&exp)))?;
     if omitted.is_empty() {
+        // The hint over-reserves so the encoder never grows the buffer;
+        // the cache holds the body at its exact size.
+        bytes.shrink_to_fit();
         let bytes = Arc::new(bytes);
         lock_recover(&shared.results).insert(key, Arc::clone(&bytes));
         return Ok(

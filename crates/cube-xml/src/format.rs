@@ -45,12 +45,14 @@ pub fn write_experiment(exp: &Experiment) -> String {
     String::from_utf8(bytes).expect("writer emits UTF-8 only")
 }
 
-/// A buffer size for `exp`'s encoding: ~20 bytes per severity cell
-/// covers typical shortest-float text plus markup; metadata is small
-/// next to that.
+/// A buffer size for `exp`'s encoding that full-precision results fit
+/// without the buffer growing: 24 bytes per severity cell hold a
+/// 17-digit value with its sign, point, leading zeros down to 10⁻⁴ and
+/// separator; each row adds its `<row>` markup, and each metric, call
+/// node and thread a metadata line.
 pub fn encoded_len_hint(exp: &Experiment) -> usize {
     let (nm, nc, nt) = exp.severity().shape();
-    4096 + nm * nc * nt * 20
+    4096 + 128 * (nm + nc + nt) + nm * nc * (32 + 24 * nt)
 }
 
 /// Writes `exp` as a whole `.cube` file into `out` — the document, then
@@ -465,6 +467,45 @@ mod tests {
         let body = &text[..text.find("<!-- cube:crc32").expect("a footer")];
         assert_eq!(body, write_experiment(&e));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn full_precision_results_fit_the_hint() {
+        // The shape of a derived `/eval` result: negative 17-digit
+        // values, log-uniform from 10⁻⁴ to 10⁴, none a multiple of 10⁻⁶.
+        let mut b = ExperimentBuilder::new("derived");
+        let metrics: Vec<_> = (0..3)
+            .map(|i| b.def_metric(format!("m{i}"), Unit::Seconds, "", None))
+            .collect();
+        let m = b.def_module("a.c", "/src/a.c");
+        let r = b.def_region("main", m, RegionKind::Function, 1, 2);
+        let cs = b.def_call_site("a.c", 1, r);
+        let root = b.def_call_node(cs, None);
+        let mut nodes = vec![root];
+        nodes.extend((0..49).map(|_| b.def_call_node(cs, Some(root))));
+        let threads = single_threaded_system(&mut b, 16);
+        let mut state = 7u64;
+        for &metric in &metrics {
+            for &c in &nodes {
+                for &t in &threads {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+                    b.set_severity(metric, c, t, -(10f64.powf(8.0 * unit - 4.0)) * (1.0 + 3e-9));
+                }
+            }
+        }
+        let e = b.build().unwrap();
+        let buf = Vec::with_capacity(encoded_len_hint(&e));
+        let capacity = buf.capacity();
+        let out = write_experiment_to(&e, buf).unwrap();
+        assert_eq!(
+            out.capacity(),
+            capacity,
+            "{} bytes outgrew the hint",
+            out.len()
+        );
     }
 
     #[test]

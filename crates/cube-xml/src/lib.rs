@@ -13,7 +13,14 @@
 //!   [`cube_model::Experiment`] in one pass whatever the section order,
 //!   with one document loop for strict reads, lint and salvage;
 //! * [`writer`] — the streaming [`writer::CubeWriter`]: an experiment
-//!   emitted to any [`std::io::Write`] without an element tree;
+//!   emitted to any [`std::io::Write`] without an element tree, its
+//!   severity rows formatted in page-sized blocks on the `rayon` pool
+//!   and written in order, so the bytes never depend on the thread
+//!   count. Values print as the shortest decimal that reads back
+//!   exactly (fixed notation for multiples of 10⁻⁶, else Ryu),
+//!   byte-identical to `{}`;
+//! * [`footer`] — the CRC-32 checksum footer (slicing-by-16), also
+//!   used for every `.cubec` page, section and file checksum;
 //! * [`format`](mod@format) — the CUBE format layer: [`format::write_experiment`]
 //!   and [`format::read_experiment`] convert between
 //!   [`cube_model::Experiment`] and `.cube` files on top of the

@@ -827,6 +827,87 @@ mod tests {
         }
     }
 
+    /// `nm` metrics over a root call node and its `nc - 1` children on
+    /// `nt` single-threaded ranks, severities from `value(m, c, t)`.
+    fn dense(
+        nm: usize,
+        nc: usize,
+        nt: usize,
+        value: impl Fn(usize, usize, usize) -> f64,
+    ) -> Experiment {
+        let mut b = ExperimentBuilder::new("blocks");
+        let metrics: Vec<_> = (0..nm)
+            .map(|i| b.def_metric(format!("m{i}"), Unit::Seconds, "", None))
+            .collect();
+        let module = b.def_module("a.c", "/src/a.c");
+        let region = b.def_region("main", module, RegionKind::Function, 1, 2);
+        let cs = b.def_call_site("a.c", 1, region);
+        let root = b.def_call_node(cs, None);
+        let mut calls = vec![root];
+        calls.extend((1..nc).map(|_| b.def_call_node(cs, Some(root))));
+        let threads = cube_model::builder::single_threaded_system(&mut b, nt);
+        for (m, &metric) in metrics.iter().enumerate() {
+            for (c, &call) in calls.iter().enumerate() {
+                for (t, &thread) in threads.iter().enumerate() {
+                    let v = value(m, c, t);
+                    if v != 0.0 {
+                        b.set_severity(metric, call, thread, v);
+                    }
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// The streaming writer formats severities in blocks of whole rows
+    /// (up to 4,096 values) and waves of 16 blocks on the pool; every
+    /// block and wave edge must give the oracle's bytes at any thread
+    /// count.
+    #[test]
+    fn writers_agree_across_block_and_wave_edges_at_every_thread_count() {
+        // Full-precision values, a few quantized ones and zeros inside
+        // non-zero rows.
+        let value = |i: usize| match i % 11 {
+            0 => 0.0,
+            1 => (i as f64 * 1e-6).round(),
+            _ => (i as f64 * 0.618_033_988_749_895).sin() * 1e3 / 7.0,
+        };
+        let cases = [
+            // Rows longer than a block; in the second metric only the
+            // last row is non-zero.
+            dense(2, 3, 4100, |m, c, t| match (m, c) {
+                (0, 1) | (1, 0) | (1, 1) => 0.0,
+                _ => value(c * 4100 + t + 1),
+            }),
+            // Metric 0 holds 71,680 values (more than a wave) with
+            // scattered all-zero rows, metric 1 is all zero, and metric
+            // 2's only non-zero row is in its last block.
+            dense(4, 70, 1024, |m, c, t| match m {
+                0 if c % 7 == 3 => 0.0,
+                1 => 0.0,
+                2 if c != 69 => 0.0,
+                _ => value((m * 70 + c) * 1024 + t + 1),
+            }),
+            // All zero.
+            dense(2, 5, 3, |_, _, _| 0.0),
+        ];
+        let prev = rayon::current_num_threads();
+        for (i, e) in cases.iter().enumerate() {
+            let want = write_experiment_dom(e);
+            for threads in [1, 2, 8] {
+                rayon::set_threads(threads);
+                let got = write_experiment(e);
+                let at = got.bytes().zip(want.bytes()).position(|(a, b)| a != b);
+                assert!(
+                    got == want,
+                    "case {i} at {threads} threads: first difference at byte {at:?}"
+                );
+            }
+        }
+        rayon::set_threads(prev);
+        assert!(write_experiment(&cases[2]).contains("<severity/>"));
+    }
+
     #[test]
     fn recovered_provenance_and_footer_agree_with_the_oracle() {
         let mut e = build(&Spec {

@@ -6,12 +6,19 @@
 //! `tests/format_stability.rs` pins its output, and the in-crate DOM
 //! oracle must serialize every experiment to the same bytes.
 //!
-//! Severity rows are formatted into one reused scratch buffer, so the
-//! writer's transient memory is bounded by the longest row regardless
-//! of experiment size. Wrap the sink in a [`std::io::BufWriter`] when
-//! writing to a file; the writer issues many small `write_all` calls.
+//! The severity section is formatted in blocks of whole rows of one
+//! metric, up to 4,096 values each (one `.cubec` page, the kernel's
+//! block) unless a single row is longer. A wave of 16 blocks is
+//! formatted on the `rayon` pool into reused buffers, then written in
+//! order, so the bytes are the same at every thread count and the
+//! writer's transient memory is one wave of text (~1.4 MB of
+//! full-precision values) whatever the experiment's size. Wrap the
+//! sink in a [`std::io::BufWriter`] when writing to a file; the
+//! metadata sections issue many small `write_all` calls.
 
 use std::io;
+
+use rayon::prelude::*;
 
 use cube_model::{Experiment, MachineId, Metadata, MetricId, Provenance};
 
@@ -42,18 +49,18 @@ use crate::format::FORMAT_VERSION;
 /// ```
 pub struct CubeWriter<W: io::Write> {
     out: W,
-    /// Reused buffer for severity-row text; numbers never need
-    /// escaping, so rows go straight from here to the sink.
-    scratch: String,
 }
+
+/// Most values formatted into one block, unless a single row is longer.
+const BLOCK_VALUES: usize = 4096;
+
+/// Blocks formatted on the pool at once, then written in order.
+const WAVE_BLOCKS: usize = 16;
 
 impl<W: io::Write> CubeWriter<W> {
     /// Creates a writer over any byte sink.
     pub fn new(out: W) -> Self {
-        Self {
-            out,
-            scratch: String::new(),
-        }
+        Self { out }
     }
 
     /// Serializes a whole experiment, XML declaration included.
@@ -369,56 +376,85 @@ impl<W: io::Write> CubeWriter<W> {
     }
 
     fn severity(&mut self, exp: &Experiment) -> io::Result<()> {
-        let md = exp.metadata();
         let sev = exp.severity();
+        let (nm, nc, nt) = sev.shape();
+        let rows_per_block = (BLOCK_VALUES / nt.max(1)).max(1);
+        let blocks_per_metric = nc.div_ceil(rows_per_block);
+        let blocks = nm * blocks_per_metric;
+        // One wave of block text, reused from wave to wave; numbers
+        // never need escaping, so blocks go straight to the sink.
+        let mut texts = vec![String::new(); WAVE_BLOCKS.min(blocks)];
         // <severity> and each <matrix> open lazily on their first
-        // non-zero row, so all-zero matrices (and an all-zero
-        // experiment) collapse to self-closing tags.
-        let mut severity_open = false;
-        for m in md.metric_ids() {
-            let mut matrix_open = false;
-            for c in md.call_node_ids() {
-                let row = sev.row(m, c);
-                if row.iter().all(|&v| v == 0.0) {
+        // non-zero row, so all-zero matrices vanish and an all-zero
+        // experiment collapses to a self-closing tag.
+        let mut open_matrix = None;
+        for first in (0..blocks).step_by(WAVE_BLOCKS) {
+            let wave = &mut texts[..WAVE_BLOCKS.min(blocks - first)];
+            // (metric, first call node, rows) of the wave's `k`-th block.
+            let block = |k: usize| {
+                let (m, b) = (
+                    (first + k) / blocks_per_metric,
+                    (first + k) % blocks_per_metric,
+                );
+                let c = b * rows_per_block;
+                (m, c, rows_per_block.min(nc - c))
+            };
+            wave.par_iter_mut()
+                .enumerate()
+                .with_min_len(1)
+                .for_each(|(k, text)| {
+                    let (m, c, rows) = block(k);
+                    let start = (m * nc + c) * nt;
+                    format_block(text, &sev.values()[start..start + rows * nt], nt, c);
+                });
+            for (k, text) in wave.iter().enumerate() {
+                let m = block(k).0;
+                if text.is_empty() {
                     continue;
                 }
-                if !severity_open {
-                    severity_open = true;
-                    self.open_tag(1, "severity", &[])?;
-                    self.children_follow()?;
-                }
-                if !matrix_open {
-                    matrix_open = true;
-                    self.open_tag(2, "matrix", &[("metric", &m.raw().to_string())])?;
-                    self.children_follow()?;
-                }
-                self.scratch.clear();
-                for (i, v) in row.iter().enumerate() {
-                    if i > 0 {
-                        self.scratch.push(' ');
+                if open_matrix != Some(m) {
+                    if open_matrix.is_some() {
+                        self.close(2, "matrix")?;
+                    } else {
+                        self.open_tag(1, "severity", &[])?;
+                        self.children_follow()?;
                     }
-                    // Shortest representation, byte-identical to `{}`,
-                    // keeps the f64 round-trip exact.
-                    crate::fmt64::push_f64(&mut self.scratch, *v);
+                    open_matrix = Some(m);
+                    self.open_tag(2, "matrix", &[("metric", &m.to_string())])?;
+                    self.children_follow()?;
                 }
-                self.indent(3)?;
-                write!(
-                    self.out,
-                    "<row cnode=\"{}\">{}</row>",
-                    c.raw(),
-                    self.scratch
-                )?;
-                self.out.write_all(b"\n")?;
-            }
-            if matrix_open {
-                self.close(2, "matrix")?;
+                self.out.write_all(text.as_bytes())?;
             }
         }
-        if severity_open {
-            self.close(1, "severity")
-        } else {
-            self.empty(1, "severity", &[])
+        if open_matrix.is_none() {
+            return self.empty(1, "severity", &[]);
         }
+        self.close(2, "matrix")?;
+        self.close(1, "severity")
+    }
+}
+
+/// Formats the `<row>` lines of `rows` — consecutive whole rows of one
+/// metric, `nt` values each, the first for call node `first_cnode` —
+/// into `text`, skipping rows that are all zero.
+fn format_block(text: &mut String, rows: &[f64], nt: usize, first_cnode: usize) {
+    text.clear();
+    for (i, row) in rows.chunks_exact(nt.max(1)).enumerate() {
+        if row.iter().all(|&v| v == 0.0) {
+            continue;
+        }
+        text.push_str("      <row cnode=\"");
+        crate::fmt64::push_u64(text, (first_cnode + i) as u64);
+        text.push_str("\">");
+        for (j, &v) in row.iter().enumerate() {
+            if j > 0 {
+                text.push(' ');
+            }
+            // Shortest representation, byte-identical to `{}`, keeps
+            // the f64 round-trip exact.
+            crate::fmt64::push_f64(text, v);
+        }
+        text.push_str("</row>\n");
     }
 }
 
