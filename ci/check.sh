@@ -253,6 +253,38 @@ stage_store() {
         fi
     done
 
+    echo "== model gate: every .cubec reader refuses a store that fails the data model"
+    # The fixture's CRCs are valid, but region reg1 names module 99.
+    # The recovery gate above already requires cube repair to exit 2;
+    # cube check's lazy open must not resolve the operand (A001), and
+    # lint must name the rule (E004).
+    dangling=tests/fixtures/corrupt/dangling_module.cubec
+    set +e
+    out="$(./target/release/cube check "mean(dangling_module,run0)" \
+        "$dangling" "$det/corpus/run0.cubec" --format json)"
+    status=$?
+    set -e
+    case "$status:$out" in
+    1:*'"code":"A001"'*) ;;
+    *)
+        echo "cube check over $dangling exited $status, expected 1 with A001:" >&2
+        echo "$out" >&2
+        exit 1
+        ;;
+    esac
+    set +e
+    out="$(./target/release/cube lint "$dangling")"
+    status=$?
+    set -e
+    case "$status:$out" in
+    1:*E004*) ;;
+    *)
+        echo "cube lint $dangling exited $status, expected 1 with E004:" >&2
+        echo "$out" >&2
+        exit 1
+        ;;
+    esac
+
     echo "== recovery gate: intact files repair with exit 0"
     ./target/release/cube repair tests/fixtures/valid/full.cube "$work/intact.cube"
 

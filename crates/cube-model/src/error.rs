@@ -3,7 +3,9 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::ids::{CallNodeId, CallSiteId, MetricId, ProcessId, RegionId, ThreadId};
+use crate::ids::{
+    CallNodeId, CallSiteId, MachineId, MetricId, ModuleId, NodeId, ProcessId, RegionId, ThreadId,
+};
 use crate::metric::Unit;
 
 /// Violation of a data-model constraint.
@@ -12,11 +14,12 @@ use crate::metric::Unit;
 /// [`ExperimentBuilder::build`](crate::ExperimentBuilder::build) report the
 /// first constraint violation they find. Every variant corresponds to one
 /// of the constraints prescribed by the CUBE data model (Section 2 of the
-/// paper).
+/// paper), and each is also one `E0xx` rule of [`mod@crate::lint`],
+/// which turns it into a diagnostic located at the entity named first.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelError {
     /// A metric refers to a parent identifier that does not exist.
-    DanglingMetricParent { metric: MetricId },
+    DanglingMetricParent { metric: MetricId, parent: MetricId },
     /// A metric's unit differs from the unit of its tree root. Within
     /// each metric tree all metrics must share one unit of measurement.
     MixedUnitsInMetricTree {
@@ -27,27 +30,45 @@ pub enum ModelError {
     /// The metric parent chain contains a cycle.
     MetricCycle { metric: MetricId },
     /// A region refers to a module that does not exist.
-    DanglingRegionModule { region: RegionId },
+    DanglingRegionModule { region: RegionId, module: ModuleId },
     /// A region's begin line is after its end line.
     InvertedRegionLines { region: RegionId },
     /// A call site's callee region does not exist.
-    DanglingCallSiteCallee { call_site: CallSiteId },
+    DanglingCallSiteCallee {
+        call_site: CallSiteId,
+        callee: RegionId,
+    },
     /// A call-tree node refers to a call site that does not exist.
-    DanglingCallNodeSite { call_node: CallNodeId },
+    DanglingCallNodeSite {
+        call_node: CallNodeId,
+        call_site: CallSiteId,
+    },
     /// A call-tree node refers to a parent that does not exist.
-    DanglingCallNodeParent { call_node: CallNodeId },
+    DanglingCallNodeParent {
+        call_node: CallNodeId,
+        parent: CallNodeId,
+    },
     /// The call-tree parent chain contains a cycle.
     CallNodeCycle { call_node: CallNodeId },
     /// A node refers to a machine that does not exist.
-    DanglingNodeMachine { node: crate::ids::NodeId },
+    DanglingNodeMachine { node: NodeId, machine: MachineId },
     /// A process refers to a node that does not exist.
-    DanglingProcessNode { process: ProcessId },
+    DanglingProcessNode { process: ProcessId, node: NodeId },
     /// A thread refers to a process that does not exist.
-    DanglingThreadProcess { thread: ThreadId },
-    /// Two processes share the same application-level rank.
-    DuplicateRank { rank: i32 },
-    /// Two threads of the same process share the same thread number.
-    DuplicateThreadNumber { process: ProcessId, number: u32 },
+    DanglingThreadProcess {
+        thread: ThreadId,
+        process: ProcessId,
+    },
+    /// Two processes share the same application-level rank; `process`
+    /// is the later of the two.
+    DuplicateRank { process: ProcessId, rank: i32 },
+    /// Two threads of the same process share the same thread number;
+    /// `thread` is the later of the two.
+    DuplicateThreadNumber {
+        thread: ThreadId,
+        process: ProcessId,
+        number: u32,
+    },
     /// The severity store's shape disagrees with the metadata tables.
     SeverityShapeMismatch {
         expected: (usize, usize, usize),
@@ -74,6 +95,8 @@ pub enum ModelError {
     NoThreads,
     /// A Cartesian topology violates its structural constraints.
     BadTopology {
+        /// Position in the metadata's topology table.
+        index: usize,
         /// Topology name.
         topology: String,
         /// What is wrong.
@@ -84,8 +107,11 @@ pub enum ModelError {
 impl fmt::Display for ModelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::DanglingMetricParent { metric } => {
-                write!(f, "metric {metric:?} refers to a nonexistent parent")
+            Self::DanglingMetricParent { metric, parent } => {
+                write!(
+                    f,
+                    "metric {metric:?} refers to nonexistent parent {parent:?}"
+                )
             }
             Self::MixedUnitsInMetricTree {
                 metric,
@@ -99,42 +125,56 @@ impl fmt::Display for ModelError {
             Self::MetricCycle { metric } => {
                 write!(f, "metric {metric:?} participates in a parent cycle")
             }
-            Self::DanglingRegionModule { region } => {
-                write!(f, "region {region:?} refers to a nonexistent module")
+            Self::DanglingRegionModule { region, module } => {
+                write!(
+                    f,
+                    "region {region:?} refers to nonexistent module {module:?}"
+                )
             }
             Self::InvertedRegionLines { region } => {
                 write!(f, "region {region:?} has begin line after end line")
             }
-            Self::DanglingCallSiteCallee { call_site } => {
-                write!(f, "call site {call_site:?} refers to a nonexistent callee")
-            }
-            Self::DanglingCallNodeSite { call_node } => {
-                write!(
-                    f,
-                    "call node {call_node:?} refers to a nonexistent call site"
-                )
-            }
-            Self::DanglingCallNodeParent { call_node } => {
-                write!(f, "call node {call_node:?} refers to a nonexistent parent")
-            }
+            Self::DanglingCallSiteCallee { call_site, callee } => write!(
+                f,
+                "call site {call_site:?} refers to nonexistent callee {callee:?}"
+            ),
+            Self::DanglingCallNodeSite {
+                call_node,
+                call_site,
+            } => write!(
+                f,
+                "call node {call_node:?} refers to nonexistent call site {call_site:?}"
+            ),
+            Self::DanglingCallNodeParent { call_node, parent } => write!(
+                f,
+                "call node {call_node:?} refers to nonexistent parent {parent:?}"
+            ),
             Self::CallNodeCycle { call_node } => {
                 write!(f, "call node {call_node:?} participates in a parent cycle")
             }
-            Self::DanglingNodeMachine { node } => {
-                write!(f, "node {node:?} refers to a nonexistent machine")
+            Self::DanglingNodeMachine { node, machine } => {
+                write!(f, "node {node:?} refers to nonexistent machine {machine:?}")
             }
-            Self::DanglingProcessNode { process } => {
-                write!(f, "process {process:?} refers to a nonexistent node")
+            Self::DanglingProcessNode { process, node } => {
+                write!(f, "process {process:?} refers to nonexistent node {node:?}")
             }
-            Self::DanglingThreadProcess { thread } => {
-                write!(f, "thread {thread:?} refers to a nonexistent process")
-            }
-            Self::DuplicateRank { rank } => {
-                write!(f, "two processes share application-level rank {rank}")
-            }
-            Self::DuplicateThreadNumber { process, number } => {
-                write!(f, "process {process:?} has two threads numbered {number}")
-            }
+            Self::DanglingThreadProcess { thread, process } => write!(
+                f,
+                "thread {thread:?} refers to nonexistent process {process:?}"
+            ),
+            Self::DuplicateRank { process, rank } => write!(
+                f,
+                "process {process:?} shares application-level rank {rank} with an earlier process"
+            ),
+            Self::DuplicateThreadNumber {
+                thread,
+                process,
+                number,
+            } => write!(
+                f,
+                "thread {thread:?} shares number {number} of process {process:?} \
+                 with an earlier thread"
+            ),
             Self::SeverityShapeMismatch { expected, actual } => write!(
                 f,
                 "severity store shaped {actual:?} but metadata requires {expected:?} \
@@ -161,9 +201,11 @@ impl fmt::Display for ModelError {
                 f,
                 "experiment defines no thread; the thread level is mandatory"
             ),
-            Self::BadTopology { topology, reason } => {
-                write!(f, "topology '{topology}' is invalid: {reason}")
-            }
+            Self::BadTopology {
+                index,
+                topology,
+                reason,
+            } => write!(f, "topology #{index} '{topology}' is invalid: {reason}"),
         }
     }
 }
@@ -178,6 +220,7 @@ mod tests {
     fn display_mentions_entities() {
         let e = ModelError::DanglingMetricParent {
             metric: MetricId::new(3),
+            parent: MetricId::new(7),
         };
         assert!(e.to_string().contains("met3"));
 

@@ -74,27 +74,12 @@ impl Experiment {
         self.provenance = provenance;
     }
 
-    /// Checks all data-model constraints: metadata constraints, shape
-    /// agreement between severity and metadata, the mandatory thread
-    /// level, and absence of NaN severities.
+    /// Checks all data-model constraints: those of
+    /// [`Metadata::validate`], then shape agreement between severity and
+    /// metadata, then absence of NaN severities. Returns the first
+    /// violation in the order of the error rules of [`mod@crate::lint`].
     pub fn validate(&self) -> Result<(), ModelError> {
-        self.metadata.validate()?;
-        if self.metadata.threads().is_empty() {
-            return Err(ModelError::NoThreads);
-        }
-        let expected = self.metadata.shape();
-        let actual = self.severity.shape();
-        if expected != actual {
-            return Err(ModelError::SeverityShapeMismatch { expected, actual });
-        }
-        if let Some((m, c, t)) = self.severity.find_nan() {
-            return Err(ModelError::NanSeverity {
-                metric: m,
-                call_node: c,
-                thread: t,
-            });
-        }
-        Ok(())
+        crate::lint::model_rules(&self.metadata, &self.severity, &mut Err)
     }
 
     /// Runs every lint rule over this experiment and reports all

@@ -1,20 +1,24 @@
-//! Static diagnostics for experiments: the `cube lint` rule engine.
+//! Static diagnostics for experiments: the `cube lint` rule engine, and
+//! the data-model check behind `validate`.
 //!
 //! [`Experiment::validate`](crate::Experiment::validate) answers the
 //! yes/no question "is this a valid instance of the data model?" and
 //! stops at the first violation. This module answers the analyst's
 //! question instead: *everything* that is wrong or suspicious about an
 //! experiment, each finding tagged with a stable [`RuleCode`], a
-//! [`Level`], and a precise [`Location`].
+//! [`Level`], and a precise [`Location`]. Both run one walk.
 //!
 //! ## Rule codes
 //!
-//! * `E0xx` — structural **errors**: violations of the data model.
-//!   The E0xx rules are exactly the checks of
-//!   [`Experiment::validate`]: an experiment validates if and only if
-//!   [`lint`] reports no error (see [`Report::has_errors`]). That
-//!   alignment is what lets `cube-algebra` enforce the paper's closure
-//!   theorem with a lint in debug builds.
+//! * `E0xx` — structural **errors**: violations of the data model. Each
+//!   rule reports its violation as a [`ModelError`], and
+//!   [`diagnostic_of_model_error`] turns it into a diagnostic. The E0xx
+//!   rules are the only implementation of the data-model check:
+//!   [`Metadata::validate`] and [`Experiment::validate`] run them with
+//!   the warning rules off and return the first violation, so an
+//!   experiment validates if and only if [`lint`] reports no error (see
+//!   [`Report::has_errors`]). That alignment is what lets `cube-algebra`
+//!   enforce the paper's closure theorem with a lint in debug builds.
 //! * `E1xx` — **parse-level errors**. Never produced by [`lint`]
 //!   itself; the `cube-xml` crate maps I/O and parse failures onto
 //!   these codes so file diagnostics and model diagnostics share one
@@ -23,18 +27,37 @@
 //!   almost certainly wrong (an unreferenced region, a gap in thread
 //!   numbers, a negative severity in an *original* experiment).
 //!
+//! ## Rule order
+//!
+//! The error rules run in this order, which is the order of errors in a
+//! [`Report`] and decides which violation `validate` returns:
+//!
+//! 1. metrics: `E001` over every metric, then `E002`, then `E003`;
+//! 2. program: `E004` and `E005` per region, `E006` per call site,
+//!    `E007` and `E008` per call-tree node, then `E009`;
+//! 3. system: `E010` per node, `E011` and `E013` per process, `E012`
+//!    or `E014` per thread, then `E017`;
+//! 4. `E018` per topology;
+//! 5. severity: `E015`, then `E016` per value in store order; a shape
+//!    mismatch skips the value rule.
+//!
+//! [`Metadata::validate`] runs steps 1–4: everything a reader can check
+//! before it holds severity values. [`Experiment::validate`] runs all
+//! five, and [`validate_values`] runs the value rule alone, for a
+//! reader that loads values after it has checked the metadata.
+//!
 //! Orphan subtrees need no rule of their own: with dense identifiers a
 //! node is unreachable from the roots exactly when its parent chain
 //! dangles (`E001`/`E008`) or cycles (`E002`/`E009`). Duplicate
 //! identifiers are likewise unrepresentable in [`Metadata`]'s dense
 //! tables; a file that writes them is rejected at parse level (`E103`).
 //!
-//! Value-scanning rules cap their output at [`MAX_PER_RULE`]
-//! diagnostics per rule and append one summary diagnostic with the
-//! suppressed count, so linting a gigabyte of NaN stays readable.
+//! Every rule caps its output at [`MAX_PER_RULE`] diagnostics and
+//! appends one summary diagnostic with the suppressed count, so linting
+//! a gigabyte of NaN stays readable. A finding past the cap is only
+//! counted: its message is never built.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use crate::error::ModelError;
@@ -73,7 +96,7 @@ impl fmt::Display for Level {
 /// forever (CI configurations reference them textually).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleCode {
-    // -- E0xx: data-model violations (mirrors Experiment::validate) --
+    // -- E0xx: data-model violations (the rules of Experiment::validate) --
     /// A metric's parent identifier does not exist.
     DanglingMetricParent,
     /// The metric parent chain contains a cycle.
@@ -508,40 +531,55 @@ impl fmt::Display for Report {
     }
 }
 
-/// Collects diagnostics while enforcing the per-rule cap.
+/// Collects lint findings while enforcing the per-rule cap. A finding
+/// past the cap is only counted, so its message is never built.
+#[derive(Default)]
 struct Collector {
-    diagnostics: Vec<Diagnostic>,
+    /// Kept violations of the error rules, formatted by `finish`.
+    errors: Vec<ModelError>,
+    /// Kept findings of the warning rules.
+    warnings: Vec<Diagnostic>,
+    /// Findings per rule, kept or not.
     counts: BTreeMap<RuleCode, usize>,
 }
 
 impl Collector {
-    fn new() -> Self {
-        Self {
-            diagnostics: Vec::new(),
-            counts: BTreeMap::new(),
-        }
-    }
-
-    fn push(&mut self, code: RuleCode, location: Location, message: impl Into<String>) {
+    /// Counts one finding of `code`; true while the rule is under its
+    /// cap.
+    fn keep(&mut self, code: RuleCode) -> bool {
         let n = self.counts.entry(code).or_insert(0);
         *n += 1;
-        if *n <= MAX_PER_RULE {
-            self.diagnostics
-                .push(Diagnostic::new(code, location, message));
+        *n <= MAX_PER_RULE
+    }
+
+    fn error(&mut self, e: ModelError) {
+        if self.keep(code_of_model_error(&e)) {
+            self.errors.push(e);
         }
     }
 
-    fn finish(mut self) -> Report {
+    /// Records a warning; `message` runs only if the warning is kept.
+    fn warn(&mut self, code: RuleCode, location: Location, message: impl FnOnce() -> String) {
+        if self.keep(code) {
+            self.warnings
+                .push(Diagnostic::new(code, location, message()));
+        }
+    }
+
+    fn finish(self) -> Report {
+        let mut diagnostics: Vec<Diagnostic> =
+            self.errors.iter().map(diagnostic_of_model_error).collect();
+        diagnostics.extend(self.warnings);
         for (&code, &n) in &self.counts {
             if n > MAX_PER_RULE {
-                self.diagnostics.push(Diagnostic::new(
+                diagnostics.push(Diagnostic::new(
                     code,
                     Location::Experiment,
                     format!("{} further {code} diagnostics suppressed", n - MAX_PER_RULE),
                 ));
             }
         }
-        Report::from_diagnostics(self.diagnostics)
+        Report::from_diagnostics(diagnostics)
     }
 }
 
@@ -557,118 +595,287 @@ pub fn lint(exp: &Experiment) -> Report {
 /// [`Experiment::new`](crate::Experiment::new) would reject — and
 /// report *all* of their violations, not just the first.
 pub fn lint_parts(md: &Metadata, sev: &Severity, prov: &Provenance) -> Report {
-    let mut c = Collector::new();
-    lint_metric_dimension(md, &mut c);
-    lint_program_dimension(md, &mut c);
-    lint_system_dimension(md, &mut c);
-    lint_topologies(md, &mut c);
-    lint_severity(md, sev, prov, &mut c);
+    let mut c = Collector::default();
+    // Lint keeps every violation, so the error rules run to the end.
+    let _ = model_rules(md, sev, &mut |e| {
+        c.error(e);
+        Ok(())
+    });
+    metric_warnings(md, &mut c);
+    program_warnings(md, &mut c);
+    system_warnings(md, &mut c);
+    topology_warnings(md, &mut c);
+    if md.shape() == sev.shape() {
+        value_warnings(sev, prov, &mut c);
+    }
     c.finish()
 }
 
-/// Walks the parent chain from `start`; returns the root index, or
-/// `None` when the chain dangles (reported elsewhere) or cycles.
-fn chain_root(
-    parent_of: impl Fn(usize) -> Option<usize>,
-    len: usize,
-    start: usize,
-) -> Option<usize> {
-    let mut cur = start;
-    let mut hops = 0usize;
-    loop {
-        match parent_of(cur) {
-            Some(p) if p < len => {
-                cur = p;
-                hops += 1;
-                if hops > len {
-                    return None; // cycle
-                }
-            }
-            Some(_) => return None, // dangling
-            None => return Some(cur),
-        }
-    }
+/// The value rule of [`Experiment::validate`] (`E016`) over severity
+/// values laid out as `shape` `(metrics, call nodes, threads)`, for a
+/// reader that holds values outside a [`Severity`]: the first NaN is
+/// returned as [`ModelError::NanSeverity`]. `values` must hold the
+/// product of `shape`'s extents, as a [`Severity`] of that shape does.
+pub fn validate_values(values: &[f64], shape: (usize, usize, usize)) -> Result<(), ModelError> {
+    nan_rule(values, shape, &mut Err)
 }
 
-fn lint_metric_dimension(md: &Metadata, c: &mut Collector) {
-    let metrics = md.metrics();
-    let n = metrics.len();
-    let parent_of = |i: usize| metrics[i].parent.map(|p| p.index());
+/// Receives each violation an error rule finds. `validate` passes
+/// `Err`, which ends the walk at the first; lint keeps them all.
+pub(crate) type Found<'a> = dyn FnMut(ModelError) -> Result<(), ModelError> + 'a;
 
-    for (i, m) in metrics.iter().enumerate() {
-        let id = MetricId::from_index(i);
-        if let Some(p) = m.parent {
-            if p.index() >= n {
-                c.push(
-                    RuleCode::DanglingMetricParent,
-                    Location::Metric(id),
-                    format!("metric '{}' refers to nonexistent parent {p:?}", m.name),
-                );
-            }
+/// Every error rule, in the order of the module documentation: the
+/// check behind [`Experiment::validate`].
+pub(crate) fn model_rules(
+    md: &Metadata,
+    sev: &Severity,
+    found: &mut Found,
+) -> Result<(), ModelError> {
+    metadata_rules(md, found)?;
+    let (expected, actual) = (md.shape(), sev.shape());
+    if expected != actual {
+        // Flat indices cannot be mapped onto tuples: no value rule.
+        return found(ModelError::SeverityShapeMismatch { expected, actual });
+    }
+    nan_rule(sev.values(), actual, found)
+}
+
+/// Steps 1–4 of the rule order: the check behind [`Metadata::validate`].
+pub(crate) fn metadata_rules(md: &Metadata, found: &mut Found) -> Result<(), ModelError> {
+    metric_rules(md, found)?;
+    program_rules(md, found)?;
+    system_rules(md, found)?;
+    for (index, t) in md.topologies().iter().enumerate() {
+        if let Err(reason) = t.validate(md.processes().len()) {
+            found(ModelError::BadTopology {
+                index,
+                topology: t.name.clone(),
+                reason,
+            })?;
         }
     }
-    for (i, m) in metrics.iter().enumerate() {
-        let id = MetricId::from_index(i);
-        // Dangling chains were reported above; only flag true cycles.
-        let dangles = |j: usize| matches!(parent_of(j), Some(p) if p >= n);
-        let mut cur = i;
-        let mut hops = 0usize;
-        let cycles = loop {
-            if dangles(cur) {
-                break false;
+    Ok(())
+}
+
+/// Where a parent chain ends.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum ChainEnd {
+    /// At this root.
+    Root(usize),
+    /// At a parent index outside the table.
+    Dangles,
+    /// Nowhere: the chain runs into a cycle.
+    Cycles,
+}
+
+/// Where the parent chain of each of `len` table entries ends, with
+/// `parent_of` giving each entry's parent. Every entry is stepped from
+/// once, so a forged deep chain costs linear time, not quadratic.
+fn chain_ends(len: usize, parent_of: impl Fn(usize) -> Option<usize>) -> Vec<ChainEnd> {
+    // Entries on the chain being walked hold `Cycles` until its end is
+    // found, so meeting one of them again closes a cycle.
+    let mut ends = vec![None; len];
+    let mut path = Vec::new();
+    for start in 0..len {
+        let mut cur = start;
+        let end = loop {
+            if let Some(end) = ends[cur] {
+                break end;
             }
+            ends[cur] = Some(ChainEnd::Cycles);
+            path.push(cur);
             match parent_of(cur) {
-                Some(p) => {
-                    cur = p;
-                    hops += 1;
-                    if hops > n {
-                        break true;
-                    }
-                }
-                None => break false,
+                None => break ChainEnd::Root(cur),
+                Some(p) if p >= len => break ChainEnd::Dangles,
+                Some(p) => cur = p,
             }
         };
-        if cycles {
-            c.push(
-                RuleCode::MetricCycle,
-                Location::Metric(id),
-                format!("metric '{}' participates in a parent cycle", m.name),
-            );
+        for i in path.drain(..) {
+            ends[i] = Some(end);
         }
     }
+    ends.into_iter().flatten().collect()
+}
+
+fn metric_rules(md: &Metadata, found: &mut Found) -> Result<(), ModelError> {
+    let metrics = md.metrics();
+    let n = metrics.len();
     for (i, m) in metrics.iter().enumerate() {
-        let id = MetricId::from_index(i);
-        if let Some(root) = chain_root(parent_of, n, i) {
+        if let Some(parent) = m.parent.filter(|p| p.index() >= n) {
+            found(ModelError::DanglingMetricParent {
+                metric: MetricId::from_index(i),
+                parent,
+            })?;
+        }
+    }
+    let ends = chain_ends(n, |i| metrics[i].parent.map(MetricId::index));
+    for (i, end) in ends.iter().enumerate() {
+        // A dangling chain is E001's, not a cycle.
+        if *end == ChainEnd::Cycles {
+            found(ModelError::MetricCycle {
+                metric: MetricId::from_index(i),
+            })?;
+        }
+    }
+    for (i, (m, end)) in metrics.iter().zip(ends).enumerate() {
+        if let ChainEnd::Root(root) = end {
             let root_unit = metrics[root].unit;
             if m.unit != root_unit {
-                c.push(
-                    RuleCode::MixedUnitsInMetricTree,
-                    Location::Metric(id),
-                    format!(
-                        "metric '{}' has unit '{}' but its tree root '{}' has unit '{}'",
-                        m.name, m.unit, metrics[root].name, root_unit
-                    ),
-                );
+                found(ModelError::MixedUnitsInMetricTree {
+                    metric: MetricId::from_index(i),
+                    unit: m.unit,
+                    root_unit,
+                })?;
             }
         }
     }
+    Ok(())
+}
+
+fn program_rules(md: &Metadata, found: &mut Found) -> Result<(), ModelError> {
+    let (modules, regions) = (md.modules(), md.regions());
+    let (sites, cnodes) = (md.call_sites(), md.call_nodes());
+    for (i, r) in regions.iter().enumerate() {
+        let region = RegionId::from_index(i);
+        if r.module.index() >= modules.len() {
+            found(ModelError::DanglingRegionModule {
+                region,
+                module: r.module,
+            })?;
+        }
+        if r.begin_line > r.end_line {
+            found(ModelError::InvertedRegionLines { region })?;
+        }
+    }
+    for (i, cs) in sites.iter().enumerate() {
+        if cs.callee.index() >= regions.len() {
+            found(ModelError::DanglingCallSiteCallee {
+                call_site: CallSiteId::from_index(i),
+                callee: cs.callee,
+            })?;
+        }
+    }
+    let n = cnodes.len();
+    for (i, cn) in cnodes.iter().enumerate() {
+        let call_node = CallNodeId::from_index(i);
+        if cn.call_site.index() >= sites.len() {
+            found(ModelError::DanglingCallNodeSite {
+                call_node,
+                call_site: cn.call_site,
+            })?;
+        }
+        if let Some(parent) = cn.parent.filter(|p| p.index() >= n) {
+            found(ModelError::DanglingCallNodeParent { call_node, parent })?;
+        }
+    }
+    let ends = chain_ends(n, |i| cnodes[i].parent.map(CallNodeId::index));
+    for (i, end) in ends.into_iter().enumerate() {
+        if end == ChainEnd::Cycles {
+            found(ModelError::CallNodeCycle {
+                call_node: CallNodeId::from_index(i),
+            })?;
+        }
+    }
+    Ok(())
+}
+
+fn system_rules(md: &Metadata, found: &mut Found) -> Result<(), ModelError> {
+    let (machines, nodes) = (md.machines(), md.nodes());
+    let (processes, threads) = (md.processes(), md.threads());
+    for (i, n) in nodes.iter().enumerate() {
+        if n.machine.index() >= machines.len() {
+            found(ModelError::DanglingNodeMachine {
+                node: NodeId::from_index(i),
+                machine: n.machine,
+            })?;
+        }
+    }
+    let mut ranks = HashSet::with_capacity(processes.len());
+    for (i, p) in processes.iter().enumerate() {
+        let process = ProcessId::from_index(i);
+        if p.node.index() >= nodes.len() {
+            found(ModelError::DanglingProcessNode {
+                process,
+                node: p.node,
+            })?;
+        }
+        if !ranks.insert(p.rank) {
+            found(ModelError::DuplicateRank {
+                process,
+                rank: p.rank,
+            })?;
+        }
+    }
+    let mut numbers = HashSet::with_capacity(threads.len());
+    for (i, t) in threads.iter().enumerate() {
+        let thread = ThreadId::from_index(i);
+        if t.process.index() >= processes.len() {
+            found(ModelError::DanglingThreadProcess {
+                thread,
+                process: t.process,
+            })?;
+        } else if !numbers.insert((t.process, t.number)) {
+            found(ModelError::DuplicateThreadNumber {
+                thread,
+                process: t.process,
+                number: t.number,
+            })?;
+        }
+    }
+    if threads.is_empty() {
+        found(ModelError::NoThreads)?;
+    }
+    Ok(())
+}
+
+/// The severity tuple at flat index `i` of a store with `nc` call nodes
+/// and `nt` threads.
+fn tuple_at(i: usize, nc: usize, nt: usize) -> (MetricId, CallNodeId, ThreadId) {
+    (
+        MetricId::from_index(i / (nt * nc)),
+        CallNodeId::from_index((i / nt) % nc),
+        ThreadId::from_index(i % nt),
+    )
+}
+
+/// `E016`: every NaN among `values`, a store of `shape`, in store order.
+fn nan_rule(
+    values: &[f64],
+    shape: (usize, usize, usize),
+    found: &mut Found,
+) -> Result<(), ModelError> {
+    let (_, nc, nt) = shape;
+    let mut at = 0;
+    while let Some(j) = values[at..].iter().position(|v| v.is_nan()) {
+        let (metric, call_node, thread) = tuple_at(at + j, nc, nt);
+        found(ModelError::NanSeverity {
+            metric,
+            call_node,
+            thread,
+        })?;
+        at += j + 1;
+    }
+    Ok(())
+}
+
+fn metric_warnings(md: &Metadata, c: &mut Collector) {
     // W001: sibling metrics sharing (name, unit) can never both survive
     // metadata integration — the merge would silently fold them.
     let mut seen: HashMap<(Option<u32>, &str, crate::metric::Unit), usize> = HashMap::new();
-    for (i, m) in metrics.iter().enumerate() {
+    for (i, m) in md.metrics().iter().enumerate() {
         let key = (m.parent.map(|p| p.raw()), m.name.as_str(), m.unit);
         match seen.get(&key) {
-            Some(&first) => {
-                c.push(
-                    RuleCode::DuplicateSiblingMetric,
-                    Location::Metric(MetricId::from_index(i)),
+            Some(&first) => c.warn(
+                RuleCode::DuplicateSiblingMetric,
+                Location::Metric(MetricId::from_index(i)),
+                || {
                     format!(
                         "metric '{}' duplicates sibling {:?} (same name and unit)",
                         m.name,
                         MetricId::from_index(first)
-                    ),
-                );
-            }
+                    )
+                },
+            ),
             None => {
                 seen.insert(key, i);
             }
@@ -676,236 +883,63 @@ fn lint_metric_dimension(md: &Metadata, c: &mut Collector) {
     }
 }
 
-fn lint_program_dimension(md: &Metadata, c: &mut Collector) {
-    let modules = md.modules();
-    let regions = md.regions();
-    let csites = md.call_sites();
-    let cnodes = md.call_nodes();
-
-    let mut module_used = vec![false; modules.len()];
-    for (i, r) in regions.iter().enumerate() {
-        let id = RegionId::from_index(i);
-        if r.module.index() >= modules.len() {
-            c.push(
-                RuleCode::DanglingRegionModule,
-                Location::Region(id),
-                format!(
-                    "region '{}' refers to nonexistent module {:?}",
-                    r.name, r.module
-                ),
-            );
-        } else {
-            module_used[r.module.index()] = true;
-        }
-        if r.begin_line > r.end_line {
-            c.push(
-                RuleCode::InvertedRegionLines,
-                Location::Region(id),
-                format!(
-                    "region '{}' begins at line {} but ends at line {}",
-                    r.name, r.begin_line, r.end_line
-                ),
-            );
+/// Which of `len` table entries `refs` point at. A dangling reference
+/// is an error rule's finding and marks nothing.
+fn referenced(len: usize, refs: impl Iterator<Item = usize>) -> Vec<bool> {
+    let mut used = vec![false; len];
+    for r in refs {
+        if let Some(u) = used.get_mut(r) {
+            *u = true;
         }
     }
-    for (i, used) in module_used.iter().enumerate() {
-        if !used {
-            c.push(
+    used
+}
+
+fn program_warnings(md: &Metadata, c: &mut Collector) {
+    let (modules, regions) = (md.modules(), md.regions());
+    let (csites, cnodes) = (md.call_sites(), md.call_nodes());
+    let module_used = referenced(modules.len(), regions.iter().map(|r| r.module.index()));
+    for (i, m) in modules.iter().enumerate() {
+        if !module_used[i] {
+            c.warn(
                 RuleCode::EmptyModule,
                 Location::Module(ModuleId::from_index(i)),
-                format!("module '{}' contains no region", modules[i].name),
+                || format!("module '{}' contains no region", m.name),
             );
         }
     }
-
-    let mut region_used = vec![false; regions.len()];
-    for (i, cs) in csites.iter().enumerate() {
-        if cs.callee.index() >= regions.len() {
-            c.push(
-                RuleCode::DanglingCallSiteCallee,
-                Location::CallSite(CallSiteId::from_index(i)),
-                format!(
-                    "call site at {}:{} refers to nonexistent callee {:?}",
-                    cs.file, cs.line, cs.callee
-                ),
-            );
-        } else {
-            region_used[cs.callee.index()] = true;
-        }
-    }
-    for (i, used) in region_used.iter().enumerate() {
-        if !used {
-            c.push(
+    let region_used = referenced(regions.len(), csites.iter().map(|s| s.callee.index()));
+    for (i, r) in regions.iter().enumerate() {
+        if !region_used[i] {
+            c.warn(
                 RuleCode::UnreferencedRegion,
                 Location::Region(RegionId::from_index(i)),
-                format!(
-                    "region '{}' is not the callee of any call site",
-                    regions[i].name
-                ),
+                || format!("region '{}' is not the callee of any call site", r.name),
             );
         }
     }
-
-    let n = cnodes.len();
-    let parent_of = |i: usize| cnodes[i].parent.map(|p| p.index());
-    let mut csite_used = vec![false; csites.len()];
-    for (i, cn) in cnodes.iter().enumerate() {
-        let id = CallNodeId::from_index(i);
-        if cn.call_site.index() >= csites.len() {
-            c.push(
-                RuleCode::DanglingCallNodeSite,
-                Location::CallNode(id),
-                format!(
-                    "call node refers to nonexistent call site {:?}",
-                    cn.call_site
-                ),
-            );
-        } else {
-            csite_used[cn.call_site.index()] = true;
-        }
-        if let Some(p) = cn.parent {
-            if p.index() >= n {
-                c.push(
-                    RuleCode::DanglingCallNodeParent,
-                    Location::CallNode(id),
-                    format!("call node refers to nonexistent parent {p:?}"),
-                );
-            }
-        }
-    }
-    for i in 0..n {
-        let dangles = |j: usize| matches!(parent_of(j), Some(p) if p >= n);
-        let mut cur = i;
-        let mut hops = 0usize;
-        let cycles = loop {
-            if dangles(cur) {
-                break false;
-            }
-            match parent_of(cur) {
-                Some(p) => {
-                    cur = p;
-                    hops += 1;
-                    if hops > n {
-                        break true;
-                    }
-                }
-                None => break false,
-            }
-        };
-        if cycles {
-            c.push(
-                RuleCode::CallNodeCycle,
-                Location::CallNode(CallNodeId::from_index(i)),
-                "call node participates in a parent cycle".to_string(),
-            );
-        }
-    }
-    for (i, used) in csite_used.iter().enumerate() {
-        if !used {
-            c.push(
+    let csite_used = referenced(csites.len(), cnodes.iter().map(|n| n.call_site.index()));
+    for (i, cs) in csites.iter().enumerate() {
+        if !csite_used[i] {
+            c.warn(
                 RuleCode::UnreferencedCallSite,
                 Location::CallSite(CallSiteId::from_index(i)),
-                format!(
-                    "call site at {}:{} is not used by any call-tree node",
-                    csites[i].file, csites[i].line
-                ),
+                || {
+                    format!(
+                        "call site at {}:{} is not used by any call-tree node",
+                        cs.file, cs.line
+                    )
+                },
             );
         }
     }
 }
 
-fn lint_system_dimension(md: &Metadata, c: &mut Collector) {
-    let machines = md.machines();
-    let nodes = md.nodes();
-    let processes = md.processes();
-    let threads = md.threads();
-
-    for (i, n) in nodes.iter().enumerate() {
-        if n.machine.index() >= machines.len() {
-            c.push(
-                RuleCode::DanglingNodeMachine,
-                Location::Node(NodeId::from_index(i)),
-                format!(
-                    "node '{}' refers to nonexistent machine {:?}",
-                    n.name, n.machine
-                ),
-            );
-        }
-    }
-    let mut first_rank: HashMap<i32, usize> = HashMap::new();
-    for (i, p) in processes.iter().enumerate() {
-        let id = ProcessId::from_index(i);
-        if p.node.index() >= nodes.len() {
-            c.push(
-                RuleCode::DanglingProcessNode,
-                Location::Process(id),
-                format!(
-                    "process '{}' refers to nonexistent node {:?}",
-                    p.name, p.node
-                ),
-            );
-        }
-        match first_rank.get(&p.rank) {
-            Some(&first) => {
-                c.push(
-                    RuleCode::DuplicateRank,
-                    Location::Process(id),
-                    format!(
-                        "process '{}' shares rank {} with {:?}",
-                        p.name,
-                        p.rank,
-                        ProcessId::from_index(first)
-                    ),
-                );
-            }
-            None => {
-                first_rank.insert(p.rank, i);
-            }
-        }
-    }
-    let mut first_number: HashMap<(u32, u32), usize> = HashMap::new();
-    for (i, t) in threads.iter().enumerate() {
-        let id = ThreadId::from_index(i);
-        if t.process.index() >= processes.len() {
-            c.push(
-                RuleCode::DanglingThreadProcess,
-                Location::Thread(id),
-                format!(
-                    "thread '{}' refers to nonexistent process {:?}",
-                    t.name, t.process
-                ),
-            );
-            continue;
-        }
-        match first_number.get(&(t.process.raw(), t.number)) {
-            Some(&first) => {
-                c.push(
-                    RuleCode::DuplicateThreadNumber,
-                    Location::Thread(id),
-                    format!(
-                        "thread '{}' shares number {} of {:?} with {:?}",
-                        t.name,
-                        t.number,
-                        t.process,
-                        ThreadId::from_index(first)
-                    ),
-                );
-            }
-            None => {
-                first_number.insert((t.process.raw(), t.number), i);
-            }
-        }
-    }
-    if threads.is_empty() {
-        c.push(
-            RuleCode::NoThreads,
-            Location::Experiment,
-            "experiment defines no thread; the thread level is mandatory".to_string(),
-        );
-    }
-
+fn system_warnings(md: &Metadata, c: &mut Collector) {
+    let (machines, nodes) = (md.machines(), md.nodes());
+    let (processes, threads) = (md.processes(), md.threads());
     // W006: per-process thread numbers must be 0..k.
-    for (i, _) in processes.iter().enumerate() {
+    for (i, p) in processes.iter().enumerate() {
         let id = ProcessId::from_index(i);
         let mut numbers: Vec<u32> = md
             .threads_of_process(id)
@@ -915,16 +949,14 @@ fn lint_system_dimension(md: &Metadata, c: &mut Collector) {
         numbers.sort_unstable();
         numbers.dedup();
         if !numbers.is_empty() && numbers != (0..numbers.len() as u32).collect::<Vec<_>>() {
-            c.push(
-                RuleCode::ThreadNumberGap,
-                Location::Process(id),
+            c.warn(RuleCode::ThreadNumberGap, Location::Process(id), || {
                 format!(
                     "thread numbers of process '{}' are {:?}, expected 0..{}",
-                    processes[i].name,
+                    p.name,
                     numbers,
                     numbers.len()
-                ),
-            );
+                )
+            });
         }
     }
     // W007: ranks must be 0..n.
@@ -932,121 +964,81 @@ fn lint_system_dimension(md: &Metadata, c: &mut Collector) {
     ranks.sort_unstable();
     ranks.dedup();
     if !ranks.is_empty() && ranks != (0..ranks.len() as i32).collect::<Vec<_>>() {
-        c.push(
-            RuleCode::RankGap,
-            Location::Experiment,
-            format!("process ranks are {ranks:?}, expected 0..{}", ranks.len()),
-        );
+        c.warn(RuleCode::RankGap, Location::Experiment, || {
+            format!("process ranks are {ranks:?}, expected 0..{}", ranks.len())
+        });
     }
     // W008: empty branches.
     for (i, m) in machines.iter().enumerate() {
         let id = MachineId::from_index(i);
         if md.nodes_of_machine(id).is_empty() {
-            c.push(
-                RuleCode::EmptySystemBranch,
-                Location::Machine(id),
-                format!("machine '{}' has no nodes", m.name),
-            );
+            c.warn(RuleCode::EmptySystemBranch, Location::Machine(id), || {
+                format!("machine '{}' has no nodes", m.name)
+            });
         }
     }
     for (i, n) in nodes.iter().enumerate() {
         let id = NodeId::from_index(i);
         if md.processes_of_node(id).is_empty() {
-            c.push(
-                RuleCode::EmptySystemBranch,
-                Location::Node(id),
-                format!("node '{}' has no processes", n.name),
-            );
+            c.warn(RuleCode::EmptySystemBranch, Location::Node(id), || {
+                format!("node '{}' has no processes", n.name)
+            });
         }
     }
     for (i, p) in processes.iter().enumerate() {
         let id = ProcessId::from_index(i);
         if md.threads_of_process(id).is_empty() {
-            c.push(
-                RuleCode::EmptySystemBranch,
-                Location::Process(id),
-                format!("process '{}' has no threads", p.name),
-            );
+            c.warn(RuleCode::EmptySystemBranch, Location::Process(id), || {
+                format!("process '{}' has no threads", p.name)
+            });
         }
     }
 }
 
-fn lint_topologies(md: &Metadata, c: &mut Collector) {
+fn topology_warnings(md: &Metadata, c: &mut Collector) {
     for (i, t) in md.topologies().iter().enumerate() {
-        if let Err(e) = t.validate(md.processes().len()) {
-            c.push(RuleCode::BadTopology, Location::Topology(i), e.to_string());
-        }
         if t.coords.is_empty() && !md.processes().is_empty() {
-            c.push(
-                RuleCode::EmptyTopology,
-                Location::Topology(i),
+            c.warn(RuleCode::EmptyTopology, Location::Topology(i), || {
                 format!(
                     "topology '{}' declares a grid but places no process",
                     t.name
-                ),
-            );
+                )
+            });
         }
     }
 }
 
-fn lint_severity(md: &Metadata, sev: &Severity, prov: &Provenance, c: &mut Collector) {
-    let expected = md.shape();
-    let actual = sev.shape();
-    if expected != actual {
-        c.push(
-            RuleCode::SeverityShapeMismatch,
-            Location::Experiment,
-            format!(
-                "severity store shaped {actual:?} but metadata requires {expected:?} \
-                 (metrics x call nodes x threads); value rules skipped"
-            ),
-        );
-        // Flat indices cannot be mapped onto tuples; skip value rules.
-        return;
-    }
-    let (_, nc, nt) = actual;
+fn value_warnings(sev: &Severity, prov: &Provenance, c: &mut Collector) {
+    let (_, nc, nt) = sev.shape();
+    let tuple = |i: usize| {
+        let (metric, call_node, thread) = tuple_at(i, nc, nt);
+        Location::Tuple {
+            metric,
+            call_node,
+            thread,
+        }
+    };
     // Only unmodified measurements promise non-negative severities;
     // derived experiments (differences) and recovered ones (whose
     // source may have been derived) are exempt.
     let original = prov.is_original();
     for (i, &v) in sev.values().iter().enumerate() {
-        if v.is_finite() && !(original && v < 0.0) {
-            continue;
-        }
-        let tuple = Location::Tuple {
-            metric: MetricId::from_index(i / (nt * nc)),
-            call_node: CallNodeId::from_index((i / nt) % nc),
-            thread: ThreadId::from_index(i % nt),
-        };
-        if v.is_nan() {
-            c.push(
-                RuleCode::SeverityNan,
-                tuple,
-                "severity value is NaN".to_string(),
-            );
-        } else if v.is_infinite() {
-            c.push(
-                RuleCode::InfiniteSeverity,
-                tuple,
-                format!("severity value is {v}"),
-            );
-        } else {
-            c.push(
-                RuleCode::NegativeOriginalSeverity,
-                tuple,
+        if v.is_infinite() {
+            c.warn(RuleCode::InfiniteSeverity, tuple(i), || {
+                format!("severity value is {v}")
+            });
+        } else if original && v < 0.0 {
+            c.warn(RuleCode::NegativeOriginalSeverity, tuple(i), || {
                 format!(
                     "severity value {v} is negative although the experiment is original \
                      (provenance '{prov}')"
-                ),
-            );
+                )
+            });
         }
     }
 }
 
 /// The rule code corresponding to a [`ModelError`].
-///
-/// This is the bridge between the first-violation [`Experiment::validate`]
-/// API and the exhaustive lint: both report the same constraint set.
 pub fn code_of_model_error(e: &ModelError) -> RuleCode {
     match e {
         ModelError::DanglingMetricParent { .. } => RuleCode::DanglingMetricParent,
@@ -1072,23 +1064,24 @@ pub fn code_of_model_error(e: &ModelError) -> RuleCode {
     }
 }
 
-/// Converts a [`ModelError`] into a single [`Diagnostic`] with the best
-/// available location.
+/// Converts a [`ModelError`] into its diagnostic, located at the entity
+/// the error names first. Lint builds every `E0xx` diagnostic this way.
 pub fn diagnostic_of_model_error(e: &ModelError) -> Diagnostic {
     let location = match e {
-        ModelError::DanglingMetricParent { metric }
+        ModelError::DanglingMetricParent { metric, .. }
         | ModelError::MixedUnitsInMetricTree { metric, .. }
         | ModelError::MetricCycle { metric } => Location::Metric(*metric),
-        ModelError::DanglingRegionModule { region }
+        ModelError::DanglingRegionModule { region, .. }
         | ModelError::InvertedRegionLines { region } => Location::Region(*region),
-        ModelError::DanglingCallSiteCallee { call_site } => Location::CallSite(*call_site),
-        ModelError::DanglingCallNodeSite { call_node }
-        | ModelError::DanglingCallNodeParent { call_node }
+        ModelError::DanglingCallSiteCallee { call_site, .. } => Location::CallSite(*call_site),
+        ModelError::DanglingCallNodeSite { call_node, .. }
+        | ModelError::DanglingCallNodeParent { call_node, .. }
         | ModelError::CallNodeCycle { call_node } => Location::CallNode(*call_node),
-        ModelError::DanglingNodeMachine { node } => Location::Node(*node),
-        ModelError::DanglingProcessNode { process }
-        | ModelError::DuplicateThreadNumber { process, .. } => Location::Process(*process),
-        ModelError::DanglingThreadProcess { thread } => Location::Thread(*thread),
+        ModelError::DanglingNodeMachine { node, .. } => Location::Node(*node),
+        ModelError::DanglingProcessNode { process, .. }
+        | ModelError::DuplicateRank { process, .. } => Location::Process(*process),
+        ModelError::DanglingThreadProcess { thread, .. }
+        | ModelError::DuplicateThreadNumber { thread, .. } => Location::Thread(*thread),
         ModelError::NanSeverity {
             metric,
             call_node,
@@ -1098,11 +1091,10 @@ pub fn diagnostic_of_model_error(e: &ModelError) -> Diagnostic {
             call_node: *call_node,
             thread: *thread,
         },
-        ModelError::DuplicateRank { .. }
-        | ModelError::SeverityShapeMismatch { .. }
+        ModelError::BadTopology { index, .. } => Location::Topology(*index),
+        ModelError::SeverityShapeMismatch { .. }
         | ModelError::SeverityLengthMismatch { .. }
-        | ModelError::NoThreads
-        | ModelError::BadTopology { .. } => Location::Experiment,
+        | ModelError::NoThreads => Location::Experiment,
     };
     Diagnostic::new(code_of_model_error(e), location, e.to_string())
 }
@@ -1235,6 +1227,51 @@ mod tests {
     }
 
     #[test]
+    fn chain_ends_steps_from_each_entry_once() {
+        use ChainEnd::{Cycles, Dangles, Root};
+        // 2 → 1 → 0 reaches a root; 5 runs into the cycle 3 ⇄ 4; 7 runs
+        // into 6, whose parent does not exist.
+        let parents = [
+            None,
+            Some(0),
+            Some(1),
+            Some(4),
+            Some(3),
+            Some(3),
+            Some(99),
+            Some(6),
+        ];
+        let steps = std::cell::Cell::new(0);
+        let ends = chain_ends(parents.len(), |i| {
+            steps.set(steps.get() + 1);
+            parents[i]
+        });
+        let want = [
+            Root(0),
+            Root(0),
+            Root(0),
+            Cycles,
+            Cycles,
+            Cycles,
+            Dangles,
+            Dangles,
+        ];
+        assert_eq!(ends, want);
+        assert_eq!(steps.get(), parents.len());
+
+        // A chain as deep as its table, walked from its deepest entry
+        // first: a walk per entry would take n²/2 steps.
+        let n = 100_000;
+        steps.set(0);
+        let ends = chain_ends(n, |i| {
+            steps.set(steps.get() + 1);
+            (i + 1 < n).then_some(i + 1)
+        });
+        assert_eq!(steps.get(), n);
+        assert!(ends.iter().all(|&e| e == Root(n - 1)));
+    }
+
+    #[test]
     fn system_dangling_rules_fire() {
         let mut md = Metadata::new();
         md.add_metric(Metric::root("time", Unit::Seconds, ""));
@@ -1271,12 +1308,29 @@ mod tests {
         let mut md = clean_metadata();
         let p = md.add_process(Process::new("dup", 0, NodeId::new(0)));
         md.add_thread(Thread::new("t", 0, p));
-        md.add_thread(Thread::new("t'", 0, p));
+        let later = md.add_thread(Thread::new("t'", 0, p));
         let sev = Severity::zeros(md.shape().0, md.shape().1, md.shape().2);
         let r = lint_parts(&md, &sev, &Provenance::default());
-        let codes = r.codes();
-        assert!(codes.contains(&RuleCode::DuplicateRank), "{r}");
-        assert!(codes.contains(&RuleCode::DuplicateThreadNumber), "{r}");
+        let at = |code| {
+            r.diagnostics()
+                .iter()
+                .find(|d| d.code == code)
+                .map(|d| d.location.clone())
+        };
+        // Each duplicate is located at the later of its two entities.
+        assert_eq!(
+            at(RuleCode::DuplicateRank),
+            Some(Location::Process(p)),
+            "{r}"
+        );
+        assert_eq!(
+            at(RuleCode::DuplicateThreadNumber),
+            Some(Location::Thread(later)),
+            "{r}"
+        );
+        // validate returns the violation lint lists first.
+        let first = md.validate().unwrap_err();
+        assert_eq!(diagnostic_of_model_error(&first), r.diagnostics()[0]);
     }
 
     #[test]
@@ -1425,6 +1479,93 @@ mod tests {
     }
 
     #[test]
+    fn negative_flood_keeps_the_cap_and_counts_the_rest() {
+        let mut md = clean_metadata();
+        for i in 1..50 {
+            md.add_metric(Metric::child(
+                format!("m{i}"),
+                Unit::Seconds,
+                "",
+                MetricId::new(0),
+            ));
+        }
+        let (nm, nc, nt) = md.shape();
+        let sev = Severity::from_values(nm, nc, nt, vec![-1.0; nm * nc * nt]);
+        let r = lint_parts(&md, &sev, &Provenance::original("flood"));
+        assert_eq!(r.codes(), vec![RuleCode::NegativeOriginalSeverity], "{r}");
+        assert_eq!(r.diagnostics().len(), MAX_PER_RULE + 1, "{r}");
+        let last = r.diagnostics().last().unwrap();
+        assert_eq!(last.location, Location::Experiment);
+        assert_eq!(
+            last.message,
+            format!("{} further W005 diagnostics suppressed", 50 - MAX_PER_RULE)
+        );
+        assert_eq!(
+            r.summary(),
+            format!("0 errors, {} warnings", MAX_PER_RULE + 1)
+        );
+    }
+
+    #[test]
+    fn validate_returns_the_first_error_in_rule_order() {
+        let mut md = Metadata::new();
+        md.add_topology(CartTopology::new("bad", vec![0], vec![false]));
+        // The thread level (step 3) comes before topologies (step 4) ...
+        assert!(matches!(md.validate(), Err(ModelError::NoThreads)));
+        // ... and metrics (step 1) before both.
+        md.add_metric(Metric::child("x", Unit::Seconds, "", MetricId::new(9)));
+        assert!(matches!(
+            md.validate(),
+            Err(ModelError::DanglingMetricParent { .. })
+        ));
+        // The metadata rules come before the shape rule.
+        let e = Experiment::new_unchecked(md, Severity::zeros(0, 0, 0), Provenance::default());
+        assert!(matches!(
+            e.validate(),
+            Err(ModelError::DanglingMetricParent { .. })
+        ));
+    }
+
+    #[test]
+    fn validate_values_reports_the_first_nan() {
+        assert_eq!(validate_values(&[], (0, 0, 0)), Ok(()));
+        let mut values = vec![0.0; 2 * 3 * 4];
+        assert_eq!(validate_values(&values, (2, 3, 4)), Ok(()));
+        // A lone NaN at the last index: every coordinate of the tuple.
+        values[23] = f64::NAN;
+        assert_eq!(
+            validate_values(&values, (2, 3, 4)),
+            Err(ModelError::NanSeverity {
+                metric: MetricId::new(1),
+                call_node: CallNodeId::new(2),
+                thread: ThreadId::new(3),
+            })
+        );
+        // Of two NaNs, the first in store order.
+        values[5] = f64::NAN;
+        assert_eq!(
+            validate_values(&values, (2, 3, 4)),
+            Err(ModelError::NanSeverity {
+                metric: MetricId::new(0),
+                call_node: CallNodeId::new(1),
+                thread: ThreadId::new(1),
+            })
+        );
+        // A NaN at index 0 is reported, before a later one.
+        let mut values = vec![0.0; 2 * 2 * 2];
+        values[0] = f64::NAN;
+        values[7] = f64::NAN;
+        assert_eq!(
+            validate_values(&values, (2, 2, 2)),
+            Err(ModelError::NanSeverity {
+                metric: MetricId::new(0),
+                call_node: CallNodeId::new(0),
+                thread: ThreadId::new(0),
+            })
+        );
+    }
+
+    #[test]
     fn bad_topology_reported_with_index() {
         let mut md = clean_metadata();
         md.add_topology(CartTopology::new("bad", vec![0], vec![false]));
@@ -1475,6 +1616,7 @@ mod tests {
         let samples: Vec<ModelError> = vec![
             M::DanglingMetricParent {
                 metric: MetricId::new(0),
+                parent: MetricId::new(1),
             },
             M::MixedUnitsInMetricTree {
                 metric: MetricId::new(0),
@@ -1486,33 +1628,44 @@ mod tests {
             },
             M::DanglingRegionModule {
                 region: RegionId::new(0),
+                module: ModuleId::new(1),
             },
             M::InvertedRegionLines {
                 region: RegionId::new(0),
             },
             M::DanglingCallSiteCallee {
                 call_site: CallSiteId::new(0),
+                callee: RegionId::new(1),
             },
             M::DanglingCallNodeSite {
                 call_node: CallNodeId::new(0),
+                call_site: CallSiteId::new(1),
             },
             M::DanglingCallNodeParent {
                 call_node: CallNodeId::new(0),
+                parent: CallNodeId::new(1),
             },
             M::CallNodeCycle {
                 call_node: CallNodeId::new(0),
             },
             M::DanglingNodeMachine {
                 node: NodeId::new(0),
+                machine: MachineId::new(1),
             },
             M::DanglingProcessNode {
                 process: ProcessId::new(0),
+                node: NodeId::new(1),
             },
             M::DanglingThreadProcess {
                 thread: ThreadId::new(0),
+                process: ProcessId::new(1),
             },
-            M::DuplicateRank { rank: 0 },
+            M::DuplicateRank {
+                process: ProcessId::new(1),
+                rank: 0,
+            },
             M::DuplicateThreadNumber {
+                thread: ThreadId::new(1),
                 process: ProcessId::new(0),
                 number: 0,
             },
@@ -1532,6 +1685,7 @@ mod tests {
             },
             M::NoThreads,
             M::BadTopology {
+                index: 0,
                 topology: "t".into(),
                 reason: "r".into(),
             },

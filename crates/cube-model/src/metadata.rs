@@ -417,135 +417,15 @@ impl Metadata {
 
     // ----- validation -------------------------------------------------------
 
-    /// Checks every constraint the data model places on metadata.
+    /// Checks every constraint the data model places on metadata,
+    /// including the mandatory thread level.
     ///
-    /// Returns the first violation found. Severity-related constraints
-    /// are checked by [`Experiment::validate`](crate::Experiment::validate).
+    /// Runs the error rules of [`mod@crate::lint`] with its warning rules
+    /// off and returns the first violation in their order (documented
+    /// there). The constraints on severity values are added by
+    /// [`Experiment::validate`](crate::Experiment::validate).
     pub fn validate(&self) -> Result<(), ModelError> {
-        self.validate_metric_dimension()?;
-        self.validate_program_dimension()?;
-        self.validate_system_dimension()?;
-        for t in &self.topologies {
-            t.validate(self.processes.len())?;
-        }
-        Ok(())
-    }
-
-    fn validate_metric_dimension(&self) -> Result<(), ModelError> {
-        for (i, m) in self.metrics.iter().enumerate() {
-            let id = MetricId::from_index(i);
-            if let Some(p) = m.parent {
-                if p.index() >= self.metrics.len() {
-                    return Err(ModelError::DanglingMetricParent { metric: id });
-                }
-            }
-        }
-        // Cycle check: walk parents with a hop bound.
-        for (i, _) in self.metrics.iter().enumerate() {
-            let id = MetricId::from_index(i);
-            let mut cur = id;
-            let mut hops = 0;
-            while let Some(p) = self.metrics[cur.index()].parent {
-                cur = p;
-                hops += 1;
-                if hops > self.metrics.len() {
-                    return Err(ModelError::MetricCycle { metric: id });
-                }
-            }
-        }
-        // Unit homogeneity per tree.
-        for (i, m) in self.metrics.iter().enumerate() {
-            let id = MetricId::from_index(i);
-            let root = self.metric_root_of(id);
-            let root_unit = self.metrics[root.index()].unit;
-            if m.unit != root_unit {
-                return Err(ModelError::MixedUnitsInMetricTree {
-                    metric: id,
-                    unit: m.unit,
-                    root_unit,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_program_dimension(&self) -> Result<(), ModelError> {
-        for (i, r) in self.regions.iter().enumerate() {
-            let id = RegionId::from_index(i);
-            if r.module.index() >= self.modules.len() {
-                return Err(ModelError::DanglingRegionModule { region: id });
-            }
-            if r.begin_line > r.end_line {
-                return Err(ModelError::InvertedRegionLines { region: id });
-            }
-        }
-        for (i, cs) in self.call_sites.iter().enumerate() {
-            if cs.callee.index() >= self.regions.len() {
-                return Err(ModelError::DanglingCallSiteCallee {
-                    call_site: CallSiteId::from_index(i),
-                });
-            }
-        }
-        for (i, cn) in self.call_nodes.iter().enumerate() {
-            let id = CallNodeId::from_index(i);
-            if cn.call_site.index() >= self.call_sites.len() {
-                return Err(ModelError::DanglingCallNodeSite { call_node: id });
-            }
-            if let Some(p) = cn.parent {
-                if p.index() >= self.call_nodes.len() {
-                    return Err(ModelError::DanglingCallNodeParent { call_node: id });
-                }
-            }
-        }
-        for (i, _) in self.call_nodes.iter().enumerate() {
-            let id = CallNodeId::from_index(i);
-            let mut cur = id;
-            let mut hops = 0;
-            while let Some(p) = self.call_nodes[cur.index()].parent {
-                cur = p;
-                hops += 1;
-                if hops > self.call_nodes.len() {
-                    return Err(ModelError::CallNodeCycle { call_node: id });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_system_dimension(&self) -> Result<(), ModelError> {
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.machine.index() >= self.machines.len() {
-                return Err(ModelError::DanglingNodeMachine {
-                    node: NodeId::from_index(i),
-                });
-            }
-        }
-        let mut ranks = std::collections::HashSet::new();
-        for (i, p) in self.processes.iter().enumerate() {
-            if p.node.index() >= self.nodes.len() {
-                return Err(ModelError::DanglingProcessNode {
-                    process: ProcessId::from_index(i),
-                });
-            }
-            if !ranks.insert(p.rank) {
-                return Err(ModelError::DuplicateRank { rank: p.rank });
-            }
-        }
-        let mut numbers = std::collections::HashSet::new();
-        for (i, t) in self.threads.iter().enumerate() {
-            if t.process.index() >= self.processes.len() {
-                return Err(ModelError::DanglingThreadProcess {
-                    thread: ThreadId::from_index(i),
-                });
-            }
-            if !numbers.insert((t.process, t.number)) {
-                return Err(ModelError::DuplicateThreadNumber {
-                    process: t.process,
-                    number: t.number,
-                });
-            }
-        }
-        Ok(())
+        crate::lint::metadata_rules(self, &mut Err)
     }
 }
 
@@ -644,7 +524,7 @@ mod tests {
         md.add_process(Process::new("dup", 0, node));
         assert!(matches!(
             md.validate(),
-            Err(ModelError::DuplicateRank { rank: 0 })
+            Err(ModelError::DuplicateRank { rank: 0, .. })
         ));
     }
 

@@ -10,10 +10,10 @@
 //!
 //! A severity value of a *valid* experiment is never NaN:
 //! [`Experiment::validate`](crate::Experiment::validate) rejects stores
-//! containing one, and [`Severity::find_nan`] is the diagnostic that
-//! locates the offender. Code operating on unvalidated stores (anything
-//! assembled through `new_unchecked` or raw `values_mut` writes) must
-//! assume IEEE semantics instead: addition-based reductions (`sum`,
+//! containing one, reporting the first offender's tuple. Code
+//! operating on unvalidated stores (anything assembled through
+//! `new_unchecked` or raw `values_mut` writes) must assume IEEE
+//! semantics instead: addition-based reductions (`sum`,
 //! `mean`, `variance`) *poison* the affected element with NaN, while
 //! `min`/`max` follow Rust's [`f64::min`]/[`f64::max`] and return the
 //! other operand, so a single NaN operand is dropped from the
@@ -223,19 +223,6 @@ impl Severity {
         })
     }
 
-    /// Returns the first NaN position, if any.
-    pub fn find_nan(&self) -> Option<(MetricId, CallNodeId, ThreadId)> {
-        let nc = self.num_call_nodes;
-        let nt = self.num_threads;
-        self.values.iter().position(|v| v.is_nan()).map(|i| {
-            (
-                MetricId::from_index(i / (nt * nc)),
-                CallNodeId::from_index((i / nt) % nc),
-                ThreadId::from_index(i % nt),
-            )
-        })
-    }
-
     /// Largest absolute value in the store (0.0 when empty).
     pub fn max_abs(&self) -> f64 {
         self.values.iter().fold(0.0, |acc, v| acc.max(v.abs()))
@@ -316,14 +303,6 @@ mod tests {
         s.set(m(1), c(1), t(0), -2.0);
         let all: Vec<_> = s.iter_nonzero().collect();
         assert_eq!(all, vec![(m(1), c(1), t(0), -2.0)]);
-    }
-
-    #[test]
-    fn find_nan_locates_position() {
-        let mut s = Severity::zeros(2, 3, 4);
-        assert_eq!(s.find_nan(), None);
-        s.set(m(1), c(2), t(3), f64::NAN);
-        assert_eq!(s.find_nan(), Some((m(1), c(2), t(3))));
     }
 
     #[test]
@@ -420,16 +399,6 @@ mod tests {
         assert_eq!(all.len(), 1);
         assert_eq!((all[0].0, all[0].1, all[0].2), (m(0), c(1), t(0)));
         assert!(all[0].3.is_nan());
-    }
-
-    #[test]
-    fn find_nan_on_empty_store_and_first_position() {
-        assert_eq!(Severity::zeros(0, 0, 0).find_nan(), None);
-        let mut s = Severity::zeros(2, 2, 2);
-        s.set(m(0), c(0), t(0), f64::NAN);
-        s.set(m(1), c(1), t(1), f64::NAN);
-        // Reports the first offender in layout order.
-        assert_eq!(s.find_nan(), Some((m(0), c(0), t(0))));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! (like `MPI_Cart_create`); the display renders severity heat over the
 //! grid, and the algebra carries topologies through integration.
 
-use crate::error::ModelError;
 use crate::ids::ProcessId;
 
 /// A Cartesian process topology.
@@ -48,52 +47,34 @@ impl CartTopology {
             .map(|(_, c)| c.as_slice())
     }
 
-    /// Validates the topology against a process-table size.
-    pub fn validate(&self, num_processes: usize) -> Result<(), ModelError> {
+    /// Validates the topology against a process-table size. The error
+    /// names the first structural constraint the topology violates; the
+    /// data-model check reports it as
+    /// [`ModelError::BadTopology`](crate::ModelError::BadTopology).
+    pub fn validate(&self, num_processes: usize) -> Result<(), String> {
         if self.dims.is_empty() || self.dims.contains(&0) {
-            return Err(ModelError::BadTopology {
-                topology: self.name.clone(),
-                reason: "dimensions must be non-empty and positive".into(),
-            });
+            return Err("dimensions must be non-empty and positive".into());
         }
         if self.periodic.len() != self.dims.len() {
-            return Err(ModelError::BadTopology {
-                topology: self.name.clone(),
-                reason: "periodicity vector length must match dimensions".into(),
-            });
+            return Err("periodicity vector length must match dimensions".into());
         }
         let mut seen_proc = std::collections::HashSet::new();
         let mut seen_coord = std::collections::HashSet::new();
         for (p, c) in &self.coords {
             if p.index() >= num_processes {
-                return Err(ModelError::BadTopology {
-                    topology: self.name.clone(),
-                    reason: format!("coordinate refers to nonexistent process {p:?}"),
-                });
+                return Err(format!("coordinate refers to nonexistent process {p:?}"));
             }
             if c.len() != self.dims.len() {
-                return Err(ModelError::BadTopology {
-                    topology: self.name.clone(),
-                    reason: format!("coordinate of {p:?} has wrong dimensionality"),
-                });
+                return Err(format!("coordinate of {p:?} has wrong dimensionality"));
             }
             if c.iter().zip(&self.dims).any(|(&x, &d)| x >= d) {
-                return Err(ModelError::BadTopology {
-                    topology: self.name.clone(),
-                    reason: format!("coordinate of {p:?} outside the grid"),
-                });
+                return Err(format!("coordinate of {p:?} outside the grid"));
             }
             if !seen_proc.insert(*p) {
-                return Err(ModelError::BadTopology {
-                    topology: self.name.clone(),
-                    reason: format!("process {p:?} placed twice"),
-                });
+                return Err(format!("process {p:?} placed twice"));
             }
             if !seen_coord.insert(c.clone()) {
-                return Err(ModelError::BadTopology {
-                    topology: self.name.clone(),
-                    reason: format!("coordinate {c:?} occupied twice"),
-                });
+                return Err(format!("coordinate {c:?} occupied twice"));
             }
         }
         Ok(())

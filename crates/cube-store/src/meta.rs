@@ -271,10 +271,13 @@ fn decode_region_kind(code: u8) -> Result<RegionKind, StoreError> {
 /// Decodes METADATA-section bytes back into metadata and provenance.
 ///
 /// Dangling cross-references (a region pointing past the module table,
-/// a cycle in a parent chain) are *not* rejected here — they surface
-/// through [`Metadata::validate`] exactly like in the XML reader, so
-/// both formats share one diagnosis path. Dictionary references and
-/// enum codes *are* checked, because nothing downstream would.
+/// a cycle in a parent chain) are *not* rejected here. Every reader
+/// runs the data-model check after decoding, as the XML reader does,
+/// so both formats share one diagnosis path: strict read and salvage
+/// through `Experiment::validate`, the lazy handle through
+/// [`Metadata::validate`] at open, and lint through the full rule walk.
+/// Dictionary references and enum codes *are* checked, because nothing
+/// downstream would.
 pub fn decode_metadata(
     bytes: &[u8],
     limits: &ReadLimits,

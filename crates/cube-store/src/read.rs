@@ -12,6 +12,13 @@
 //! * salvage ([`salvage_store_file_as`]): the structure must lie inside
 //!   the bytes present and the declared file within the input limit;
 //!   missing or damaged pages read as zeros.
+//!
+//! Every reader but lint runs the data-model check, so all of them
+//! accept the same experiments: strict read and salvage through
+//! [`Experiment::new`], the lazy handle in two halves —
+//! [`Metadata::validate`] at open and the NaN rule
+//! ([`validate_values`]) when the pages load. Lint reports every
+//! violation instead of the first.
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -20,6 +27,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use cube_algebra::BatchOperand;
+use cube_model::lint::validate_values;
 use cube_model::{Experiment, Metadata, Provenance, Severity};
 use cube_xml::footer::crc32;
 use cube_xml::{FooterStatus, LimitKind, ReadLimits};
@@ -406,6 +414,10 @@ impl ColumnarExperiment {
     /// defeating the point of a lazy open. Severity chunks are CRC-
     /// verified when they are first loaded; use
     /// [`read_store_file`] when full up-front verification is wanted.
+    ///
+    /// The decoded metadata must pass [`Metadata::validate`], so a
+    /// handle never carries a reference that would index past a table;
+    /// a violation is [`StoreError::Model`].
     pub fn open_with(path: impl AsRef<Path>, limits: &ReadLimits) -> Result<Self, StoreError> {
         let path = path.as_ref();
         let err = |e: std::io::Error| StoreError::io_at(path, e);
@@ -429,6 +441,7 @@ impl ColumnarExperiment {
             }
             Ok(Cow::Owned(bytes))
         })?;
+        layout.metadata.validate()?;
         Ok(Self {
             path: path.to_path_buf(),
             layout,
@@ -457,7 +470,10 @@ impl ColumnarExperiment {
     }
 
     /// The dense severity values, loading and CRC-verifying the pages
-    /// from disk on first call. Subsequent calls borrow the cache.
+    /// from disk on first call. Subsequent calls borrow the cache. The
+    /// loaded values must pass the value rule of
+    /// [`Experiment::validate`] (no NaN); a violation is
+    /// [`StoreError::Model`].
     pub fn severity(&self) -> Result<&[f64], StoreError> {
         if let Some(v) = self.cache.get() {
             return Ok(v);
@@ -480,7 +496,9 @@ impl ColumnarExperiment {
         if let Some(e) = cube_xml::faults::inject("store.severity", &mut bytes) {
             return Err(StoreError::io_at(&self.path, e));
         }
-        self.layout.decode_pages(&bytes, &mut |_, e| Err(e))
+        let values = self.layout.decode_pages(&bytes, &mut |_, e| Err(e))?;
+        validate_values(&values, self.shape())?;
+        Ok(values)
     }
 }
 
@@ -549,7 +567,9 @@ pub struct StoreReport {
 /// pages — a truncated tail, a flipped byte failing its chunk CRC —
 /// zeroes exactly the affected chunks and reports them, with the
 /// experiment's provenance rewrapped as [`Provenance::Recovered`]
-/// naming the damaged structure.
+/// naming the damaged structure. The recovered experiment must pass
+/// the data-model check, as the XML salvage's must; a violation is
+/// [`StoreError::Model`].
 ///
 /// *origin* is the name the recovery provenance note should call the
 /// damaged store. When the bytes live inside a hash-sharded repository
@@ -598,7 +618,7 @@ pub fn salvage_store_file_as(
     let chunks_total = layout.chunk_crcs.len();
     let complete = lost == 0 && !checksum.is_mismatch();
     let (md, sev, prov) = layout.into_parts(values);
-    let mut exp = Experiment::new_unchecked(md, sev, prov);
+    let mut exp = Experiment::new(md, sev, prov)?;
     if !complete {
         let what = match &first {
             Some((what, context)) => format!("{what} in {context}"),
@@ -629,7 +649,10 @@ mod tests {
     use super::*;
     use crate::write::{write_store, write_store_file};
     use cube_model::builder::single_threaded_system;
-    use cube_model::{ExperimentBuilder, RegionKind, Unit};
+    use cube_model::{
+        CallNode, CallNodeId, CallSite, ExperimentBuilder, ModelError, ModuleId, Region,
+        RegionKind, Unit,
+    };
 
     fn sample(threads: usize) -> Experiment {
         let mut b = ExperimentBuilder::new("read test");
@@ -675,6 +698,56 @@ mod tests {
         assert_eq!(col.shape(), exp.severity().shape());
         assert_eq!(col.severity().unwrap(), exp.severity().values());
         assert!(col.is_loaded());
+    }
+
+    /// `exp` plus a region of module 99 that a call path reaches: every
+    /// CRC of its store is valid, its metadata is not.
+    fn dangling_module(exp: &Experiment) -> Experiment {
+        let mut md = exp.metadata().clone();
+        let region = md.add_region(Region {
+            name: "ghost".into(),
+            module: ModuleId::new(99),
+            kind: RegionKind::Function,
+            begin_line: 1,
+            end_line: 1,
+        });
+        let call_site = md.add_call_site(CallSite {
+            file: "a.c".into(),
+            line: 2,
+            callee: region,
+        });
+        md.add_call_node(CallNode {
+            call_site,
+            parent: Some(CallNodeId::new(0)),
+        });
+        let (nm, nc, nt) = md.shape();
+        let sev = Severity::zeros(nm, nc, nt);
+        Experiment::new_unchecked(md, sev, exp.provenance().clone())
+    }
+
+    #[test]
+    fn every_reader_refuses_a_store_that_violates_the_model() {
+        let d = tmpdir("model");
+        let p = d.join("dangling.cubec");
+        write_store_file(&dangling_module(&sample(2)), &p).unwrap();
+        let model = |r: Result<(), StoreError>| matches!(r, Err(StoreError::Model(_)));
+        assert!(model(read_store_file(&p).map(drop)));
+        assert!(model(ColumnarExperiment::open(&p).map(drop)));
+        let salvaged = salvage_store_file_as(&p, None, &ReadLimits::default());
+        assert!(model(salvaged.map(drop)));
+
+        let mut exp = sample(2);
+        exp.severity_mut().values_mut()[3] = f64::NAN;
+        let p = d.join("nan.cubec");
+        write_store_file(&exp, &p).unwrap();
+        let col = ColumnarExperiment::open(&p).unwrap();
+        let err = col.severity().unwrap_err();
+        assert!(
+            matches!(err, StoreError::Model(ModelError::NanSeverity { .. })),
+            "{err}"
+        );
+        assert!(!col.is_loaded());
+        assert!(model(read_store_file(&p).map(drop)));
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //! reaches the structure behind the checksums. Every truncation point
 //! is tried too. Each input goes through all four readers: strict
 //! `read_store`, the lazy handle and its severity load, salvage, and
-//! lint.
+//! lint. On a resealed image the readers must agree: the lazy handle
+//! accepts exactly what `read_store` accepts, a complete salvage only
+//! what `read_store` accepts, and an accepted handle evaluates.
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
+use cube_algebra::{BatchOperand, BatchPlan, Expr, MergeOptions, Reduction};
 use cube_model::builder::single_threaded_system;
 use cube_model::{Experiment, ExperimentBuilder, RegionKind, Unit};
 use cube_store::layout::{
@@ -214,8 +217,10 @@ fn bits(values: &[f64]) -> Vec<u64> {
 }
 
 /// Runs `bytes` through every reader and checks the invariants that tie
-/// them together. A panic anywhere fails the test.
-fn check(bytes: &[u8], path: &Path, what: &str) {
+/// them together. A panic anywhere fails the test. Every checksum of a
+/// `sealed` image is right, so there the readers must also agree on
+/// whether the bytes hold a valid experiment.
+fn check(bytes: &[u8], path: &Path, what: &str, sealed: bool) {
     std::fs::write(path, bytes).unwrap();
     let strict = read_store(bytes, &LIMITS);
     let lazy = ColumnarExperiment::open_with(path, &LIMITS)
@@ -228,6 +233,23 @@ fn check(bytes: &[u8], path: &Path, what: &str) {
             values * 8 <= LIMITS.max_input_bytes,
             "{what}: salvaged {values} values"
         );
+    }
+    if sealed {
+        let (s, l) = (strict.as_ref().err(), lazy.as_ref().err());
+        assert_eq!(s.is_none(), l.is_none(), "{what}: strict {s:?}, lazy {l:?}");
+        if let Ok((_, rep)) = &salvaged {
+            assert!(
+                !rep.complete || s.is_none(),
+                "{what}: salvage complete, strict {s:?}"
+            );
+        }
+    }
+    if let Ok((_, col)) = &lazy {
+        let ops: [&dyn BatchOperand; 2] = [col, col];
+        let plan = BatchPlan::from_operands(&ops, MergeOptions::default());
+        if let Err(e) = plan.eval(&Expr::reduce(Reduction::Sum, 0..2)) {
+            panic!("{what}: sum over an accepted handle: {e}");
+        }
     }
     let Ok(exp) = strict else {
         return;
@@ -261,7 +283,7 @@ fn the_seed_is_the_writer_image_with_small_pages() {
     let (_, report) = salvage_store_file_as(&path, None, &LIMITS).unwrap();
     assert!(report.complete);
     assert_eq!(report.chunks_total, 3);
-    check(&seed, &path, "seed");
+    check(&seed, &path, "seed", true);
 }
 
 #[test]
@@ -281,7 +303,7 @@ fn boundary_values_in_every_structural_field_never_panic() {
                         reseal(&mut img);
                     }
                     let what = format!("{value:#x} over {width} bytes at {at}, sealed {sealed}");
-                    check(&img, &path, &what);
+                    check(&img, &path, &what, sealed);
                 }
             }
         }
@@ -313,10 +335,11 @@ fn mutated_stores_never_panic_a_reader() {
                 }
             }
         }
-        if i % 2 == 1 {
+        let sealed = i % 2 == 1;
+        if sealed {
             reseal(&mut img);
         }
-        check(&img, &path, &format!("mutant {i}"));
+        check(&img, &path, &format!("mutant {i}"), sealed);
     }
 }
 
@@ -333,7 +356,7 @@ fn every_truncation_salvages_exactly_the_whole_pages_before_the_cut() {
     let path = scratch("cuts");
     for cut in 0..seed.len() {
         let what = format!("cut at {cut}");
-        check(&seed[..cut], &path, &what);
+        check(&seed[..cut], &path, &what, false);
         assert!(read_store(&seed[..cut], &LIMITS).is_err(), "{what}");
         let salvaged = salvage_store_file_as(&path, None, &LIMITS);
         assert_eq!(salvaged.is_ok(), cut >= crcs_end, "{what}");

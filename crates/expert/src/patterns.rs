@@ -167,6 +167,8 @@ mod tests {
     fn hierarchy_is_well_formed() {
         let mut b = ExperimentBuilder::new("p");
         let ids = PatternIds::define(&mut b);
+        // Metadata validates only with its mandatory thread level.
+        cube_model::builder::single_threaded_system(&mut b, 1);
         let md = b.metadata();
         md.validate().unwrap();
         // Two roots: Time and Visits.

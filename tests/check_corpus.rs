@@ -306,3 +306,34 @@ fn cli_and_server_agree_with_the_library_on_every_fixture() {
     server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An operand whose store fails the data-model check does not resolve:
+/// `cube check` reports `A001`, and the note names the violation.
+#[test]
+fn an_operand_that_violates_the_model_is_unresolved() {
+    let fixtures = repo_root().join("tests/fixtures");
+    for format in ["human", "json"] {
+        let args: Vec<String> = [
+            "check",
+            "mean(dangling_module,minimal)",
+            &fixtures
+                .join("corrupt/dangling_module.cubec")
+                .to_string_lossy(),
+            &fixtures.join("valid/minimal.cube").to_string_lossy(),
+            "--format",
+            format,
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let out = cube_cli::run(&args).expect("cube check runs");
+        assert_eq!(out.code, 1, "{}", out.stdout);
+        assert!(out.stdout.contains("A001"), "{}", out.stdout);
+        assert!(
+            out.stdout
+                .contains("region reg1 refers to nonexistent module mod99"),
+            "{}",
+            out.stdout
+        );
+    }
+}

@@ -516,3 +516,75 @@ fn eval_matches_the_library_on_random_expressions() {
     server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Objects that bypass upload validation — placed in the repository
+/// under their content ids — meet the data-model check when the lazy
+/// handle opens them and when it loads their pages. An object whose
+/// metadata dangles would otherwise panic the worker that evaluates it,
+/// and an object holding a NaN would be evaluated and cached.
+#[test]
+fn eval_refuses_stored_objects_that_violate_the_model() {
+    let dir = workdir("model");
+    let server = cube_serve::start(
+        cube_serve::ServeConfig {
+            workers: 2,
+            ..cube_serve::ServeConfig::default()
+        },
+        &dir.join("repo"),
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let mut ok = Vec::new();
+    for name in ["minimal", "full"] {
+        let bytes = std::fs::read(fixtures.join(format!("valid/{name}.cube"))).unwrap();
+        let reply = request(addr, "PUT", "/experiments", &bytes);
+        assert_eq!(reply.status, 201, "{}", reply.text());
+        ok.push(json_field(&reply.text(), "id").expect("ingest returns an id"));
+    }
+    let place = |bytes: &[u8]| {
+        let id = cube_serve::content_id(bytes);
+        let path = dir
+            .join("repo")
+            .join(cube_serve::Repository::relative_object_path(&id));
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+        id
+    };
+    // Region reg1 of this store names module 99; its CRCs are valid.
+    let dangling = place(&std::fs::read(fixtures.join("corrupt/dangling_module.cubec")).unwrap());
+    let mut nan = cube_xml::read_experiment_file(fixtures.join("valid/minimal.cube")).unwrap();
+    nan.severity_mut().values_mut()[0] = f64::NAN;
+    let nan = place(&cube_store::write_store(&nan));
+
+    // More requests than workers: a request that killed its worker
+    // would leave the next ones unanswered.
+    for _ in 0..3 {
+        let expr = format!("mean({dangling},{})", ok[0]);
+        let reply = request(addr, "POST", "/eval", expr.as_bytes());
+        assert_ne!(reply.status, 200, "{}", reply.text());
+        assert!(
+            json_field(&reply.text(), "code").is_some(),
+            "{}",
+            reply.text()
+        );
+    }
+    let expr = format!("mean({},{})", ok[0], ok[1]);
+    let reply = request(addr, "POST", "/eval", expr.as_bytes());
+    assert_eq!(reply.status, 200, "{}", reply.text());
+
+    for _ in 0..2 {
+        let expr = format!("mean({nan},{})", ok[0]);
+        let reply = request(addr, "POST", "/eval", expr.as_bytes());
+        assert_ne!(reply.status, 200, "{}", reply.text());
+        assert!(
+            json_field(&reply.text(), "code").is_some(),
+            "{}",
+            reply.text()
+        );
+    }
+
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
