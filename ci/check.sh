@@ -148,7 +148,7 @@ stage_lint() {
     echo "== hygiene: fmt, clippy -D warnings, doc -D warnings"
     make fmt-check clippy doc
 
-    echo "== hygiene: server request paths are panic-free (ci/lint_source.sh)"
+    echo "== hygiene: panic-free server request paths, one durable commit (ci/lint_source.sh)"
     ./ci/lint_source.sh
 
     echo "== lint gate: valid fixtures pass --deny warnings"

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Source-level lint for the server's request-handling paths.
+# Source-level lint: the server's request-handling paths, and the one
+# durable commit.
 #
 # cube-serve promises that no request can panic a worker: a panicking
 # worker poisons the shared caches and strands queued connections, so
@@ -14,9 +15,13 @@
 #          order (a "LOCK ORDER" comment) next to their mutexes
 #   SL005  no line may acquire two locks (every cube-serve mutex is a
 #          leaf lock; two `.lock(` on one line would break that)
+#   SL006  anywhere in the workspace, `fs::rename(`, `.sync_all()` and
+#          `.sync_data()` appear only in crates/cube-xml/src/commit.rs:
+#          every durable write goes through `cube_xml::commit_file`
 #
 # Everything from the first `#[cfg(test)]` line to the end of a file
-# is test code and exempt: tests may unwrap freely.
+# is test code and exempt: tests may unwrap freely. Files under
+# `tests/` directories are test code too.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -51,6 +56,15 @@ for f in crates/cube-serve/src/*.rs; do
             echo "$two" >&2
             fail=1
         fi
+    fi
+done
+
+for f in $(find src crates stubs examples -name '*.rs' -not -path '*/tests/*' | sort); do
+    [ "$f" = crates/cube-xml/src/commit.rs ] && continue
+    if out="$(nontest "$f" | grep -E 'fs::rename\(|\.sync_(all|data)\(\)')"; then
+        echo "SL006: rename or fsync outside cube_xml::commit_file:" >&2
+        echo "$out" >&2
+        fail=1
     fi
 done
 

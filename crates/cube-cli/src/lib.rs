@@ -187,7 +187,6 @@ const VALUED_FLAGS: &[&str] = &[
     "--cache-plans",
     "--cache-handles",
     "--max-body",
-    "--delay-ms",
     "--deadline-ms",
     "--header-deadline-ms",
     "--socket-timeout-ms",
@@ -1059,19 +1058,19 @@ fn repair_cmd(args: &[String]) -> Result<Outcome, String> {
 /// `cube fsck REPO [--format json]` — walk a serve repository and
 /// verify every stored object offline, without booting a server.
 ///
-/// Each `objects/<hh>/<id>.cubec` entry is read strictly through the
+/// The repository walk ([`cube_serve::walk_objects`]) sorts what lies
+/// under `objects/`; each object it finds is read strictly through the
 /// store reader (section and severity-chunk CRCs included) and its
-/// bytes are re-hashed; the verdicts are:
+/// bytes are re-hashed. The verdicts are:
 ///
 /// - `ok` — decodes cleanly and the bytes hash to the file's own name
 /// - `corrupt` — the strict reader rejected the file (error)
 /// - `misnamed` — decodes cleanly but hashes to a different id, or
 ///   sits in the wrong shard directory (error)
 ///
-/// Anything else found under `objects/` — orphaned ingest temp files,
-/// foreign files, odd directories — is a warning. Exit codes grade the
-/// repository lint-style: 0 = clean, 1 = warnings only, 2 = errors
-/// (including "not a repository at all").
+/// Orphaned temp files (`temp`) and anything else the walk calls stray
+/// are warnings. Exit codes grade the repository lint-style: 0 = clean,
+/// 1 = warnings only, 2 = errors (including "not a repository at all").
 fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
     let p = parse(args)?;
     if p.positional.len() != 1 {
@@ -1097,108 +1096,24 @@ fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
         return Ok(Outcome { code: 2, stdout });
     }
 
-    // verdict, repo-relative path, detail ("" = none); level is derived
-    // from the verdict so human and JSON renderings cannot disagree.
-    let mut entries: Vec<(&'static str, String, String)> = Vec::new();
-    let limits = ReadLimits::default();
-    let mut shards: Vec<std::fs::DirEntry> = std::fs::read_dir(root.join("objects"))
-        .map_err(|e| format!("{}: {e}", root.join("objects").display()))?
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("{}: {e}", root.display()))?;
-    shards.sort_by_key(|d| d.file_name());
-    for shard in shards {
-        let shard_name = shard.file_name().to_string_lossy().into_owned();
-        let rel_shard = format!("objects/{shard_name}");
-        if !shard.path().is_dir() {
-            entries.push((
-                "stray",
-                rel_shard,
-                "file where a shard directory belongs".into(),
-            ));
-            continue;
-        }
-        let two_hex = shard_name.len() == 2
-            && shard_name
-                .bytes()
-                .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase());
-        if !two_hex {
-            entries.push((
-                "stray",
-                rel_shard,
-                "not a two-hex-digit shard directory".into(),
-            ));
-            continue;
-        }
-        let mut files: Vec<std::fs::DirEntry> = std::fs::read_dir(shard.path())
-            .map_err(|e| format!("{}: {e}", shard.path().display()))?
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("{}: {e}", shard.path().display()))?;
-        files.sort_by_key(|d| d.file_name());
-        for f in files {
-            let name = f.file_name().to_string_lossy().into_owned();
-            let rel = format!("{rel_shard}/{name}");
-            if name.starts_with(".tmp-") {
-                entries.push((
-                    "temp",
-                    rel,
-                    "orphaned ingest temp file (the server sweeps these at startup)".into(),
-                ));
-                continue;
-            }
-            let Some(stem) = name.strip_suffix(".cubec") else {
-                entries.push(("stray", rel, "not a .cubec object".into()));
-                continue;
-            };
-            if !cube_serve::valid_id(stem) {
-                entries.push((
-                    "stray",
-                    rel,
-                    "file name is not a 16-hex-digit content id".into(),
-                ));
-                continue;
-            }
-            let bytes = match std::fs::read(f.path()) {
-                Ok(b) => b,
-                Err(e) => {
-                    entries.push(("corrupt", rel, format!("unreadable: {e}")));
-                    continue;
-                }
-            };
-            if let Err(e) = cube_store::read_store(&bytes, &limits) {
-                entries.push(("corrupt", rel, e.to_string()));
-                continue;
-            }
-            let actual = cube_serve::content_id(&bytes);
-            if actual != stem {
-                entries.push((
-                    "misnamed",
-                    rel,
-                    format!("content hashes to {actual}, not the file's own name"),
-                ));
-            } else if stem[..2] != shard_name {
-                entries.push((
-                    "misnamed",
-                    rel,
-                    format!(
-                        "stored in shard {shard_name}, but id {stem} belongs in {}",
-                        &stem[..2]
-                    ),
-                ));
-            } else {
-                entries.push(("ok", rel, String::new()));
-            }
-        }
-    }
-
-    let errors = entries
-        .iter()
-        .filter(|(v, _, _)| matches!(*v, "corrupt" | "misnamed"))
-        .count();
-    let warnings = entries
-        .iter()
-        .filter(|(v, _, _)| matches!(*v, "stray" | "temp"))
-        .count();
-    let checked = entries.iter().filter(|(v, _, _)| *v == "ok").count() + errors;
+    // (verdict, repo-relative path, detail — "" for none)
+    let entries: Vec<(&'static str, String, String)> = cube_serve::walk_objects(root)
+        .map_err(|e| e.to_string())?
+        .into_iter()
+        .map(|(rel, kind)| {
+            let (verdict, detail) = fsck_verdict(root, &rel, kind);
+            (verdict, rel, detail)
+        })
+        .collect();
+    // The level follows from the verdict, so the renderings agree.
+    let level = |verdict: &str| match verdict {
+        "ok" => "ok",
+        "stray" | "temp" => "warning",
+        _ => "error",
+    };
+    let count = |l: &str| entries.iter().filter(|(v, _, _)| level(v) == l).count();
+    let (errors, warnings) = (count("error"), count("warning"));
+    let checked = count("ok") + errors;
     let code = if errors > 0 {
         2
     } else {
@@ -1207,40 +1122,28 @@ fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
 
     let mut s = String::new();
     if json {
-        let _ = write!(
+        let rows: Vec<String> = entries
+            .iter()
+            .map(|(verdict, path, detail)| {
+                format!(
+                    "{{\"path\":{},\"verdict\":\"{verdict}\",\"level\":\"{}\",\"detail\":{}}}",
+                    json_string(path),
+                    level(verdict),
+                    json_string(detail)
+                )
+            })
+            .collect();
+        let _ = writeln!(
             s,
-            "{{\"root\":{},\"entries\":[",
-            json_string(&p.positional[0])
-        );
-        for (i, (verdict, path, detail)) in entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let level = match *verdict {
-                "ok" => "ok",
-                "stray" | "temp" => "warning",
-                _ => "error",
-            };
-            let _ = write!(
-                s,
-                "{{\"path\":{},\"verdict\":\"{verdict}\",\"level\":\"{level}\",\"detail\":{}}}",
-                json_string(path),
-                json_string(detail)
-            );
-        }
-        let _ = write!(
-            s,
-            "],\"checked\":{checked},\"errors\":{errors},\"warnings\":{warnings},\"ok\":{}}}",
+            "{{\"root\":{},\"entries\":[{}],\"checked\":{checked},\"errors\":{errors},\"warnings\":{warnings},\"ok\":{}}}",
+            json_string(&p.positional[0]),
+            rows.join(","),
             errors == 0
         );
-        s.push('\n');
     } else {
         for (verdict, path, detail) in &entries {
-            if detail.is_empty() {
-                let _ = writeln!(s, "{path}: {verdict}");
-            } else {
-                let _ = writeln!(s, "{path}: {verdict}: {detail}");
-            }
+            let sep = if detail.is_empty() { "" } else { ": " };
+            let _ = writeln!(s, "{path}: {verdict}{sep}{detail}");
         }
         let _ = writeln!(
             s,
@@ -1253,9 +1156,42 @@ fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
     Ok(Outcome { code, stdout: s })
 }
 
+/// `cube fsck`'s verdict and detail for the entry `rel` of the
+/// repository walk: objects are read strictly and re-hashed.
+fn fsck_verdict(
+    root: &std::path::Path,
+    rel: &str,
+    kind: cube_serve::EntryKind,
+) -> (&'static str, String) {
+    let (id, misplaced) = match kind {
+        cube_serve::EntryKind::Object { id, misplaced } => (id, misplaced),
+        cube_serve::EntryKind::Temp => {
+            let detail = "orphaned ingest temp file (the server sweeps these at startup)";
+            return ("temp", detail.into());
+        }
+        cube_serve::EntryKind::Stray(why) => return ("stray", why.into()),
+    };
+    let bytes = match std::fs::read(root.join(rel)) {
+        Ok(b) => b,
+        Err(e) => return ("corrupt", format!("unreadable: {e}")),
+    };
+    if let Err(e) = cube_store::read_store(&bytes, &ReadLimits::default()) {
+        return ("corrupt", e.to_string());
+    }
+    let actual = cube_serve::content_id(&bytes);
+    match misplaced {
+        _ if actual != id => (
+            "misnamed",
+            format!("content hashes to {actual}, not the file's own name"),
+        ),
+        Some(why) => ("misnamed", why),
+        None => ("ok", String::new()),
+    }
+}
+
 /// `cube serve --repo DIR [--addr A] [--port P] [--workers N]
 /// [--queue N] [--cache-results N] [--cache-plans N]
-/// [--cache-handles N] [--max-body BYTES] [--delay-ms MS]
+/// [--cache-handles N] [--max-body BYTES]
 /// [--deadline-ms MS] [--header-deadline-ms MS] [--socket-timeout-ms MS]
 /// [--retries N] [--backoff-ms MS] [--breaker N]` — run the
 /// analysis server over a sharded experiment repository until SIGTERM
@@ -1263,8 +1199,6 @@ fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
 ///
 /// Prints `listening on ADDR:PORT` (flushed) as soon as the socket is
 /// bound, so scripts using `--port 0` can discover the ephemeral port.
-/// `--delay-ms` is a test hook that stalls each request, letting the
-/// stress harness fill the admission queue deterministically.
 fn serve_cmd(args: &[String]) -> Result<Outcome, String> {
     let p = parse(args)?;
     if !p.positional.is_empty() {
@@ -1295,7 +1229,6 @@ fn serve_cmd(args: &[String]) -> Result<Outcome, String> {
             "--cache-plans" => config.plan_cache = num(flag, value)?,
             "--cache-handles" => config.handle_cache = num(flag, value)?,
             "--max-body" => config.max_body = num(flag, value)?,
-            "--delay-ms" => config.delay_ms = num(flag, value)? as u64,
             "--deadline-ms" => config.request_deadline_ms = num(flag, value)? as u64,
             "--header-deadline-ms" => config.header_deadline_ms = num(flag, value)? as u64,
             "--socket-timeout-ms" => config.socket_timeout_ms = num(flag, value)? as u64,
@@ -2214,8 +2147,11 @@ mod tests {
     fn fsck_grades_corrupt_misnamed_and_temp_files() {
         let (root, id) = fsck_repo("fsck_dirty");
         let shard = root.join("objects").join(&id[..2]);
-        // Orphaned ingest temp file → warning.
+        // Orphaned ingest temp files, as earlier servers and as
+        // commit_file name them → warnings.
         std::fs::write(shard.join(".tmp-999-1"), b"half an upload").unwrap();
+        let orphan = format!(".{id}.cubec.tmp.999.2");
+        std::fs::write(shard.join(&orphan), b"half an upload").unwrap();
         // Valid container stored under the wrong name → misnamed error.
         let bytes = cube_store::write_store(&sample(7.0));
         std::fs::create_dir_all(root.join("objects/aa")).unwrap();
@@ -2234,6 +2170,11 @@ mod tests {
         assert!(r.stdout.contains("misnamed"), "{}", r.stdout);
         assert!(r.stdout.contains("corrupt"), "{}", r.stdout);
         assert!(r.stdout.contains(".tmp-999-1: temp"), "{}", r.stdout);
+        assert!(
+            r.stdout.contains(&format!("{orphan}: temp")),
+            "{}",
+            r.stdout
+        );
 
         let j = run(&args(&["fsck", root.to_str().unwrap(), "--format", "json"])).unwrap();
         assert_eq!(j.code, 2);
@@ -2245,7 +2186,7 @@ mod tests {
         assert!(j.stdout.contains("\"verdict\":\"corrupt\""), "{}", j.stdout);
         assert!(
             j.stdout
-                .contains("\"errors\":2,\"warnings\":1,\"ok\":false"),
+                .contains("\"errors\":2,\"warnings\":2,\"ok\":false"),
             "{}",
             j.stdout
         );

@@ -185,9 +185,11 @@ pub fn deactivate() {
 }
 
 /// The hook body handed to [`cube_xml::faults::install`]: decides,
-/// per read, which faults (if any) fire at this `site`.
+/// per read, which faults (if any) fire at this `site`. The commit
+/// steps of a write (`commit.*` sites) pass untouched and draw nothing,
+/// so uploads leave a schedule's reads as they were.
 fn hook(site: &str, buf: &mut [u8]) -> Option<io::Error> {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if !ACTIVE.load(Ordering::Relaxed) || site.starts_with("commit.") {
         return None;
     }
     let plan = (*lock_recover(&PLAN))?;

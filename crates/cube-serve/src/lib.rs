@@ -50,6 +50,7 @@ pub use cache::LruCache;
 pub use error::ServeError;
 pub use faults::{FaultCounters, FaultPlan};
 pub use repo::{
-    content_id, repo_relative_origin, valid_id, IngestOutcome, Repository, REPO_MARKER,
+    content_id, repo_relative_origin, valid_id, walk_objects, EntryKind, IngestOutcome, Repository,
+    REPO_MARKER,
 };
 pub use server::{install_signal_handlers, signaled, start, RunningServer, ServeConfig, Shared};

@@ -9,7 +9,8 @@
 //! <root>/objects/<hh>/<16 hex>.cubec
 //! ```
 //!
-//! where `<hh>` is the first two hex digits of the id. Canonicalizing
+//! where `<hh>` is the first two hex digits of the id; all 256 shard
+//! directories exist once the repository is opened. Canonicalizing
 //! before hashing means the same experiment uploaded in either format
 //! (or twice) lands on the same object exactly once, and the id doubles
 //! as an integrity check: the bytes on disk hash to their own name.
@@ -26,9 +27,8 @@ use crate::faults;
 use crate::http::Deadline;
 use cube_store::{read_store, write_store, ColumnarExperiment, StoreError};
 use cube_xml::footer::check_footer;
-use cube_xml::{CubeReader, ReadLimits};
+use cube_xml::{commit_file, is_temp_name, sync_dir, CubeReader, ReadLimits};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,8 +36,6 @@ use std::time::Duration;
 
 /// Name of the marker file that identifies a repository root.
 pub const REPO_MARKER: &str = "CUBEREPO";
-
-static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// FNV-1a 64-bit content id of canonical `.cubec` bytes, rendered as
 /// 16 lowercase hex digits.
@@ -52,10 +50,12 @@ pub fn content_id(canonical: &[u8]) -> String {
 
 /// Whether `id` has the shape of a content id: 16 lowercase hex digits.
 pub fn valid_id(id: &str) -> bool {
-    id.len() == 16
-        && id
-            .bytes()
-            .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
+    id.len() == 16 && is_lower_hex(id)
+}
+
+fn is_lower_hex(s: &str) -> bool {
+    s.bytes()
+        .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
 }
 
 /// What [`Repository::ingest`] did with an upload.
@@ -141,13 +141,30 @@ impl Repository {
                 ));
             }
         }
-        std::fs::create_dir_all(root.join("objects"))
-            .map_err(|e| ServeError::internal(format!("{}: {e}", root.display())))?;
+        let internal = |at: &Path, e| ServeError::internal(format!("{}: {e}", at.display()));
+        let objects = root.join("objects");
+        std::fs::create_dir_all(&objects).map_err(|e| internal(&objects, e))?;
         if !marker.exists() {
-            std::fs::write(&marker, "cube experiment repository v1\n")
-                .map_err(|e| ServeError::internal(format!("{}: {e}", marker.display())))?;
+            commit_file(&marker, |out| {
+                out.write_all(b"cube experiment repository v1\n")
+            })
+            .map_err(|e| internal(&marker, e))?;
         }
-        let swept = sweep_temp_files(&root);
+        // Every shard directory exists from the start, made durable by one
+        // sync of `objects/`: an upload never creates a directory, whose
+        // entry would cost it a second directory sync.
+        for shard in 0..=u8::MAX {
+            let shard = objects.join(format!("{shard:02x}"));
+            std::fs::create_dir_all(&shard).map_err(|e| internal(&shard, e))?;
+        }
+        sync_dir(&objects).map_err(|e| internal(&objects, e))?;
+        // Leftovers of crashed uploads: a live server's temps are always
+        // renamed or removed by the request that created them.
+        let temps = walk_objects(&root).unwrap_or_default();
+        let swept = temps.iter().filter(|(rel, kind)| {
+            *kind == EntryKind::Temp && std::fs::remove_file(root.join(rel)).is_ok()
+        });
+        let swept = swept.count() as u64;
         Ok(Self {
             root,
             limits,
@@ -209,8 +226,10 @@ impl Repository {
     /// Ingests an uploaded experiment in either wire format, returning
     /// its content id. Uploads are parsed under the repository's
     /// [`ReadLimits`], canonicalized to `.cubec` bytes, and committed
-    /// atomically (write-temp, rename) so a crashed upload can never
-    /// leave a half-written object under a valid name.
+    /// through [`commit_file`] into its shard, which exists since
+    /// [`Repository::open_or_init`]: a crashed upload can never leave a
+    /// half-written object under a valid name, and an object reported
+    /// created is on disk.
     pub fn ingest(&self, bytes: &[u8]) -> Result<IngestOutcome, ServeError> {
         let exp = if bytes.starts_with(&cube_store::layout::MAGIC) {
             read_store(bytes, &self.limits)?
@@ -240,31 +259,8 @@ impl Repository {
                 label,
             });
         }
-        // object_path always nests objects/<hh>/ under the root, but a
-        // worker must not die on the impossible case either.
-        let Some(shard) = path.parent() else {
-            return Err(ServeError::internal(format!(
-                "object path {} has no parent directory",
-                path.display()
-            )));
-        };
-        std::fs::create_dir_all(shard)
-            .map_err(|e| ServeError::internal(format!("{}: {e}", shard.display())))?;
-        let tmp = shard.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let commit = (|| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&canonical)?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, &path)
-        })();
-        if let Err(e) = commit {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(ServeError::internal(format!("{}: {e}", path.display())));
-        }
+        commit_file(&path, |out| out.write_all(&canonical))
+            .map_err(|e| ServeError::internal(format!("{}: {e}", path.display())))?;
         Ok(IngestOutcome {
             id,
             created: true,
@@ -443,44 +439,84 @@ impl Repository {
 
     /// Number of objects currently stored.
     pub fn count(&self) -> usize {
-        let mut n = 0;
-        let Ok(shards) = std::fs::read_dir(self.root.join("objects")) else {
-            return 0;
-        };
-        for shard in shards.flatten() {
-            if let Ok(objects) = std::fs::read_dir(shard.path()) {
-                n += objects
-                    .flatten()
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "cubec"))
-                    .count();
-            }
-        }
-        n
+        let entries = walk_objects(&self.root).unwrap_or_default();
+        entries
+            .iter()
+            .filter(|(_, kind)| matches!(kind, EntryKind::Object { .. }))
+            .count()
     }
 }
 
-/// Removes `.tmp-*` files under `objects/` — the leftovers of uploads
-/// that crashed between temp-write and rename. Runs once at startup
-/// (a live server's temps are always renamed or removed by the same
-/// request that created them), returns how many were swept.
-fn sweep_temp_files(root: &Path) -> u64 {
-    let mut swept = 0u64;
-    let Ok(shards) = std::fs::read_dir(root.join("objects")) else {
-        return 0;
-    };
-    for shard in shards.flatten() {
-        let Ok(entries) = std::fs::read_dir(shard.path()) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let is_temp = name.to_str().is_some_and(|n| n.starts_with(".tmp-"));
-            if is_temp && std::fs::remove_file(entry.path()).is_ok() {
-                swept += 1;
+/// What an entry under `objects/` is, as [`walk_objects`] sorts it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EntryKind {
+    /// A `<16 hex>.cubec` file in a shard directory (bytes unread).
+    Object {
+        /// The content id its name claims.
+        id: String,
+        /// Why the shard it sits in is not its id's, when it is not.
+        misplaced: Option<String>,
+    },
+    /// A temp file an interrupted commit left ([`cube_xml::is_temp_name`]).
+    Temp,
+    /// Anything else, and why it is not an object.
+    Stray(&'static str),
+}
+
+/// Walks `root/objects` in name order and sorts each entry, named by
+/// its repository-relative path, into object, temp or stray: the one
+/// reading of the layout, shared by [`Repository::count`], the startup
+/// sweep and `cube fsck`.
+pub fn walk_objects(root: &Path) -> std::io::Result<Vec<(String, EntryKind)>> {
+    let mut out = Vec::new();
+    for shard in sorted_names(&root.join("objects"))? {
+        let rel = format!("objects/{shard}");
+        if !root.join(&rel).is_dir() {
+            out.push((
+                rel,
+                EntryKind::Stray("file where a shard directory belongs"),
+            ));
+        } else if shard.len() != 2 || !is_lower_hex(&shard) {
+            out.push((rel, EntryKind::Stray("not a two-hex-digit shard directory")));
+        } else {
+            for name in sorted_names(&root.join(&rel))? {
+                out.push((format!("{rel}/{name}"), entry_kind(&shard, &name)));
             }
         }
     }
-    swept
+    Ok(out)
+}
+
+/// What the file `name` in the shard directory `shard` is.
+fn entry_kind(shard: &str, name: &str) -> EntryKind {
+    if is_temp_name(name) {
+        return EntryKind::Temp;
+    }
+    match name.strip_suffix(".cubec") {
+        None => EntryKind::Stray("not a .cubec object"),
+        Some(id) if !valid_id(id) => EntryKind::Stray("file name is not a 16-hex-digit content id"),
+        Some(id) => EntryKind::Object {
+            id: id.to_string(),
+            misplaced: (id[..2] != *shard).then(|| {
+                format!(
+                    "stored in shard {shard}, but id {id} belongs in {}",
+                    &id[..2]
+                )
+            }),
+        },
+    }
+}
+
+/// The names in `dir`, sorted; errors name `dir`.
+fn sorted_names(dir: &Path) -> std::io::Result<Vec<String>> {
+    let at = |e: std::io::Error| std::io::Error::new(e.kind(), format!("{}: {e}", dir.display()));
+    let mut names = std::fs::read_dir(dir)
+        .map_err(at)?
+        .map(|e| e.map(|e| e.file_name().to_string_lossy().into_owned()))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(at)?;
+    names.sort();
+    Ok(names)
 }
 
 /// If `path` lies inside a repository (an ancestor directory holds the
@@ -508,6 +544,8 @@ mod tests {
     use super::*;
     use cube_model::builder::single_threaded_system;
     use cube_model::{Experiment, ExperimentBuilder, RegionKind, Unit};
+
+    static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
     fn sample(value: f64) -> Experiment {
         let mut b = ExperimentBuilder::new(format!("sample {value}"));
@@ -599,7 +637,9 @@ mod tests {
             assert_eq!(repo.swept_temp_files(), 0);
             repo.ingest(&write_store(&sample(3.0))).unwrap();
         }
-        // Simulate two crashed uploads: temps that never got renamed.
+        // Simulate three crashed uploads: temps that never got renamed,
+        // two named as earlier servers named them, one as commit_file
+        // names them.
         let shard = std::fs::read_dir(root.join("objects"))
             .unwrap()
             .flatten()
@@ -608,10 +648,13 @@ mod tests {
             .path();
         std::fs::write(shard.join(".tmp-999-0"), b"half an upload").unwrap();
         std::fs::write(shard.join(".tmp-999-1"), b"").unwrap();
+        let orphan = shard.join(".00aabbccddeeff00.cubec.tmp.999.2");
+        std::fs::write(&orphan, b"half an upload").unwrap();
 
         let repo = Repository::open_or_init(&root, ReadLimits::default(), 8).unwrap();
-        assert_eq!(repo.swept_temp_files(), 2);
+        assert_eq!(repo.swept_temp_files(), 3);
         assert!(!shard.join(".tmp-999-0").exists());
+        assert!(!orphan.exists());
         assert_eq!(repo.count(), 1, "real objects are untouched");
         std::fs::remove_dir_all(&root).unwrap();
     }

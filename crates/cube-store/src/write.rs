@@ -92,39 +92,13 @@ pub fn write_store(exp: &Experiment) -> Vec<u8> {
 
 /// Writes an experiment to a `.cubec` file: atomic and durable.
 ///
-/// The image is staged in a same-directory temporary file, synced, and
-/// renamed over the target — the same crash-safety discipline as
-/// [`cube_xml::write_experiment_file`], so a crash at any point leaves
-/// a pre-existing target byte-identical.
+/// The image is committed through [`cube_xml::commit_file`], the same
+/// crash-safety discipline as [`cube_xml::write_experiment_file`], so a
+/// crash at any point leaves a pre-existing target byte-identical.
 pub fn write_store_file(exp: &Experiment, path: impl AsRef<Path>) -> Result<(), StoreError> {
     let path = path.as_ref();
-    let bytes = write_store(exp);
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let name = path
-        .file_name()
-        .ok_or_else(|| {
-            StoreError::io_at(
-                path,
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "target path has no file name",
-                ),
-            )
-        })?
-        .to_string_lossy()
-        .into_owned();
-    let tmp = dir.join(format!(".{name}.tmp.{}", std::process::id()));
-    let res = (|| -> Result<(), StoreError> {
-        let err = |e: std::io::Error| StoreError::io_at(&tmp, e);
-        std::fs::write(&tmp, &bytes).map_err(err)?;
-        let f = std::fs::File::open(&tmp).map_err(err)?;
-        f.sync_all().map_err(err)?;
-        std::fs::rename(&tmp, path).map_err(|e| StoreError::io_at(path, e))
-    })();
-    if res.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    res
+    cube_xml::commit_file(path, |out| out.write_all(&write_store(exp)))
+        .map_err(|e| StoreError::io_at(path, e))
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! readers in `cube-xml` and `cube-store` pass every buffer they pull
 //! off disk through [`inject`], and an installed hook may mutate the
 //! bytes (torn reads, checksum flips — caught downstream by the *real*
-//! CRC machinery) or synthesize an [`std::io::Error`] outright.
+//! CRC machinery) or synthesize an [`std::io::Error`] outright. Each
+//! step of [`crate::commit::commit_file`] offers an empty buffer.
 //!
 //! The hook is process-global and installed at most once
 //! ([`install`]); whether it currently does anything is the
@@ -20,8 +21,9 @@ use std::sync::OnceLock;
 
 /// A fault hook: called with the *site* label of the read (e.g.
 /// `store.severity`, see `docs/FAULTS.md` for the vocabulary) and the
-/// freshly read bytes. It may mutate the buffer in place and/or return
-/// an error the reader must surface instead of the bytes.
+/// freshly read bytes (none at a commit step). It may mutate the buffer
+/// in place and/or return an error the reader must surface instead of
+/// the bytes.
 pub type FaultHook = Box<dyn Fn(&str, &mut [u8]) -> Option<std::io::Error> + Send + Sync>;
 
 static HOOK: OnceLock<FaultHook> = OnceLock::new();

@@ -68,56 +68,18 @@ pub fn write_experiment_to<W: Write>(exp: &Experiment, out: W) -> Result<W, XmlE
 
 /// Writes an experiment to a file: atomic, durable, and checksummed.
 ///
-/// Streams directly into a buffered file handle — the document is
-/// never materialized in memory. The document, with its CRC-32
-/// checksum footer (`docs/FORMAT.md` §10), is written to a temporary
-/// file in the target's directory, synced, and renamed into place, so
-/// a crash mid-write never corrupts a pre-existing target.
-///
-/// I/O errors carry `path` (or the temporary path while staging).
+/// Streams [`write_experiment_to`] — the document and its CRC-32
+/// footer (`docs/FORMAT.md` §10) — through a buffered file handle into
+/// [`commit_file`](crate::commit::commit_file), so the document is
+/// never materialized. I/O errors carry `path`.
 pub fn write_experiment_file(exp: &Experiment, path: impl AsRef<Path>) -> Result<(), XmlError> {
     let path = path.as_ref();
-    // Stage in the same directory so the final rename cannot cross a
-    // filesystem boundary (cross-device renames are not atomic).
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let name = path
-        .file_name()
-        .ok_or_else(|| {
-            XmlError::io_at(
-                path,
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "target path has no file name",
-                ),
-            )
-        })?
-        .to_string_lossy()
-        .into_owned();
-    let tmp = dir.join(format!(".{name}.tmp.{}", std::process::id()));
-    let res = (|| -> Result<(), XmlError> {
-        write_file_direct(exp, &tmp)?;
-        std::fs::rename(&tmp, path).map_err(|e| XmlError::io_at(path, e))
-    })();
-    if res.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    res
-}
-
-/// Streams [`write_experiment_to`] into `path` directly (no staging),
-/// flushing and syncing before returning so no buffered block can be
-/// silently dropped at [`std::io::BufWriter`] drop time.
-fn write_file_direct(exp: &Experiment, path: &Path) -> Result<(), XmlError> {
-    let err = |e: std::io::Error| XmlError::io_at(path, e);
-    let file = std::fs::File::create(path).map_err(err)?;
-    let mut buf = match write_experiment_to(exp, std::io::BufWriter::new(file)) {
-        Ok(buf) => buf,
-        Err(XmlError::Io { source, .. }) => return Err(err(source)),
-        Err(e) => return Err(e),
-    };
-    buf.flush().map_err(err)?;
-    let file = buf.into_inner().map_err(|e| err(e.into_error()))?;
-    file.sync_all().map_err(err)
+    crate::commit::commit_file(path, |out| match write_experiment_to(exp, out) {
+        Ok(_) => Ok(()),
+        Err(XmlError::Io { source, .. }) => Err(source),
+        Err(e) => Err(std::io::Error::other(e)),
+    })
+    .map_err(|e| XmlError::io_at(path, e))
 }
 
 // ---------------------------------------------------------------------------
@@ -531,16 +493,12 @@ mod tests {
         let path = dir.join("target.cube");
         std::fs::write(&path, b"precious bytes").unwrap();
         // Writing into a directory that does not exist fails while
-        // staging; the target must be byte-identical afterwards.
+        // staging; the target must be byte-identical afterwards. The
+        // same-directory failures, one per commit step, are failed
+        // through the fault seam in `tests/commit_faults.rs`.
         let missing = dir.join("no_such_subdir").join("x.cube");
         assert!(write_experiment_file(&e, &missing).is_err());
-        // A same-directory failure: make the temp location collide with
-        // a directory so File::create fails.
-        let tmp_collision = dir.join(format!(".target.cube.tmp.{}", std::process::id()));
-        std::fs::create_dir_all(&tmp_collision).unwrap();
-        assert!(write_experiment_file(&e, &path).is_err());
         assert_eq!(std::fs::read(&path).unwrap(), b"precious bytes");
-        std::fs::remove_dir(&tmp_collision).ok();
         std::fs::remove_file(&path).ok();
     }
 

@@ -24,7 +24,8 @@
 //! * [`format`](mod@format) — the CUBE format layer: [`format::write_experiment`]
 //!   and [`format::read_experiment`] convert between
 //!   [`cube_model::Experiment`] and `.cube` files on top of the
-//!   streaming pair.
+//!   streaming pair;
+//! * [`commit`] — the one atomic, durable file commit every writer uses.
 //!
 //! A DOM reader and writer survive only in test code, as the
 //! differential oracle the streaming pair is checked against.
@@ -71,6 +72,7 @@
 //! read back as zero severity, mirroring the zero-extension rule of the
 //! algebra.
 
+pub mod commit;
 pub mod error;
 pub mod escape;
 pub mod faults;
@@ -84,6 +86,7 @@ mod oracle;
 pub mod reader;
 pub mod writer;
 
+pub use commit::{commit_file, is_temp_name, sync_dir};
 pub use error::{LimitKind, XmlError};
 pub use footer::FooterStatus;
 pub use format::{
