@@ -79,6 +79,24 @@ serve_addr() {
     done
 }
 
+## Sends SIGTERM to the server $serve_pid and polls until it exits. A
+## server still alive after 10 s fails the gate with its log $1, so a
+## drain that never ends fails the job instead of hanging it.
+term_server() {
+    kill -TERM "$serve_pid"
+    tries=0
+    while kill -0 "$serve_pid" 2>/dev/null; do
+        tries=$((tries + 1))
+        if [ "$tries" -gt 100 ]; then
+            echo "cube serve was still running 10 s after SIGTERM:" >&2
+            cat "$1" >&2
+            kill -KILL "$serve_pid" 2>/dev/null
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
+
 ## Prints the .cube document $1 with its <severity> section moved to the
 ## front of <cube> and its checksum footer dropped (the move changes the
 ## bytes the footer covers, not the experiment).
@@ -541,7 +559,7 @@ stage_serve() {
         "http://$addr/check" >"$sdir/check.fused.json"
     grep -q '"fused":{"instrs":' "$sdir/check.fused.json"
 
-    kill -TERM "$serve_pid"
+    term_server "$sdir/serve.log"
     set +e
     wait "$serve_pid"
     serve_status=$?
@@ -592,7 +610,7 @@ stage_chaos() {
             exit 1
         fi
     done
-    kill -TERM "$serve_pid"
+    term_server "$cdir/ref.log"
     wait "$serve_pid"
     serve_pid=""
 
@@ -656,7 +674,7 @@ stage_chaos() {
     fi
     curl -sS "http://$addr/healthz" | grep -q '"ok":true'
     curl -sS "http://$addr/stats" | grep -q '"faults":{'
-    kill -TERM "$serve_pid"
+    term_server "$cdir/chaos.log"
     set +e
     wait "$serve_pid"
     chaos_status=$?

@@ -186,8 +186,8 @@ fn server_stats(shared: &Shared) -> Response {
             "{{\"experiments\":{},\"requests\":{},\"evals\":{},\"rejected\":{},\
              \"result_cache\":{{\"hits\":{result_hits},\"misses\":{result_misses},\"entries\":{result_entries}}},\
              \"plan_cache\":{{\"hits\":{plan_hits},\"misses\":{plan_misses},\"entries\":{plan_entries}}},\
-             \"deadline_expirations\":{},\"degraded_evals\":{},\"retries\":{},\"read_failures\":{},\
-             \"quarantined\":{},\"swept_temp_files\":{},\
+             \"deadline_expirations\":{},\"degraded_evals\":{},\"panics\":{},\"retries\":{},\
+             \"read_failures\":{},\"quarantined\":{},\"swept_temp_files\":{},\
              \"faults\":{{\"io_errors\":{},\"torn_reads\":{},\"checksum_flips\":{},\"latencies\":{}}}}}",
             shared.repo.count(),
             shared.requests.load(Ordering::Relaxed),
@@ -195,6 +195,7 @@ fn server_stats(shared: &Shared) -> Response {
             shared.rejected.load(Ordering::Relaxed),
             shared.deadline_expirations.load(Ordering::Relaxed),
             shared.degraded_evals.load(Ordering::Relaxed),
+            shared.panics.load(Ordering::Relaxed),
             shared.repo.retries_performed.load(Ordering::Relaxed),
             shared.repo.read_failures.load(Ordering::Relaxed),
             shared.repo.open_breakers(),
@@ -352,8 +353,7 @@ fn eval(shared: &Shared, req: &Request, deadline: &Deadline) -> Result<Response,
     let key = parsed.canonical();
     if let Some(bytes) = lock_recover(&shared.results).get(&key) {
         return Ok(
-            Response::bytes(200, "application/cube+xml", bytes.as_ref().clone())
-                .with_header("x-cache", "hit"),
+            Response::bytes(200, "application/cube+xml", bytes).with_header("x-cache", "hit")
         );
     }
     let opened = open_each(shared, parsed.operands.iter().map(String::as_str), deadline)?;
@@ -413,8 +413,7 @@ fn eval(shared: &Shared, req: &Request, deadline: &Deadline) -> Result<Response,
         let bytes = Arc::new(bytes);
         lock_recover(&shared.results).insert(key, Arc::clone(&bytes));
         return Ok(
-            Response::bytes(200, "application/cube+xml", bytes.as_ref().clone())
-                .with_header("x-cache", "miss"),
+            Response::bytes(200, "application/cube+xml", bytes).with_header("x-cache", "miss")
         );
     }
     // Degraded: a JSON envelope, not raw CUBE bytes — the omission
@@ -509,4 +508,58 @@ fn check_endpoint(
             }),
     );
     Ok(Response::json(200, check(&parsed, &facts).to_json(&text)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{start, ServeConfig};
+    use cube_model::builder::single_threaded_system;
+    use cube_model::{ExperimentBuilder, RegionKind, Unit};
+
+    #[test]
+    fn a_miss_and_a_hit_send_the_cached_allocation() {
+        let mut b = ExperimentBuilder::new("shared body");
+        let t = b.def_metric("time", Unit::Seconds, "total time", None);
+        let m = b.def_module("main.c", "/src/main.c");
+        let r = b.def_region("main", m, RegionKind::Function, 1, 9);
+        let cs = b.def_call_site("main.c", 1, r);
+        let root = b.def_call_node(cs, None);
+        for (i, &th) in single_threaded_system(&mut b, 4).iter().enumerate() {
+            b.set_severity(t, root, th, 1.25 + i as f64);
+        }
+        let exp = b.build().unwrap();
+
+        let dir =
+            std::env::temp_dir().join(format!("cube-serve-api-shared-{}", std::process::id()));
+        let server = start(ServeConfig::default(), &dir).unwrap();
+        let shared = server.shared();
+        let id = shared
+            .repo
+            .ingest(&cube_store::write_store(&exp))
+            .unwrap()
+            .id;
+        let expr = format!("scale({id},2)");
+        let req = Request {
+            method: "POST".into(),
+            path: "/eval".into(),
+            headers: Vec::new(),
+            body: expr.clone().into_bytes(),
+        };
+        let miss = handle(shared, &req, &Deadline::none());
+        let hit = handle(shared, &req, &Deadline::none());
+        assert_eq!((miss.status, hit.status), (200, 200));
+        assert_eq!(miss.extra, [("x-cache", "miss".to_string())]);
+        assert_eq!(hit.extra, [("x-cache", "hit".to_string())]);
+        let key = parse_expr(&expr).unwrap().canonical();
+        let cached = lock_recover(&shared.results).get(&key).unwrap();
+        assert!(Arc::ptr_eq(&miss.body, &cached), "the miss copied its body");
+        assert!(
+            Arc::ptr_eq(&hit.body, &cached),
+            "the hit copied the cached body"
+        );
+        server.shutdown();
+        server.join();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -19,8 +19,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// server is a single self-contained call into a std collection (or a
 /// `VecDeque` push/pop): a panicking holder cannot leave the guarded
 /// value structurally inconsistent, and propagating the poison would
-/// take down a worker thread and strand its queued connections —
-/// strictly worse than serving from an intact cache.
+/// turn every later request that takes the lock into a caught panic
+/// answered `500` — strictly worse than serving from an intact cache.
 ///
 /// LOCK ORDER: every mutex in cube-serve is a *leaf* lock. The three
 /// caches (`Shared::results`, `Shared::plans`, `Repository::handles`)

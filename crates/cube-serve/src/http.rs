@@ -10,6 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Upper bound on the request line plus headers.
@@ -261,6 +262,11 @@ fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
 
 /// A response ready to serialize: status, content type, extra headers,
 /// body.
+///
+/// The body is shared, not owned: an `/eval` result is the
+/// `Arc<Vec<u8>>` the result cache holds, so a hit sends the cached
+/// allocation itself and a miss sends the one it has just inserted.
+/// Neither path copies the (multi-megabyte) body.
 #[derive(Debug)]
 pub struct Response {
     /// HTTP status code.
@@ -269,8 +275,8 @@ pub struct Response {
     pub content_type: &'static str,
     /// Additional headers (e.g. `X-Cache`).
     pub extra: Vec<(&'static str, String)>,
-    /// Response body.
-    pub body: Vec<u8>,
+    /// Response body, possibly shared with the result cache.
+    pub body: Arc<Vec<u8>>,
 }
 
 impl Response {
@@ -280,17 +286,19 @@ impl Response {
             status,
             content_type: "application/json",
             extra: Vec::new(),
-            body: body.into_bytes(),
+            body: Arc::new(body.into_bytes()),
         }
     }
 
-    /// A response with explicit content type and raw bytes.
-    pub fn bytes(status: u16, content_type: &'static str, body: Vec<u8>) -> Self {
+    /// A response with explicit content type and raw bytes: an owned
+    /// `Vec<u8>`, or an `Arc<Vec<u8>>` shared with a cache, which is
+    /// sent without a copy.
+    pub fn bytes(status: u16, content_type: &'static str, body: impl Into<Arc<Vec<u8>>>) -> Self {
         Self {
             status,
             content_type,
             extra: Vec::new(),
-            body,
+            body: body.into(),
         }
     }
 

@@ -142,22 +142,26 @@ impl Repository {
             }
         }
         let internal = |at: &Path, e| ServeError::internal(format!("{}: {e}", at.display()));
-        let objects = root.join("objects");
-        std::fs::create_dir_all(&objects).map_err(|e| internal(&objects, e))?;
+        // The marker comes first: a commit that fails removes its temp
+        // and leaves the directory as empty as it was, so the next open
+        // can still adopt it.
         if !marker.exists() {
+            std::fs::create_dir_all(&root).map_err(|e| internal(&root, e))?;
             commit_file(&marker, |out| {
                 out.write_all(b"cube experiment repository v1\n")
             })
             .map_err(|e| internal(&marker, e))?;
         }
         // Every shard directory exists from the start, made durable by one
-        // sync of `objects/`: an upload never creates a directory, whose
-        // entry would cost it a second directory sync.
+        // sync of `objects/` and one of the root: an upload never creates
+        // a directory, whose entry would cost it a second directory sync.
+        let objects = root.join("objects");
         for shard in 0..=u8::MAX {
             let shard = objects.join(format!("{shard:02x}"));
             std::fs::create_dir_all(&shard).map_err(|e| internal(&shard, e))?;
         }
         sync_dir(&objects).map_err(|e| internal(&objects, e))?;
+        sync_dir(&root).map_err(|e| internal(&root, e))?;
         // Leftovers of crashed uploads: a live server's temps are always
         // renamed or removed by the request that created them.
         let temps = walk_objects(&root).unwrap_or_default();

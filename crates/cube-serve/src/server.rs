@@ -1,20 +1,28 @@
 //! The threaded server: acceptor, bounded admission queue, worker
 //! pool, and graceful shutdown.
 //!
-//! One `std::thread` acceptor polls a nonblocking listener and admits
-//! connections into a bounded queue; `workers` long-lived threads
-//! drain it. When the queue is full the *acceptor* answers 429
-//! immediately — overload sheds load in microseconds instead of
-//! stacking latency, and a client can always distinguish "busy" from
-//! "hung". Inside a worker, evaluation fans out over the shared
-//! `rayon` pool, whose length-driven splitting keeps every response
-//! byte-identical at any thread count — which is also what makes the
-//! result cache sound (docs/SERVE.md).
+//! One `std::thread` acceptor blocks in `accept` on the listener and
+//! admits each connection into a bounded queue the moment it arrives;
+//! `workers` long-lived threads drain it. When the queue is full the
+//! *acceptor* answers 429 immediately — overload sheds load in
+//! microseconds instead of stacking latency, and a client can always
+//! distinguish "busy" from "hung". Inside a worker, evaluation fans out
+//! over the shared `rayon` pool, whose length-driven splitting keeps
+//! every response byte-identical at any thread count — which is also
+//! what makes the result cache sound (docs/SERVE.md). A handler that
+//! panics is caught at the connection: the client gets `500
+//! internal`, `/stats` counts it under `panics`, and the worker serves
+//! on.
 //!
-//! Shutdown is cooperative: [`RunningServer::shutdown`] (or SIGTERM /
-//! SIGINT via [`install_signal_handlers`]) stops the acceptor, then
-//! workers drain every already-admitted connection before exiting, so
-//! an accepted request is never dropped on the floor.
+//! Shutdown is cooperative: [`RunningServer::shutdown`] sets the stop
+//! flag and then wakes the blocked acceptor with one loopback
+//! connection to the bound port (to `127.0.0.1` or `::1` when the
+//! server listens on all interfaces). The acceptor drops whatever it
+//! accepts once the flag is set, closes the queue and exits; workers
+//! drain every already-admitted connection before exiting, so an
+//! accepted request is never dropped on the floor. Signals do not
+//! reach the acceptor: `cube serve` turns SIGTERM / SIGINT (see
+//! [`install_signal_handlers`]) into a call to `shutdown`.
 
 use crate::api;
 use crate::cache::{lock_recover, LruCache};
@@ -25,11 +33,19 @@ use crate::repo::Repository;
 use cube_algebra::PlanTables;
 use cube_xml::ReadLimits;
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// How long the acceptor pauses after a failed `accept` (`EMFILE`,
+/// `ENFILE`, ...), so an error that persists cannot spin the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Bound on the loopback connect that wakes the acceptor at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Everything `cube serve` can tune.
 #[derive(Debug, Clone)]
@@ -138,6 +154,8 @@ pub struct Shared {
     pub deadline_expirations: AtomicU64,
     /// `/eval` requests answered degraded (206 with omitted operands).
     pub degraded_evals: AtomicU64,
+    /// Requests whose handler panicked (answered `500 internal`).
+    pub panics: AtomicU64,
     queue: Mutex<Queue>,
     ready: Condvar,
     stop: AtomicBool,
@@ -154,6 +172,7 @@ impl Shared {
             rejected: AtomicU64::new(0),
             deadline_expirations: AtomicU64::new(0),
             degraded_evals: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             queue: Mutex::new(Queue {
                 conns: VecDeque::new(),
                 closed: false,
@@ -194,7 +213,6 @@ pub fn start(config: ServeConfig, root: &Path) -> Result<RunningServer, ServeErr
         config.breaker_threshold,
     );
     let listener = TcpListener::bind((config.addr.as_str(), config.port))?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
     let shared = Arc::new(Shared::new(repo, config));
@@ -238,20 +256,21 @@ impl RunningServer {
 
     /// Asks the acceptor and workers to stop. Already-admitted
     /// connections are still served; new ones are no longer accepted.
+    ///
+    /// The acceptor is blocked in `accept`, so after setting the stop
+    /// flag this connects once to the bound port to wake it. Once
+    /// [`RunningServer::join`] has reaped the acceptor, the listener is
+    /// closed and there is nothing left to wake.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        self.ready_all();
-    }
-
-    fn ready_all(&self) {
-        // Wake parked workers so they observe the closed queue.
-        let _guard = lock_recover(&self.shared.queue);
-        self.shared.ready.notify_all();
+        if self.acceptor.is_some() {
+            let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
+        }
     }
 
     /// Waits for the acceptor to stop and the workers to drain the
-    /// queue. Call [`RunningServer::shutdown`] first (or rely on a
-    /// signal); `join` alone would wait forever.
+    /// queue. Call [`RunningServer::shutdown`] first; `join` alone
+    /// would wait forever.
     pub fn join(mut self) {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
@@ -274,17 +293,30 @@ impl Drop for RunningServer {
     }
 }
 
+/// The address that reaches a listener bound to `bound`: itself, or
+/// the loopback address of the same family when it is bound to all
+/// interfaces (`0.0.0.0`, `::`), which cannot be connected to.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
 fn accept_loop(shared: &Shared, listener: &TcpListener) {
     loop {
-        if shared.stop.load(Ordering::SeqCst) || signaled() {
+        let accepted = listener.accept();
+        // After `stop`, whatever was accepted — the shutdown wake, or a
+        // client that raced it — is dropped (closed) unserved.
+        if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => admit(shared, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
     let mut queue = lock_recover(&shared.queue);
@@ -369,23 +401,34 @@ fn serve_connection(shared: &Shared, stream: &mut TcpStream) {
     // tighter slow-loris cap.
     let total = Deadline::after_ms(shared.config.request_deadline_ms);
     let head = Deadline::after_ms(shared.config.header_deadline_ms);
-    let response = match read_request(stream, shared.config.max_body, &head, &total) {
-        Ok(request) => {
-            shared.requests.fetch_add(1, Ordering::Relaxed);
-            api::handle(shared, &request, &total)
+    // A panic in the read or the handler is answered `500` here and the
+    // worker serves on; the shared locks recover from any poison it
+    // leaves (`lock_recover`).
+    let read_and_handle = AssertUnwindSafe(|| {
+        let request = read_request(stream, shared.config.max_body, &head, &total)?;
+        shared.requests.fetch_add(1, Ordering::Relaxed);
+        Ok(api::handle(shared, &request, &total))
+    });
+    let response = match catch_unwind(read_and_handle) {
+        Ok(Ok(response)) => response,
+        Err(_) => {
+            // The panic hook has already reported the panic itself.
+            shared.panics.fetch_add(1, Ordering::Relaxed);
+            eprintln!("cube serve: a request handler panicked; answered 500");
+            api::error_response(&ServeError::internal("the request handler panicked"))
         }
-        Err(HttpError::Closed) => return,
-        Err(HttpError::Malformed(message)) => {
+        Ok(Err(HttpError::Closed)) => return,
+        Ok(Err(HttpError::Malformed(message))) => {
             api::error_response(&ServeError::bad_request("bad_http", message))
         }
-        Err(HttpError::BodyTooLarge { declared, limit }) => {
+        Ok(Err(HttpError::BodyTooLarge { declared, limit })) => {
             api::error_response(&ServeError::with_status(
                 413,
                 "body_too_large",
                 format!("declared body of {declared} bytes exceeds the {limit}-byte cap"),
             ))
         }
-        Err(HttpError::Io(e)) => {
+        Ok(Err(HttpError::Io(e))) => {
             // Read timeout or reset mid-request: answer if the peer is
             // still there, otherwise the write fails harmlessly.
             api::error_response(&ServeError::bad_request(
@@ -393,7 +436,7 @@ fn serve_connection(shared: &Shared, stream: &mut TcpStream) {
                 format!("could not read request: {e}"),
             ))
         }
-        Err(HttpError::Deadline(phase)) => api::error_response(&ServeError::deadline(phase)),
+        Ok(Err(HttpError::Deadline(phase))) => api::error_response(&ServeError::deadline(phase)),
     };
     if response.status == 504 {
         shared.deadline_expirations.fetch_add(1, Ordering::Relaxed);
@@ -415,9 +458,12 @@ extern "C" fn on_signal(_signum: i32) {
 }
 
 /// Installs SIGTERM and SIGINT handlers that flip the flag
-/// [`signaled`] reads. Process-global; the CLI installs them once
-/// before serving. `std` already links libc, so the raw `signal(2)`
-/// binding adds no dependency.
+/// [`signaled`] reads. Process-global; `cube serve` installs them once
+/// before serving and is the only caller. The handlers only set the
+/// flag: the acceptor, blocked in `accept`, never looks at it, so the
+/// caller must turn the flag into [`RunningServer::shutdown`]. `std`
+/// already links libc, so the raw `signal(2)` binding adds no
+/// dependency.
 pub fn install_signal_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
@@ -430,9 +476,84 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// True once SIGTERM or SIGINT has been delivered. The acceptor also
-/// polls this, so a signal alone (without [`RunningServer::shutdown`])
-/// begins a graceful drain.
+/// True once SIGTERM or SIGINT has been delivered. A signal alone stops
+/// nothing: the server's threads do not read this flag. `cube serve`
+/// polls it and calls [`RunningServer::shutdown`] to begin the graceful
+/// drain.
 pub fn signaled() -> bool {
     SIGNALED.load(Ordering::SeqCst)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    fn temp_root(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("cube-serve-server-{tag}-{}", std::process::id()))
+    }
+
+    #[test]
+    fn wake_addr_maps_all_interfaces_to_loopback_of_the_same_family() {
+        let wake = |bound: &str| wake_addr(bound.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:4711"), "127.0.0.1:4711");
+        assert_eq!(wake("[::]:4711"), "[::1]:4711");
+        assert_eq!(wake("127.0.0.1:4711"), "127.0.0.1:4711");
+        assert_eq!(wake("192.0.2.7:4711"), "192.0.2.7:4711");
+        assert_eq!(wake("[2001:db8::7]:4711"), "[2001:db8::7]:4711");
+    }
+
+    /// Runs `f` on a helper thread and reports whether it returned
+    /// within 2 s, so that a lost wake fails a test instead of hanging
+    /// it. A helper that is still blocked is left detached.
+    fn returns_promptly(f: impl FnOnce() + Send + 'static) -> bool {
+        let (done, finished) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        let waited = finished.recv_timeout(Duration::from_secs(2));
+        if waited == Err(mpsc::RecvTimeoutError::Timeout) {
+            return false;
+        }
+        helper.join().expect("the helper thread panicked");
+        true
+    }
+
+    #[test]
+    fn an_idle_server_shuts_down_and_joins_promptly() {
+        let root = temp_root("idle");
+        let server = start(ServeConfig::default(), &root).unwrap();
+        assert!(
+            returns_promptly(move || {
+                server.shutdown();
+                server.join();
+            }),
+            "shutdown then join did not return within 2 s"
+        );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn shutdown_after_the_acceptor_is_joined_connects_nowhere() {
+        let root = temp_root("joined");
+        let mut server = start(ServeConfig::default(), &root).unwrap();
+        let addr = server.local_addr();
+        server.shutdown();
+        let acceptor = server.acceptor.take().unwrap();
+        assert!(
+            returns_promptly(move || acceptor.join().unwrap()),
+            "the acceptor did not exit within 2 s of shutdown"
+        );
+        // The acceptor has closed the listener; a probe takes its port
+        // and would see any further wake.
+        let probe = TcpListener::bind(addr).unwrap();
+        probe.set_nonblocking(true).unwrap();
+        drop(server);
+        let err = probe
+            .accept()
+            .expect_err("Drop connected to the port again");
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+        std::fs::remove_dir_all(&root).ok();
+    }
 }

@@ -30,10 +30,20 @@ impl Reply {
 /// Sends one request and reads the connection to EOF (the server
 /// always answers `Connection: close`).
 pub fn request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> Reply {
+    request_within(addr, method, path, body, Duration::from_secs(60)).expect("read full response")
+}
+
+/// [`request`], failing with the read error when the response does not
+/// arrive within `timeout` of the last byte read.
+pub fn request_within(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    timeout: Duration,
+) -> std::io::Result<Reply> {
     let mut stream = TcpStream::connect(addr).expect("connect to the test server");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
+    stream.set_read_timeout(Some(timeout)).unwrap();
     let head = format!(
         "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n",
         body.len()
@@ -42,8 +52,14 @@ pub fn request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> Reply
     stream.write_all(body).unwrap();
     stream.flush().unwrap();
     let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read full response");
-    parse_reply(&raw)
+    stream.read_to_end(&mut raw)?;
+    if raw.is_empty() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "connection closed without a response",
+        ));
+    }
+    Ok(parse_reply(&raw))
 }
 
 fn parse_reply(raw: &[u8]) -> Reply {
