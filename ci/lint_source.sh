@@ -2,11 +2,14 @@
 # Source-level lint: the server's request-handling paths, and the one
 # durable commit.
 #
-# cube-serve promises that no request can panic a worker: a panicking
-# worker poisons the shared caches and strands queued connections, so
-# the crate recovers poisoned locks (cache::lock_recover) and routes
-# every failure through ServeError instead of unwinding. This script
-# keeps that promise greppable. Rules (stable ids, used in CI output):
+# cube-serve keeps panics out of its request paths. A handler that
+# panics is caught at the connection and answered `500 internal`, so
+# it costs one request rather than a worker, but it is still a bug:
+# the client's request goes unanswered, and the shared locks are left
+# poisoned for cache::lock_recover to clear. Every failure goes through
+# ServeError instead. This script keeps that greppable, along with the
+# server's lock order, its one socket reader and the one durable
+# commit. Rules (stable ids, used in CI output):
 #
 #   SL001  `.unwrap()` is banned in cube-serve non-test code
 #   SL002  `.expect(`  is banned in cube-serve non-test code
@@ -18,6 +21,10 @@
 #   SL006  anywhere in the workspace, `fs::rename(`, `.sync_all()` and
 #          `.sync_data()` appear only in crates/cube-xml/src/commit.rs:
 #          every durable write goes through `cube_xml::commit_file`
+#   SL007  in cube-serve non-test code, only http.rs reads from a socket
+#          (`Read::read(`, `.read(&mut`, `.read_exact(`, `.read_to_end(`,
+#          `io::copy(`): every socket read goes through its one
+#          deadline-armed reader
 #
 # Everything from the first `#[cfg(test)]` line to the end of a file
 # is test code and exempt: tests may unwrap freely. Files under
@@ -47,6 +54,12 @@ for f in crates/cube-serve/src/*.rs; do
     fi
     if out="$(nontest "$f" | grep -F 'panic!')"; then
         echo "SL003: panic! in server request path:" >&2
+        echo "$out" >&2
+        fail=1
+    fi
+    if [ "$f" != crates/cube-serve/src/http.rs ] &&
+        out="$(nontest "$f" | grep -E 'Read::read\(|\.read\(&mut|\.read_exact\(|\.read_to_end\(|io::copy\(')"; then
+        echo "SL007: socket read outside http.rs:" >&2
         echo "$out" >&2
         fail=1
     fi

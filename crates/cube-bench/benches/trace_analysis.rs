@@ -46,7 +46,7 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| epilog::encode_trace(black_box(&trace)))
     });
     group.bench_function("decode", |b| {
-        b.iter(|| epilog::decode_trace(black_box(bytes.clone())).unwrap())
+        b.iter(|| epilog::decode_trace(black_box(&bytes)).unwrap())
     });
 
     // Report the per-event counter blowup once (size, not time).

@@ -90,154 +90,130 @@ impl fmt::Display for Level {
     }
 }
 
-/// Stable identifier of one lint rule.
-///
-/// Codes are append-only: a code, once published, keeps its meaning
-/// forever (CI configurations reference them textually).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RuleCode {
+/// Declares [`RuleCode`] and [`RULES`] from one table: each rule's
+/// variant and its doc comment, then its textual code and one-line
+/// description. Adding a code means adding one entry.
+macro_rules! rule_codes {
+    ($($(#[$doc:meta])* $variant:ident => $code:literal, $description:literal;)*) => {
+        /// Stable identifier of one lint rule.
+        ///
+        /// Codes are append-only: a code, once published, keeps its meaning
+        /// forever (CI configurations reference them textually).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum RuleCode {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// Every rule's variant, code and description, in variant order.
+        const RULES: &[(RuleCode, &str, &str)] =
+            &[$((RuleCode::$variant, $code, $description),)*];
+    };
+}
+
+rule_codes! {
     // -- E0xx: data-model violations (the rules of Experiment::validate) --
     /// A metric's parent identifier does not exist.
-    DanglingMetricParent,
+    DanglingMetricParent => "E001", "metric refers to a nonexistent parent";
     /// The metric parent chain contains a cycle.
-    MetricCycle,
+    MetricCycle => "E002", "metric parent chain contains a cycle";
     /// A metric's unit differs from its tree root's unit.
-    MixedUnitsInMetricTree,
+    MixedUnitsInMetricTree => "E003", "metric unit differs from its tree root's unit";
     /// A region's module does not exist.
-    DanglingRegionModule,
+    DanglingRegionModule => "E004", "region refers to a nonexistent module";
     /// A region's begin line is after its end line.
-    InvertedRegionLines,
+    InvertedRegionLines => "E005", "region begin line is after its end line";
     /// A call site's callee region does not exist.
-    DanglingCallSiteCallee,
+    DanglingCallSiteCallee => "E006", "call site refers to a nonexistent callee region";
     /// A call-tree node's call site does not exist.
-    DanglingCallNodeSite,
+    DanglingCallNodeSite => "E007", "call-tree node refers to a nonexistent call site";
     /// A call-tree node's parent does not exist.
-    DanglingCallNodeParent,
+    DanglingCallNodeParent => "E008", "call-tree node refers to a nonexistent parent";
     /// The call-tree parent chain contains a cycle.
-    CallNodeCycle,
+    CallNodeCycle => "E009", "call-tree parent chain contains a cycle";
     /// A system node's machine does not exist.
-    DanglingNodeMachine,
+    DanglingNodeMachine => "E010", "system node refers to a nonexistent machine";
     /// A process's system node does not exist.
-    DanglingProcessNode,
+    DanglingProcessNode => "E011", "process refers to a nonexistent system node";
     /// A thread's process does not exist.
-    DanglingThreadProcess,
+    DanglingThreadProcess => "E012", "thread refers to a nonexistent process";
     /// Two processes share one application-level rank.
-    DuplicateRank,
+    DuplicateRank => "E013", "two processes share one application-level rank";
     /// Two threads of one process share one thread number.
-    DuplicateThreadNumber,
+    DuplicateThreadNumber => "E014", "two threads of one process share one thread number";
     /// Severity store shape disagrees with the metadata tables.
-    SeverityShapeMismatch,
+    SeverityShapeMismatch => "E015", "severity store shape disagrees with the metadata";
     /// A severity value is NaN.
-    SeverityNan,
+    SeverityNan => "E016", "severity value is NaN";
     /// The experiment defines no thread.
-    NoThreads,
+    NoThreads => "E017", "experiment defines no thread";
     /// A Cartesian topology violates its structural constraints.
-    BadTopology,
+    BadTopology => "E018", "Cartesian topology violates its structural constraints";
 
     // -- E1xx: parse-level errors (produced by cube-xml) --
     /// The file could not be read (I/O failure).
-    Io,
+    Io => "E100", "file could not be read";
     /// The lexer met a character it cannot interpret.
-    XmlSyntax,
+    XmlSyntax => "E101", "XML syntax error";
     /// XML well-formedness violation (mismatched tags, two roots, ...).
-    XmlMalformed,
+    XmlMalformed => "E102", "XML well-formedness violation";
     /// Valid XML, but not a valid CUBE document (missing sections,
     /// missing attributes, non-dense identifiers).
-    FormatViolation,
+    FormatViolation => "E103", "valid XML but not a valid CUBE document";
     /// An attribute or severity value failed to parse or referenced an
     /// out-of-range identifier.
-    BadValue,
+    BadValue => "E104", "attribute or severity value failed to parse or is out of range";
 
     // -- E2xx: resource limits and integrity (produced by cube-xml) --
     /// The document exceeds the configured maximum input size.
-    InputTooLarge,
+    InputTooLarge => "E200", "document exceeds the maximum input size";
     /// Element nesting exceeds the configured maximum depth.
-    NestingTooDeep,
+    NestingTooDeep => "E201", "element nesting exceeds the maximum depth";
     /// A metadata dimension defines more entities than the configured
     /// maximum.
-    TooManyEntities,
+    TooManyEntities => "E202", "a metadata dimension defines too many entities";
     /// A severity row's text exceeds the configured maximum length.
-    RowTooLong,
+    RowTooLong => "E203", "severity row text exceeds the maximum length";
     /// The document's checksum footer does not match its bytes.
-    ChecksumMismatch,
+    ChecksumMismatch => "E204", "checksum footer does not match the document bytes";
 
     // -- W0xx: semantic warnings --
     /// Two sibling metrics share name and unit; metadata integration
     /// matches metrics by `(name, unit)` under their parent, so such
     /// siblings can never both survive a merge as distinct metrics.
-    DuplicateSiblingMetric,
+    DuplicateSiblingMetric => "W001", "two sibling metrics share name and unit";
     /// A region is not the callee of any call site.
-    UnreferencedRegion,
+    UnreferencedRegion => "W002", "region is not the callee of any call site";
     /// A module contains no region.
-    EmptyModule,
+    EmptyModule => "W003", "module contains no region";
     /// A severity value is infinite.
-    InfiniteSeverity,
+    InfiniteSeverity => "W004", "severity value is infinite";
     /// A severity value is negative although the experiment's
     /// provenance is *original*: measurement tools accumulate
     /// non-negative quantities, only derived (difference) experiments
     /// may legitimately go negative.
-    NegativeOriginalSeverity,
+    NegativeOriginalSeverity => "W005", "negative severity in an original experiment";
     /// A process's thread numbers are not contiguous from 0.
-    ThreadNumberGap,
+    ThreadNumberGap => "W006", "thread numbers of a process are not contiguous from 0";
     /// Process ranks are not contiguous from 0.
-    RankGap,
+    RankGap => "W007", "process ranks are not contiguous from 0";
     /// A machine without nodes, a node without processes, or a process
     /// without threads.
-    EmptySystemBranch,
+    EmptySystemBranch => "W008", "machine, node, or process without children";
     /// A topology declares a grid but places no process on it.
-    EmptyTopology,
+    EmptyTopology => "W009", "topology declares a grid but places no process";
     /// A call site is not used by any call-tree node.
-    UnreferencedCallSite,
+    UnreferencedCallSite => "W010", "call site is not used by any call-tree node";
 }
 
 impl RuleCode {
     /// The stable textual code, e.g. `"E016"` or `"W004"`.
     pub fn as_str(self) -> &'static str {
-        match self {
-            Self::DanglingMetricParent => "E001",
-            Self::MetricCycle => "E002",
-            Self::MixedUnitsInMetricTree => "E003",
-            Self::DanglingRegionModule => "E004",
-            Self::InvertedRegionLines => "E005",
-            Self::DanglingCallSiteCallee => "E006",
-            Self::DanglingCallNodeSite => "E007",
-            Self::DanglingCallNodeParent => "E008",
-            Self::CallNodeCycle => "E009",
-            Self::DanglingNodeMachine => "E010",
-            Self::DanglingProcessNode => "E011",
-            Self::DanglingThreadProcess => "E012",
-            Self::DuplicateRank => "E013",
-            Self::DuplicateThreadNumber => "E014",
-            Self::SeverityShapeMismatch => "E015",
-            Self::SeverityNan => "E016",
-            Self::NoThreads => "E017",
-            Self::BadTopology => "E018",
-            Self::Io => "E100",
-            Self::XmlSyntax => "E101",
-            Self::XmlMalformed => "E102",
-            Self::FormatViolation => "E103",
-            Self::BadValue => "E104",
-            Self::InputTooLarge => "E200",
-            Self::NestingTooDeep => "E201",
-            Self::TooManyEntities => "E202",
-            Self::RowTooLong => "E203",
-            Self::ChecksumMismatch => "E204",
-            Self::DuplicateSiblingMetric => "W001",
-            Self::UnreferencedRegion => "W002",
-            Self::EmptyModule => "W003",
-            Self::InfiniteSeverity => "W004",
-            Self::NegativeOriginalSeverity => "W005",
-            Self::ThreadNumberGap => "W006",
-            Self::RankGap => "W007",
-            Self::EmptySystemBranch => "W008",
-            Self::EmptyTopology => "W009",
-            Self::UnreferencedCallSite => "W010",
-        }
+        RULES[self as usize].1
     }
 
     /// Parses a textual code produced by [`RuleCode::as_str`].
     pub fn from_str_opt(s: &str) -> Option<Self> {
-        Self::ALL.iter().copied().find(|c| c.as_str() == s)
+        RULES.iter().find(|rule| rule.1 == s).map(|rule| rule.0)
     }
 
     /// The severity level of this rule.
@@ -251,89 +227,19 @@ impl RuleCode {
 
     /// One-line description of what the rule checks.
     pub fn description(self) -> &'static str {
-        match self {
-            Self::DanglingMetricParent => "metric refers to a nonexistent parent",
-            Self::MetricCycle => "metric parent chain contains a cycle",
-            Self::MixedUnitsInMetricTree => "metric unit differs from its tree root's unit",
-            Self::DanglingRegionModule => "region refers to a nonexistent module",
-            Self::InvertedRegionLines => "region begin line is after its end line",
-            Self::DanglingCallSiteCallee => "call site refers to a nonexistent callee region",
-            Self::DanglingCallNodeSite => "call-tree node refers to a nonexistent call site",
-            Self::DanglingCallNodeParent => "call-tree node refers to a nonexistent parent",
-            Self::CallNodeCycle => "call-tree parent chain contains a cycle",
-            Self::DanglingNodeMachine => "system node refers to a nonexistent machine",
-            Self::DanglingProcessNode => "process refers to a nonexistent system node",
-            Self::DanglingThreadProcess => "thread refers to a nonexistent process",
-            Self::DuplicateRank => "two processes share one application-level rank",
-            Self::DuplicateThreadNumber => "two threads of one process share one thread number",
-            Self::SeverityShapeMismatch => "severity store shape disagrees with the metadata",
-            Self::SeverityNan => "severity value is NaN",
-            Self::NoThreads => "experiment defines no thread",
-            Self::BadTopology => "Cartesian topology violates its structural constraints",
-            Self::Io => "file could not be read",
-            Self::XmlSyntax => "XML syntax error",
-            Self::XmlMalformed => "XML well-formedness violation",
-            Self::FormatViolation => "valid XML but not a valid CUBE document",
-            Self::BadValue => "attribute or severity value failed to parse or is out of range",
-            Self::InputTooLarge => "document exceeds the maximum input size",
-            Self::NestingTooDeep => "element nesting exceeds the maximum depth",
-            Self::TooManyEntities => "a metadata dimension defines too many entities",
-            Self::RowTooLong => "severity row text exceeds the maximum length",
-            Self::ChecksumMismatch => "checksum footer does not match the document bytes",
-            Self::DuplicateSiblingMetric => "two sibling metrics share name and unit",
-            Self::UnreferencedRegion => "region is not the callee of any call site",
-            Self::EmptyModule => "module contains no region",
-            Self::InfiniteSeverity => "severity value is infinite",
-            Self::NegativeOriginalSeverity => "negative severity in an original experiment",
-            Self::ThreadNumberGap => "thread numbers of a process are not contiguous from 0",
-            Self::RankGap => "process ranks are not contiguous from 0",
-            Self::EmptySystemBranch => "machine, node, or process without children",
-            Self::EmptyTopology => "topology declares a grid but places no process",
-            Self::UnreferencedCallSite => "call site is not used by any call-tree node",
-        }
+        RULES[self as usize].2
     }
 
     /// Every rule code, in code order (for documentation and tests).
-    pub const ALL: [RuleCode; 38] = [
-        Self::DanglingMetricParent,
-        Self::MetricCycle,
-        Self::MixedUnitsInMetricTree,
-        Self::DanglingRegionModule,
-        Self::InvertedRegionLines,
-        Self::DanglingCallSiteCallee,
-        Self::DanglingCallNodeSite,
-        Self::DanglingCallNodeParent,
-        Self::CallNodeCycle,
-        Self::DanglingNodeMachine,
-        Self::DanglingProcessNode,
-        Self::DanglingThreadProcess,
-        Self::DuplicateRank,
-        Self::DuplicateThreadNumber,
-        Self::SeverityShapeMismatch,
-        Self::SeverityNan,
-        Self::NoThreads,
-        Self::BadTopology,
-        Self::Io,
-        Self::XmlSyntax,
-        Self::XmlMalformed,
-        Self::FormatViolation,
-        Self::BadValue,
-        Self::InputTooLarge,
-        Self::NestingTooDeep,
-        Self::TooManyEntities,
-        Self::RowTooLong,
-        Self::ChecksumMismatch,
-        Self::DuplicateSiblingMetric,
-        Self::UnreferencedRegion,
-        Self::EmptyModule,
-        Self::InfiniteSeverity,
-        Self::NegativeOriginalSeverity,
-        Self::ThreadNumberGap,
-        Self::RankGap,
-        Self::EmptySystemBranch,
-        Self::EmptyTopology,
-        Self::UnreferencedCallSite,
-    ];
+    pub const ALL: [RuleCode; RULES.len()] = {
+        let mut all = [RuleCode::Io; RULES.len()];
+        let mut i = 0;
+        while i < RULES.len() {
+            all[i] = RULES[i].0;
+            i += 1;
+        }
+        all
+    };
 }
 
 impl fmt::Display for RuleCode {
@@ -1582,7 +1488,9 @@ mod tests {
     #[test]
     fn code_table_is_consistent() {
         let mut seen = std::collections::HashSet::new();
-        for code in RuleCode::ALL {
+        for (i, code) in RuleCode::ALL.into_iter().enumerate() {
+            // `as_str` and `description` index the table by variant.
+            assert_eq!(code as usize, i);
             assert!(seen.insert(code.as_str()), "duplicate code {code}");
             assert_eq!(RuleCode::from_str_opt(code.as_str()), Some(code));
             let is_error = code.as_str().starts_with('E');

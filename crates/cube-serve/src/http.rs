@@ -1,19 +1,26 @@
-//! Minimal HTTP/1.1 framing over a [`std::net::TcpStream`].
+//! Minimal HTTP/1.1 framing over any [`Read`] source.
 //!
 //! The server speaks exactly the subset its API needs: one request per
 //! connection (`Connection: close` on every response), `Content-Length`
-//! bodies only (no chunked encoding), ASCII request lines. Hand-rolling
-//! this keeps the dependency count at zero and the attack surface
-//! auditable: the parser below is the *entire* network-facing input
+//! bodies only (any `Transfer-Encoding` is refused), ASCII request lines
+//! and a head of at most [`MAX_HEAD_BYTES`]. Hand-rolling this keeps the
+//! dependency count at zero and the attack surface auditable:
+//! [`read_head`] and [`read_body`] are the *entire* network-facing input
 //! path ahead of the format readers, which carry their own
-//! [`cube_xml::ReadLimits`].
+//! [`cube_xml::ReadLimits`], and they answer from the bytes alone.
+//!
+//! Every socket read goes through `TimedRead`, which arms the read
+//! timeout to what is left of a [`Deadline`]: [`read_request`] reads
+//! through it, and `drain` empties a rejected client's socket through it
+//! within 250 ms and 1 MiB.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::fmt;
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Upper bound on the request line plus headers.
+/// Upper bound on the request line plus headers, blank line included.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// An absolute time budget a request must finish within.
@@ -23,7 +30,7 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// server answers `504 deadline_exceeded` instead of working on. The
 /// budget is *checked* at phase boundaries (header read, body read,
 /// operand open, evaluation) and *enforced* against stalled sockets by
-/// re-arming the read timeout to the remaining budget.
+/// `TimedRead`.
 #[derive(Clone, Copy, Debug)]
 pub struct Deadline {
     at: Option<Instant>,
@@ -64,27 +71,47 @@ impl Deadline {
     }
 }
 
-/// Arms the socket read timeout to the remaining budget (so a stalled
-/// peer wakes the worker exactly at expiry) or fails fast when the
-/// budget is already gone.
-fn arm_read(stream: &TcpStream, d: &Deadline, phase: &'static str) -> Result<(), HttpError> {
-    match d.remaining() {
-        None => Ok(()),
-        Some(rem) if rem.is_zero() => Err(HttpError::Deadline(phase)),
-        Some(rem) => {
-            let _ = stream.set_read_timeout(Some(rem));
-            Ok(())
+/// A socket read under a [`Deadline`], the only code in this crate that
+/// sets a read timeout from one. Once the budget is gone a read fails
+/// with [`Expired`] for `phase`; every other result passes through.
+struct TimedRead<'a> {
+    stream: &'a TcpStream,
+    deadline: Deadline,
+    phase: &'static str,
+}
+
+impl Read for TimedRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let expired = || io::Error::new(ErrorKind::TimedOut, Expired(self.phase));
+        match self.deadline.remaining() {
+            Some(left) if left.is_zero() => return Err(expired()),
+            Some(left) => self.stream.set_read_timeout(Some(left))?,
+            None => {}
+        }
+        match self.stream.read(buf) {
+            Err(e) if timed_out(&e) && self.deadline.expired() => Err(expired()),
+            result => result,
         }
     }
 }
 
 /// Whether an I/O error is a socket-timeout wakeup (either kind,
 /// depending on platform) rather than a real transport failure.
-fn timed_out(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+fn timed_out(e: &io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// What a `TimedRead` reports once its deadline has passed: the phase it
+/// was reading for, which becomes [`HttpError::Deadline`].
+#[derive(Debug)]
+struct Expired(&'static str);
+
+impl std::error::Error for Expired {}
+
+impl fmt::Display for Expired {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "deadline expired while {}", self.0)
+    }
 }
 
 /// A parsed request: method, path, lower-cased headers, raw body.
@@ -131,106 +158,134 @@ pub enum HttpError {
     Deadline(&'static str),
 }
 
-/// Reads one request from `stream`, enforcing [`MAX_HEAD_BYTES`] and
-/// the caller's body cap *before* buffering the body.
-///
-/// `head_deadline` bounds the header phase (the slow-loris cap: a peer
-/// trickling header bytes is cut off when it expires), `total` bounds
-/// the whole read. Both are re-armed onto the socket's read timeout so
-/// a peer that stalls entirely wakes the worker at expiry rather than
-/// at the coarse per-socket timeout.
+impl From<io::Error> for HttpError {
+    fn from(e: io::Error) -> Self {
+        match e.get_ref().and_then(|e| e.downcast_ref()) {
+            Some(&Expired(phase)) => HttpError::Deadline(phase),
+            None => HttpError::Io(e),
+        }
+    }
+}
+
+/// Reads one request from `stream`: the head under `head_deadline` (the
+/// slow-loris cap) or `total`, whichever is sooner, the body under
+/// `total`.
 pub fn read_request(
     stream: &mut TcpStream,
     max_body: usize,
     head_deadline: &Deadline,
     total: &Deadline,
 ) -> Result<Request, HttpError> {
+    let stream = &*stream;
+    let timed = |deadline, phase| TimedRead {
+        stream,
+        deadline,
+        phase,
+    };
     let head_budget = head_deadline.sooner(*total);
+    let head = read_head(&mut timed(head_budget, "reading request head"), max_body)?;
+    read_body(&mut timed(*total, "reading request body"), head)
+}
+
+/// A request whose head is read and checked, and the `Content-Length`
+/// its body must reach; the body holds what arrived with the head.
+#[derive(Debug)]
+pub struct RequestHead(Request, usize);
+
+/// Reads and checks a request head from `src`. Its blank line must end
+/// within [`MAX_HEAD_BYTES`]. A `Transfer-Encoding`, an unparsable or
+/// disagreeing `Content-Length` (RFC 9112 §6.3) or one past `max_body` is
+/// refused before any read past the one that ended the head.
+pub fn read_head(src: &mut impl Read, max_body: usize) -> Result<RequestHead, HttpError> {
     let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 1024];
-    let body_start = loop {
-        if let Some(end) = find_head_end(&head) {
-            break end;
-        }
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(HttpError::Malformed(format!(
-                "request head exceeds {MAX_HEAD_BYTES} bytes"
-            )));
-        }
-        arm_read(stream, &head_budget, "reading request head")?;
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e) if timed_out(&e) && head_budget.expired() => {
-                return Err(HttpError::Deadline("reading request head"));
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        };
+    let mut end = None;
+    while end.is_none() && head.len() < MAX_HEAD_BYTES {
+        let n = src.read(&mut chunk)?;
         if n == 0 {
-            return if head.is_empty() {
-                Err(HttpError::Closed)
+            return Err(if head.is_empty() {
+                HttpError::Closed
             } else {
-                Err(HttpError::Malformed("connection closed mid-request".into()))
-            };
+                HttpError::Malformed("connection closed mid-request".into())
+            });
         }
+        // The blank line may straddle the previous read.
+        let from = head.len().saturating_sub(3);
         head.extend_from_slice(&chunk[..n]);
-    };
+        end = find_head_end(&head[from..]).map(|at| from + at);
+    }
+    let end = end.filter(|&end| end <= MAX_HEAD_BYTES).ok_or_else(|| {
+        HttpError::Malformed(format!("request head exceeds {MAX_HEAD_BYTES} bytes"))
+    })?;
+    let mut request = parse_head(&head[..end - 4])?;
+    let declared = declared_length(&request.headers, max_body)?;
+    request.body = head.split_off(end);
+    Ok(RequestHead(request, declared))
+}
 
-    let (method, path, headers) = parse_head(&head[..body_start - 4])?;
-    let declared = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length '{v}'")))?,
-        None => 0,
-    };
+/// Reads the rest of the body from `src`: exactly the declared length,
+/// and no byte past it.
+pub fn read_body(src: &mut impl Read, head: RequestHead) -> Result<Request, HttpError> {
+    let RequestHead(mut request, declared) = head;
+    if request.body.len() > declared {
+        return Err(HttpError::Malformed(
+            "more body bytes than content-length declares".into(),
+        ));
+    }
+    // Grows with the bytes that arrive, not with the declared length.
+    let missing = (declared - request.body.len()) as u64;
+    src.take(missing).read_to_end(&mut request.body)?;
+    if request.body.len() < declared {
+        return Err(HttpError::Malformed("connection closed mid-body".into()));
+    }
+    Ok(request)
+}
+
+/// The body length `headers` declare; `0` without a `Content-Length`.
+fn declared_length(headers: &[(String, String)], max_body: usize) -> Result<usize, HttpError> {
+    let malformed = |message: &str| Err(HttpError::Malformed(message.into()));
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return malformed("transfer-encoding is not supported; send a content-length body");
+    }
+    let mut declared = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let Ok(n) = v.parse::<usize>() else {
+            return malformed(&format!("bad content-length '{v}'"));
+        };
+        if declared.is_some_and(|d| d != n) {
+            return malformed("content-length headers disagree");
+        }
+        declared = Some(n);
+    }
+    let declared = declared.unwrap_or(0);
     if declared > max_body {
         return Err(HttpError::BodyTooLarge {
             declared,
             limit: max_body,
         });
     }
+    Ok(declared)
+}
 
-    let mut body = head[body_start..].to_vec();
-    if body.len() > declared {
-        return Err(HttpError::Malformed(
-            "more body bytes than content-length declares".into(),
-        ));
-    }
-    while body.len() < declared {
-        arm_read(stream, total, "reading request body")?;
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e) if timed_out(&e) && total.expired() => {
-                return Err(HttpError::Deadline("reading request body"));
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        };
-        if n == 0 {
-            return Err(HttpError::Malformed("connection closed mid-body".into()));
-        }
-        body.extend_from_slice(&chunk[..n]);
-        if body.len() > declared {
-            return Err(HttpError::Malformed(
-                "more body bytes than content-length declares".into(),
-            ));
-        }
-    }
-
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })
+/// Empties what a rejected client is still sending, so that closing the
+/// socket does not reset the connection and discard the response in
+/// flight. It stops at EOF, an error, 1 MiB or 250 ms in total.
+pub(crate) fn drain(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let timed = TimedRead {
+        stream,
+        deadline: Deadline::after_ms(250),
+        phase: "draining a rejected request",
+    };
+    let _ = io::copy(&mut timed.take(1 << 20), &mut io::sink());
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
-/// Parsed request line + headers: `(method, path, headers)`.
-type Head = (String, String, Vec<(String, String)>);
-
-fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
+/// The request line and headers of `head`, with an empty body.
+fn parse_head(head: &[u8]) -> Result<Request, HttpError> {
     let text = std::str::from_utf8(head)
         .map_err(|_| HttpError::Malformed("request head is not UTF-8".into()))?;
     let mut lines = text.split("\r\n");
@@ -257,7 +312,12 @@ fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
             .ok_or_else(|| HttpError::Malformed(format!("bad header line '{line}'")))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
-    Ok((method.to_string(), path.to_string(), headers))
+    Ok(Request {
+        method: method.to_string(),
+        path: path.to_string(),
+        headers,
+        body: Vec::new(),
+    })
 }
 
 /// A response ready to serialize: status, content type, extra headers,
@@ -355,12 +415,12 @@ mod tests {
 
     #[test]
     fn parses_method_path_headers() {
-        let (m, p, h) =
+        let r =
             parse_head(b"PUT /experiments HTTP/1.1\r\nContent-Length: 3\r\nX-Foo: bar").unwrap();
-        assert_eq!(m, "PUT");
-        assert_eq!(p, "/experiments");
-        assert_eq!(h[0], ("content-length".into(), "3".into()));
-        assert_eq!(h[1], ("x-foo".into(), "bar".into()));
+        assert_eq!(r.method, "PUT");
+        assert_eq!(r.path, "/experiments");
+        assert_eq!(r.headers[0], ("content-length".into(), "3".into()));
+        assert_eq!(r.headers[1], ("x-foo".into(), "bar".into()));
     }
 
     #[test]
@@ -375,6 +435,76 @@ mod tests {
     fn finds_head_end_only_on_blank_line() {
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
+    }
+
+    /// Frames one request from `src`, as `read_request` does from a socket.
+    fn frame(mut src: impl Read, max_body: usize) -> Result<Request, HttpError> {
+        let head = read_head(&mut src, max_body)?;
+        read_body(&mut src, head)
+    }
+
+    fn malformed(answer: Result<Request, HttpError>) -> String {
+        match answer {
+            Err(HttpError::Malformed(message)) => message,
+            Ok(request) => panic!("expected Malformed, got a request for {}", request.path),
+            Err(e) => panic!("expected Malformed, got {e:?}"),
+        }
+    }
+
+    #[test]
+    fn the_head_limit_holds_however_the_head_arrives() {
+        // A head whose blank line ends 500 bytes past the limit, sent in
+        // one write, or with its first 1,023 bytes alone.
+        let pad = "x".repeat(MAX_HEAD_BYTES + 500 - 34);
+        let head = format!("GET /healthz HTTP/1.1\r\nx-pad: {pad}\r\n\r\n");
+        assert_eq!(head.len(), MAX_HEAD_BYTES + 500);
+        let head = head.as_bytes();
+        for split in [0, 1023, 1024, MAX_HEAD_BYTES - 1] {
+            let src = head[..split].chain(&head[split..]);
+            assert_eq!(
+                malformed(frame(src, 0)),
+                format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
+                "split at {split}"
+            );
+        }
+        // A head that ends exactly at the limit is whole.
+        let pad = "x".repeat(MAX_HEAD_BYTES - 34);
+        let head = format!("GET /healthz HTTP/1.1\r\nx-pad: {pad}\r\n\r\n");
+        assert_eq!(head.len(), MAX_HEAD_BYTES);
+        let request = frame(head.as_bytes(), 0).unwrap();
+        assert_eq!(request.header("x-pad").map(str::len), Some(pad.len()));
+    }
+
+    #[test]
+    fn any_transfer_encoding_is_refused_before_the_body() {
+        let head = b"PUT /experiments HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n";
+        let chunk = b"5\r\nhello\r\n0\r\n\r\n";
+        // The chunk shares the head's read.
+        let message = malformed(frame(&[&head[..], chunk].concat()[..], 1 << 20));
+        assert!(message.contains("transfer-encoding"), "{message}");
+        // The chunk arrives after the head, and is never read.
+        let mut unread = &chunk[..];
+        let message = malformed(frame(head.chain(&mut unread), 1 << 20));
+        assert!(message.contains("transfer-encoding"), "{message}");
+        assert_eq!(unread.len(), chunk.len());
+    }
+
+    #[test]
+    fn disagreeing_content_lengths_are_refused() {
+        let two = |first: usize, second: usize| {
+            format!(
+                "PUT /experiments HTTP/1.1\r\ncontent-length: {first}\r\n\
+                 content-length: {second}\r\n\r\n{}",
+                "b".repeat(first)
+            )
+        };
+        let message = malformed(frame(two(12, 5).as_bytes(), 1 << 20));
+        assert_eq!(message, "content-length headers disagree");
+        // Identical repeats stand.
+        assert_eq!(
+            frame(two(12, 12).as_bytes(), 1 << 20).unwrap().body.len(),
+            12
+        );
     }
 
     #[test]

@@ -6,13 +6,16 @@
 //! `workers` long-lived threads drain it. When the queue is full the
 //! *acceptor* answers 429 immediately — overload sheds load in
 //! microseconds instead of stacking latency, and a client can always
-//! distinguish "busy" from "hung". Inside a worker, evaluation fans out
-//! over the shared `rayon` pool, whose length-driven splitting keeps
-//! every response byte-identical at any thread count — which is also
-//! what makes the result cache sound (docs/SERVE.md). A handler that
-//! panics is caught at the connection: the client gets `500
-//! internal`, `/stats` counts it under `panics`, and the worker serves
-//! on.
+//! distinguish "busy" from "hung". It then drains what the rejected
+//! client is still sending (`http::drain`) for at most 250 ms and
+//! 1 MiB in total, so a client that trickles bytes after its 429
+//! delays the next admission by no more than that. Inside a worker,
+//! evaluation fans out over the shared `rayon` pool, whose
+//! length-driven splitting keeps every response byte-identical at any
+//! thread count — which is also what makes the result cache sound
+//! (docs/SERVE.md). A handler that panics is caught at the connection:
+//! the client gets `500 internal`, `/stats` counts it under `panics`,
+//! and the worker serves on.
 //!
 //! Shutdown is cooperative: [`RunningServer::shutdown`] sets the stop
 //! flag and then wakes the blocked acceptor with one loopback
@@ -28,7 +31,7 @@ use crate::api;
 use crate::cache::{lock_recover, LruCache};
 use crate::error::ServeError;
 use crate::faults::FaultPlan;
-use crate::http::{read_request, write_response, Deadline, HttpError};
+use crate::http::{drain, read_request, write_response, Deadline, HttpError};
 use crate::repo::Repository;
 use cube_algebra::PlanTables;
 use cube_xml::ReadLimits;
@@ -348,19 +351,9 @@ fn admit(shared: &Shared, mut stream: TcpStream) {
         ))
         .with_header("retry-after", "1");
         let _ = write_response(&mut stream, &resp);
-        // The client may still be mid-send; closing with unread bytes
-        // in the socket buffer raises RST and discards the 429 in
-        // flight. Drain (briefly, bounded) until the client finishes,
-        // so the rejection actually arrives.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-        let mut sink = [0u8; 4096];
-        for _ in 0..256 {
-            match std::io::Read::read(&mut stream, &mut sink) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
+        // The client may still be mid-send; drain it, within a bound,
+        // so that the close does not discard the 429 in flight.
+        drain(&stream);
         return;
     }
     queue.conns.push_back(stream);
@@ -440,13 +433,6 @@ fn serve_connection(shared: &Shared, stream: &mut TcpStream) {
     };
     if response.status == 504 {
         shared.deadline_expirations.fetch_add(1, Ordering::Relaxed);
-    }
-    // Arming the read timeout to a near-expired deadline leaves the
-    // socket with a tiny timeout; restore the coarse one so writing
-    // the response itself is not starved.
-    if shared.config.socket_timeout_ms > 0 {
-        let t = Duration::from_millis(shared.config.socket_timeout_ms);
-        let _ = stream.set_write_timeout(Some(t));
     }
     let _ = write_response(stream, &response);
 }

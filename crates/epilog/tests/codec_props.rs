@@ -107,7 +107,7 @@ proptest! {
     #[test]
     fn codec_roundtrip(trace in arb_trace()) {
         let bytes = encode_trace(&trace);
-        let back = decode_trace(bytes).unwrap();
+        let back = decode_trace(&bytes).unwrap();
         prop_assert_eq!(back, trace);
     }
 
@@ -115,10 +115,10 @@ proptest! {
     /// panic or a silent success.
     #[test]
     fn truncation_always_errors(trace in arb_trace(), frac in 0.0f64..1.0) {
-        let bytes = encode_trace(&trace).to_vec();
+        let bytes = encode_trace(&trace);
         let cut = ((bytes.len() as f64) * frac) as usize;
         if cut < bytes.len() {
-            prop_assert!(decode_trace(bytes::Bytes::from(bytes[..cut].to_vec())).is_err());
+            prop_assert!(decode_trace(&bytes[..cut]).is_err());
         }
     }
 
@@ -126,18 +126,18 @@ proptest! {
     /// a flipped severity byte is still a valid trace).
     #[test]
     fn corruption_never_panics(trace in arb_trace(), pos in any::<prop::sample::Index>(), delta in 1u8..=255) {
-        let mut bytes = encode_trace(&trace).to_vec();
+        let mut bytes = encode_trace(&trace);
         if !bytes.is_empty() {
             let i = pos.index(bytes.len());
             bytes[i] = bytes[i].wrapping_add(delta);
-            let _ = decode_trace(bytes::Bytes::from(bytes));
+            let _ = decode_trace(&bytes);
         }
     }
 
     /// Stats are invariant under codec round-trip.
     #[test]
     fn stats_survive_roundtrip(trace in arb_trace()) {
-        let back = decode_trace(encode_trace(&trace)).unwrap();
+        let back = decode_trace(&encode_trace(&trace)).unwrap();
         prop_assert_eq!(back.stats(), trace.stats());
     }
 }

@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn trace_roundtrips_through_codec() {
         let t = traced_program();
-        let back = epilog::decode_trace(epilog::encode_trace(&t)).unwrap();
+        let back = epilog::decode_trace(&epilog::encode_trace(&t)).unwrap();
         assert_eq!(back, t);
     }
 }

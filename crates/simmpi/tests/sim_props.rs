@@ -216,7 +216,7 @@ proptest! {
         let trace = tracer.into_trace();
         trace.validate().expect("tracer output is always a valid trace");
         // Codec round-trip as a bonus.
-        let back = epilog::decode_trace(epilog::encode_trace(&trace)).unwrap();
+        let back = epilog::decode_trace(&epilog::encode_trace(&trace)).unwrap();
         prop_assert_eq!(back, trace);
     }
 }

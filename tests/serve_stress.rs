@@ -7,7 +7,7 @@
 #[path = "serve_util/mod.rs"]
 mod serve_util;
 
-use serve_util::{json_field, json_number, request, Reply};
+use serve_util::{json_field, json_number, request, request_within, Reply};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -211,6 +211,83 @@ fn full_queue_answers_429_immediately_never_hangs() {
     let stats = request(addr, "GET", "/stats", b"").text();
     assert_eq!(json_number(&stats, "rejected"), Some(rejected as u64));
 
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_trickling_rejected_client_does_not_hold_the_acceptor() {
+    use std::io::{Read as _, Write as _};
+    use std::net::TcpStream;
+
+    let (server, ids) = boot(
+        "trickle",
+        cube_serve::ServeConfig {
+            workers: 1,
+            queue_depth: 1,
+            header_deadline_ms: 30_000,
+            ..cube_serve::ServeConfig::default()
+        },
+    );
+    let addr = server.local_addr();
+    let expr = format!("mean({},{})", ids[0], ids[1]);
+
+    // A's half-sent head holds the only worker; B's waits in the
+    // queue, which is then full.
+    let half_head = || {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"POST /eval HTTP/1.1\r\nhost: t").unwrap();
+        s
+    };
+    let a = half_head();
+    std::thread::sleep(Duration::from_millis(200));
+    let b = half_head();
+
+    // C is refused, reads its 429, and then sends one byte every
+    // 100 ms for 3 s into the drain.
+    let (started, trickling) = std::sync::mpsc::channel();
+    let c = std::thread::spawn(move || {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut raw = Vec::new();
+        s.read_to_end(&mut raw).unwrap();
+        started.send(()).unwrap();
+        for _ in 0..30 {
+            let _ = s.write_all(b"x");
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        String::from_utf8_lossy(&raw).into_owned()
+    });
+
+    // D's complete request, 300 ms into the trickle, is refused at once
+    // rather than when C stops.
+    trickling
+        .recv_timeout(Duration::from_secs(10))
+        .expect("C got its 429");
+    std::thread::sleep(Duration::from_millis(300));
+    let t0 = Instant::now();
+    let reply = request_within(
+        addr,
+        "POST",
+        "/eval",
+        expr.as_bytes(),
+        Duration::from_secs(10),
+    )
+    .expect("D gets a response");
+    let elapsed = t0.elapsed();
+    assert_eq!(reply.status, 429, "{}", reply.text());
+    assert_eq!(
+        json_field(&reply.text(), "code").as_deref(),
+        Some("queue_full")
+    );
+    assert!(
+        elapsed < Duration::from_millis(1500),
+        "D's 429 took {elapsed:?} behind a trickling rejected client"
+    );
+
+    let c_reply = c.join().expect("client C must not panic");
+    assert!(c_reply.contains(" 429 "), "C was not refused: {c_reply}");
+    drop((a, b));
     server.shutdown();
     server.join();
 }
