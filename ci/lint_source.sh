@@ -25,6 +25,11 @@
 #          (`Read::read(`, `.read(&mut`, `.read_exact(`, `.read_to_end(`,
 #          `io::copy(`): every socket read goes through its one
 #          deadline-armed reader
+#   SL008  in cube-xml, cube-store, cube-cli and cube-serve non-test
+#          code, `fs::read(`, `fs::read_to_string(` and `read_to_string(`
+#          appear only in crates/cube-xml/src/commit.rs: every whole
+#          experiment file is read through `cube_xml::read_file`, under
+#          the input limit
 #
 # Everything from the first `#[cfg(test)]` line to the end of a file
 # is test code and exempt: tests may unwrap freely. Files under
@@ -76,6 +81,16 @@ for f in $(find src crates stubs examples -name '*.rs' -not -path '*/tests/*' | 
     [ "$f" = crates/cube-xml/src/commit.rs ] && continue
     if out="$(nontest "$f" | grep -E 'fs::rename\(|\.sync_(all|data)\(\)')"; then
         echo "SL006: rename or fsync outside cube_xml::commit_file:" >&2
+        echo "$out" >&2
+        fail=1
+    fi
+done
+
+for f in $(find crates/cube-xml/src crates/cube-store/src crates/cube-cli/src \
+    crates/cube-serve/src -name '*.rs' | sort); do
+    [ "$f" = crates/cube-xml/src/commit.rs ] && continue
+    if out="$(nontest "$f" | grep -E 'fs::read\(|read_to_string\(')"; then
+        echo "SL008: whole-file read outside cube_xml::read_file:" >&2
         echo "$out" >&2
         fail=1
     fi

@@ -28,7 +28,7 @@ use std::io::BufRead;
 use cube_display::{BrowserState, ProgramView, RenderOptions, Row, RowKind, ValueMode};
 use cube_model::Experiment;
 
-fn render_numbered(exp: &Experiment, state: &BrowserState, opts: RenderOptions, out: &mut String) {
+fn render_numbered(exp: &Experiment, state: &BrowserState, out: &mut String) {
     let panes: [(&str, Vec<Row>); 3] = [
         ("metric tree", state.metric_rows(exp)),
         ("call tree", state.program_rows(exp)),
@@ -60,7 +60,6 @@ fn render_numbered(exp: &Experiment, state: &BrowserState, opts: RenderOptions, 
             );
         }
     }
-    let _ = opts;
 }
 
 /// One step of the REPL: applies `command` to `state`. Returns `false`
@@ -170,11 +169,7 @@ fn apply(exp: &Experiment, state: &mut BrowserState, command: &str) -> Result<bo
 
 /// Runs the browser loop over `input`, collecting everything that would
 /// be printed. Separated from stdin/stdout for tests.
-pub fn browse(exp: &Experiment, input: impl BufRead, ansi: bool) -> String {
-    let opts = RenderOptions {
-        ansi,
-        ..RenderOptions::default()
-    };
+pub fn browse(exp: &Experiment, input: impl BufRead) -> String {
     let mut state = BrowserState::new(exp);
     let mut out = String::new();
     let _ = writeln!(
@@ -182,11 +177,11 @@ pub fn browse(exp: &Experiment, input: impl BufRead, ansi: bool) -> String {
         "browsing {} — 'help' lists commands, 'q' quits",
         exp.provenance().label()
     );
-    render_numbered(exp, &state, opts, &mut out);
+    render_numbered(exp, &state, &mut out);
     for line in input.lines() {
         let Ok(line) = line else { break };
         match apply(exp, &mut state, &line) {
-            Ok(true) => render_numbered(exp, &state, opts, &mut out),
+            Ok(true) => render_numbered(exp, &state, &mut out),
             Ok(false) => break,
             Err(message) => {
                 let _ = writeln!(out, "{message}");
@@ -223,7 +218,7 @@ mod tests {
     }
 
     fn run_session(script: &str) -> String {
-        browse(&sample(), script.as_bytes(), false)
+        browse(&sample(), script.as_bytes())
     }
 
     #[test]
@@ -290,7 +285,7 @@ mod tests {
 
     #[test]
     fn eof_ends_session() {
-        let out = browse(&sample(), "".as_bytes(), false);
+        let out = browse(&sample(), "".as_bytes());
         assert!(out.contains("metric tree"));
     }
 }

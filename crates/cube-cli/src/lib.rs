@@ -27,7 +27,7 @@
 //!            # exit 0 = full recovery, 1 = partial, 2 = unrecoverable
 //! cube pack   IN.cube OUT.cubec                # re-encode as columnar store
 //! cube unpack IN.cubec OUT.cube                # re-encode as CUBE XML
-//! cube browse A.cube [--ansi]                  # interactive browser
+//! cube browse A.cube                           # interactive browser
 //! cube view  A.cube [--metric M] [--call R] [--percent]
 //!            [--normalize REF.cube] [--expand-all] [--flat] [--ansi]
 //!            [--topology N]                     # append a heat view
@@ -160,64 +160,60 @@ fn apply_global_flags(args: &[String]) -> Result<Vec<String>, String> {
 
 struct Parsed {
     positional: Vec<String>,
-    output: Option<String>,
     flags: Vec<String>,
     valued: Vec<(String, String)>,
 }
 
-const VALUED_FLAGS: &[&str] = &[
-    "--normalize",
-    "--metric",
-    "--call",
-    "--tol",
-    "--prune",
-    "--reroot",
-    "--top",
-    "--topology",
-    "--op",
-    "--minus",
-    "--format",
-    "--deny",
-    "--repo",
-    "--addr",
-    "--port",
-    "--workers",
-    "--queue",
-    "--cache-results",
-    "--cache-plans",
-    "--cache-handles",
-    "--max-body",
-    "--deadline-ms",
-    "--header-deadline-ms",
-    "--socket-timeout-ms",
-    "--retries",
-    "--backoff-ms",
-    "--breaker",
-    "--faults",
+/// No upper bound on the positional arguments a subcommand takes.
+const MANY: usize = usize::MAX;
+
+/// The switches of every operator subcommand.
+const OPERATOR_SWITCHES: &[&str] = &[
+    "--keep-going",
+    "--strict-csite",
+    "--collapse",
+    "--copy-first",
 ];
 
-fn parse(args: &[String]) -> Result<Parsed, String> {
+/// Parses the arguments of `cube CMD`, which takes `positional`
+/// arguments, the `switches` and the `valued` flags (`-o` among them,
+/// also spelled `--output`). Anything else is a usage error.
+fn parse(
+    cmd: &str,
+    args: &[String],
+    positional: std::ops::RangeInclusive<usize>,
+    switches: &[&str],
+    valued: &[&str],
+) -> Result<Parsed, String> {
     let mut p = Parsed {
         positional: Vec::new(),
-        output: None,
         flags: Vec::new(),
         valued: Vec::new(),
     };
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "-o" || a == "--output" {
-            let v = it.next().ok_or("missing value after -o")?;
-            p.output = Some(v.clone());
-        } else if VALUED_FLAGS.contains(&a.as_str()) {
+        let a = if a == "--output" { "-o" } else { a.as_str() };
+        if valued.contains(&a) {
             let v = it
                 .next()
                 .ok_or_else(|| format!("missing value after {a}"))?;
-            p.valued.push((a.clone(), v.clone()));
-        } else if a.starts_with("--") {
-            p.flags.push(a.clone());
+            p.valued.push((a.to_string(), v.clone()));
+        } else if switches.contains(&a) {
+            p.flags.push(a.to_string());
+        } else if a.starts_with("--") || a == "-o" {
+            return Err(format!("unknown flag {a} for cube {cmd}"));
         } else {
-            p.positional.push(a.clone());
+            p.positional.push(a.to_string());
         }
+    }
+    let n = p.positional.len();
+    if !positional.contains(&n) {
+        let (least, most) = (*positional.start(), *positional.end());
+        let bound = if most == MANY { "at least " } else { "" };
+        let plural = if least == 1 { "" } else { "s" };
+        return Err(format!(
+            "cube {cmd} takes {bound}{least} argument{plural}, got {n}"
+        ));
     }
     Ok(p)
 }
@@ -419,19 +415,17 @@ fn load_inputs(paths: &[String], keep_going: bool) -> Result<Inputs, String> {
 /// providers and `--minus` groups keep their argument positions, but a
 /// skipped `diff` side or `scale` input is an error.
 fn operator_cmd(args: &[String], cmd: &str) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    let output = p.output.as_deref().ok_or("missing -o OUTPUT");
-    let (out, inputs) = match (cmd, &p.positional[..]) {
-        ("stats", [out, inputs @ ..]) if !inputs.is_empty() => (out.as_str(), inputs),
-        ("stats", _) => {
-            return Err("cube stats takes OUTPUT followed by at least one input file".into())
-        }
-        ("diff", [_, _]) => (output?, &p.positional[..]),
-        ("diff", _) => return Err("cube diff takes exactly two input files".into()),
-        ("scale", [input, _]) => (output?, std::slice::from_ref(input)),
-        ("scale", _) => return Err("cube scale takes INPUT and FACTOR".into()),
-        (_, []) => return Err(format!("cube {cmd} needs at least one input file")),
-        (_, inputs) => (output?, inputs),
+    let (positional, valued): (_, &[&str]) = match cmd {
+        "stats" => (2..=MANY, &["--op", "--minus"]),
+        "diff" | "scale" => (2..=2, &["-o"]),
+        _ => (1..=MANY, &["-o"]),
+    };
+    let p = parse(cmd, args, positional, OPERATOR_SWITCHES, valued)?;
+    let output = p.value("-o").ok_or("missing -o OUTPUT");
+    let (out, inputs) = match cmd {
+        "stats" => (p.positional[0].as_str(), &p.positional[1..]),
+        "scale" => (output?, &p.positional[..1]),
+        _ => (output?, &p.positional[..]),
     };
     let n = inputs.len();
     let expr = match cmd {
@@ -480,10 +474,7 @@ fn operator_cmd(args: &[String], cmd: &str) -> Result<Outcome, String> {
 }
 
 fn cut(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 1 {
-        return Err("cube cut takes exactly one input file".into());
-    }
+    let p = parse("cut", args, 1..=1, &[], &["--prune", "--reroot", "-o"])?;
     let a = load(&p.positional[0])?;
     let find = |region: &str| {
         let md = a.metadata();
@@ -496,8 +487,8 @@ fn cut(args: &[String]) -> Result<Outcome, String> {
         (None, Some(r)) => cube_algebra::cut::reroot(&a, find(r)?),
         _ => return Err("cube cut needs exactly one of --prune REGION or --reroot REGION".into()),
     };
-    let out = p.output.ok_or("missing -o OUTPUT")?;
-    store(&result, &out)?;
+    let out = p.value("-o").ok_or("missing -o OUTPUT")?;
+    store(&result, out)?;
     ok(format!("wrote {out}: {}\n", result.provenance().label()))
 }
 
@@ -506,10 +497,7 @@ fn cut(args: &[String]) -> Result<Outcome, String> {
 // ---------------------------------------------------------------------------
 
 fn info(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 1 {
-        return Err("cube info takes exactly one input file".into());
-    }
+    let p = parse("info", args, 1..=1, &[], &[])?;
     let e = load(&p.positional[0])?;
     let md = e.metadata();
     let mut s = String::new();
@@ -556,10 +544,7 @@ fn info(args: &[String]) -> Result<Outcome, String> {
 }
 
 fn stat(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 1 {
-        return Err("cube stat takes exactly one input file".into());
-    }
+    let p = parse("stat", args, 1..=1, &[], &[])?;
     let e = load(&p.positional[0])?;
     let md = e.metadata();
     let mut s = String::new();
@@ -593,10 +578,7 @@ fn stat(args: &[String]) -> Result<Outcome, String> {
 }
 
 fn calltree(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 1 {
-        return Err("cube calltree takes exactly one input file".into());
-    }
+    let p = parse("calltree", args, 1..=1, &[], &["--metric"])?;
     let e = load(&p.positional[0])?;
     let md = e.metadata();
     let metric = match p.value("--metric") {
@@ -639,10 +621,7 @@ fn calltree(args: &[String]) -> Result<Outcome, String> {
 }
 
 fn hotspots_cmd(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 1 {
-        return Err("cube hotspots takes exactly one input file".into());
-    }
+    let p = parse("hotspots", args, 1..=1, &[], &["--metric", "--top"])?;
     let e = load(&p.positional[0])?;
     let md = e.metadata();
     let metric = match p.value("--metric") {
@@ -654,8 +633,8 @@ fn hotspots_cmd(args: &[String]) -> Result<Outcome, String> {
             .first()
             .ok_or("experiment has no metrics")?,
     };
-    let k: usize = match p.valued.iter().find(|(key, _)| key == "--top") {
-        Some((_, v)) => v.parse().map_err(|_| "bad --top value".to_string())?,
+    let k: usize = match p.value("--top") {
+        Some(v) => v.parse().map_err(|_| "bad --top value".to_string())?,
         None => 10,
     };
     let spots = cube_algebra::stats::hotspots(&e, metric, k);
@@ -682,21 +661,13 @@ fn hotspots_cmd(args: &[String]) -> Result<Outcome, String> {
 }
 
 fn browse_cmd(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 1 {
-        return Err("cube browse takes exactly one input file".into());
-    }
+    let p = parse("browse", args, 1..=1, &[], &[])?;
     let e = load(&p.positional[0])?;
-    let stdin = std::io::stdin();
-    let out = browse::browse(&e, stdin.lock(), p.flag("--ansi"));
-    ok(out)
+    ok(browse::browse(&e, std::io::stdin().lock()))
 }
 
 fn cmp(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 2 {
-        return Err("cube cmp takes exactly two input files".into());
-    }
+    let p = parse("cmp", args, 2..=2, &[], &["--tol"])?;
     let a = load(&p.positional[0])?;
     let b = load(&p.positional[1])?;
     let tol: f64 = p
@@ -727,10 +698,7 @@ fn cmp(args: &[String]) -> Result<Outcome, String> {
 /// `--deny warnings` promotes warnings too (the CI mode). Hard usage
 /// errors keep the tool-wide exit code 2.
 fn lint_cmd(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.is_empty() {
-        return Err("cube lint needs at least one input file".into());
-    }
+    let p = parse("lint", args, 1..=MANY, &[], &["--format", "--deny"])?;
     let deny_warnings = p.deny_warnings()?;
     let json = p.json_format()?;
 
@@ -838,10 +806,8 @@ fn name_binds_file(name: &str, file: &str) -> bool {
 /// clean, 1 = findings denied (errors always, warnings only under
 /// `--deny warnings`; parse errors count as errors), 2 = usage.
 fn check_cmd(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    let Some((expr_src, files)) = p.positional.split_first() else {
-        return Err("cube check needs an expression (and its operand files)".into());
-    };
+    let p = parse("check", args, 1..=MANY, &[], &["--format", "--deny"])?;
+    let (expr_src, files) = (&p.positional[0], &p.positional[1..]);
     let deny_warnings = p.deny_warnings()?;
     let json = p.json_format()?;
 
@@ -982,10 +948,7 @@ fn check_cmd(args: &[String]) -> Result<Outcome, String> {
 /// longest valid prefix was written, provenance marks it `recovered`),
 /// 2 = unrecoverable (no complete metadata; nothing written).
 fn repair_cmd(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 2 {
-        return Err("cube repair takes INPUT and OUTPUT".into());
-    }
+    let p = parse("repair", args, 2..=2, &[], &[])?;
     let (input, output) = (&p.positional[0], &p.positional[1]);
     // Inside a serve repository, recovery provenance names the stable
     // repository-relative object path instead of whatever absolute or
@@ -1072,10 +1035,7 @@ fn repair_cmd(args: &[String]) -> Result<Outcome, String> {
 /// are warnings. Exit codes grade the repository lint-style: 0 = clean,
 /// 1 = warnings only, 2 = errors (including "not a repository at all").
 fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 1 {
-        return Err("cube fsck takes exactly one repository directory".into());
-    }
+    let p = parse("fsck", args, 1..=1, &[], &["--format"])?;
     let json = p.json_format()?;
     let root = std::path::Path::new(&p.positional[0]);
     if !root.join(cube_serve::REPO_MARKER).exists() {
@@ -1171,11 +1131,13 @@ fn fsck_verdict(
         }
         cube_serve::EntryKind::Stray(why) => return ("stray", why.into()),
     };
-    let bytes = match std::fs::read(root.join(rel)) {
+    let limits = ReadLimits::default();
+    let bytes = match cube_xml::read_file(&root.join(rel), &limits, "store.file") {
         Ok(b) => b,
-        Err(e) => return ("corrupt", format!("unreadable: {e}")),
+        Err(XmlError::Io { source, .. }) => return ("corrupt", format!("unreadable: {source}")),
+        Err(e) => return ("corrupt", e.to_string()),
     };
-    if let Err(e) = cube_store::read_store(&bytes, &ReadLimits::default()) {
+    if let Err(e) = cube_store::read_store(&bytes, &limits) {
         return ("corrupt", e.to_string());
     }
     let actual = cube_serve::content_id(&bytes);
@@ -1200,13 +1162,24 @@ fn fsck_verdict(
 /// Prints `listening on ADDR:PORT` (flushed) as soon as the socket is
 /// bound, so scripts using `--port 0` can discover the ephemeral port.
 fn serve_cmd(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if !p.positional.is_empty() {
-        return Err("cube serve takes no positional arguments".into());
-    }
-    if let Some(flag) = p.flags.first() {
-        return Err(format!("unknown flag {flag} for cube serve"));
-    }
+    let valued = [
+        "--repo",
+        "--addr",
+        "--port",
+        "--workers",
+        "--queue",
+        "--cache-results",
+        "--cache-plans",
+        "--cache-handles",
+        "--max-body",
+        "--deadline-ms",
+        "--header-deadline-ms",
+        "--socket-timeout-ms",
+        "--retries",
+        "--backoff-ms",
+        "--breaker",
+    ];
+    let p = parse("serve", args, 0..=0, &[], &valued)?;
     let mut config = cube_serve::ServeConfig::default();
     let mut repo: Option<String> = None;
     let num = |flag: &str, value: &str| -> Result<usize, String> {
@@ -1235,20 +1208,15 @@ fn serve_cmd(args: &[String]) -> Result<Outcome, String> {
             "--retries" => config.read_retries = num(flag, value)?.max(1) as u32,
             "--backoff-ms" => config.backoff_base_ms = num(flag, value)? as u64,
             "--breaker" => config.breaker_threshold = num(flag, value)? as u32,
-            "--faults" => config.faults = Some(value.clone()),
-            other => return Err(format!("unknown flag {other} for cube serve")),
+            other => unreachable!("parse admits no other flag, got {other}"),
         }
     }
     // The fault schedule is a test/CI hook, deliberately absent from
-    // usage output; the environment variable lets harnesses enable it
-    // without touching the command line the gate under test builds.
-    if config.faults.is_none() {
-        if let Ok(spec) = std::env::var("CUBE_FAULTS") {
-            if !spec.is_empty() {
-                config.faults = Some(spec);
-            }
-        }
-    }
+    // the command line: harnesses set the environment variable without
+    // touching the command line the gate under test builds.
+    config.faults = std::env::var("CUBE_FAULTS")
+        .ok()
+        .filter(|spec| !spec.is_empty());
     let repo = repo.ok_or("cube serve needs --repo DIR")?;
     cube_serve::install_signal_handlers();
     let server =
@@ -1270,10 +1238,7 @@ fn serve_cmd(args: &[String]) -> Result<Outcome, String> {
 /// `cube pack IN OUT` — re-encode an experiment (either format) into
 /// the `.cubec` columnar store, whatever OUT's extension says.
 fn pack_cmd(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 2 {
-        return Err("cube pack takes INPUT and OUTPUT".into());
-    }
+    let p = parse("pack", args, 2..=2, &[], &[])?;
     let (input, output) = (&p.positional[0], &p.positional[1]);
     let e = load(input)?;
     cube_store::write_store_file(&e, output).map_err(|err| store_path_error(output, err))?;
@@ -1284,10 +1249,7 @@ fn pack_cmd(args: &[String]) -> Result<Outcome, String> {
 /// whatever OUT's extension says. Strict read: a damaged store is an
 /// error here (use `cube repair` to salvage).
 fn unpack_cmd(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 2 {
-        return Err("cube unpack takes INPUT and OUTPUT".into());
-    }
+    let p = parse("unpack", args, 2..=2, &[], &[])?;
     let (input, output) = (&p.positional[0], &p.positional[1]);
     let e = cube_store::read_store_file(input).map_err(|err| store_path_error(input, err))?;
     write_experiment_file(&e, output).map_err(|err| path_error(output, err))?;
@@ -1295,10 +1257,9 @@ fn unpack_cmd(args: &[String]) -> Result<Outcome, String> {
 }
 
 fn view(args: &[String]) -> Result<Outcome, String> {
-    let p = parse(args)?;
-    if p.positional.len() != 1 {
-        return Err("cube view takes exactly one input file".into());
-    }
+    let switches = ["--expand-all", "--flat", "--percent", "--ansi"];
+    let valued = ["--metric", "--call", "--normalize", "--topology"];
+    let p = parse("view", args, 1..=1, &switches, &valued)?;
     let e = load(&p.positional[0])?;
     let mut state = BrowserState::new(&e);
     if p.flag("--expand-all") {
@@ -1325,7 +1286,6 @@ fn view(args: &[String]) -> Result<Outcome, String> {
     }
     let opts = RenderOptions {
         ansi: p.flag("--ansi"),
-        ..RenderOptions::default()
     };
     let mut out = cube_display::render_view(&e, &state, opts);
     if let Some(idx) = p.value("--topology") {
@@ -1686,6 +1646,34 @@ mod tests {
         assert!(run(&args(&["scale", "a.cube", "not-a-number", "-o", "x"])).is_err());
         let help = run(&args(&["help"])).unwrap();
         assert!(help.stdout.contains("usage"));
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_take_is_a_usage_error() {
+        let warn = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/malformed/w002_unreferenced_region.cube"
+        );
+        let err = run(&args(&["lint", "--deny-warnings", warn])).unwrap_err();
+        assert_eq!(err, "unknown flag --deny-warnings for cube lint");
+        assert_eq!(
+            run(&args(&["lint", "--deny", "warnings", warn]))
+                .unwrap()
+                .code,
+            1
+        );
+
+        let a = write_sample("typo_a.cube", 2.0);
+        let b = write_sample("typo_b.cube", 1.0);
+        let out = tmp("typo_out.cube").to_string_lossy().into_owned();
+        let err = run(&args(&["diff", &a, &b, "--keep-goin", "-o", &out])).unwrap_err();
+        assert_eq!(err, "unknown flag --keep-goin for cube diff");
+        let err = run(&args(&["info", &a, "--metric", "time"])).unwrap_err();
+        assert_eq!(err, "unknown flag --metric for cube info");
+        let err = run(&args(&["stats", &out, &a, "-o", &out])).unwrap_err();
+        assert_eq!(err, "unknown flag -o for cube stats");
+        let err = run(&args(&["info", &a, &b])).unwrap_err();
+        assert_eq!(err, "cube info takes 1 argument, got 2");
     }
 
     #[test]

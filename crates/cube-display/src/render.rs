@@ -13,24 +13,16 @@ use crate::color::ColorScale;
 use crate::view::{BrowserState, Row, ValueMode};
 
 /// Rendering switches.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RenderOptions {
     /// Emit ANSI color escapes.
     pub ansi: bool,
-    /// Total width of the value column.
-    pub value_width: usize,
 }
 
-impl Default for RenderOptions {
-    fn default() -> Self {
-        Self {
-            ansi: false,
-            value_width: 12,
-        }
-    }
-}
+/// Total width of the value column.
+const VALUE_WIDTH: usize = 12;
 
-fn format_value(row: &Row, mode: &ValueMode, width: usize) -> String {
+fn format_value(row: &Row, mode: &ValueMode) -> String {
     let body = match mode {
         ValueMode::Absolute => {
             if row.value == 0.0 {
@@ -43,7 +35,7 @@ fn format_value(row: &Row, mode: &ValueMode, width: usize) -> String {
         }
         ValueMode::Percent | ValueMode::PercentNormalized(_) => format!("{:.1}%", row.value),
     };
-    format!("{body:>width$}")
+    format!("{body:>VALUE_WIDTH$}")
 }
 
 fn render_rows(rows: &[Row], mode: &ValueMode, opts: RenderOptions, out: &mut String) {
@@ -70,7 +62,7 @@ fn render_rows(rows: &[Row], mode: &ValueMode, opts: RenderOptions, out: &mut St
         };
         let sel = if row.selected { '>' } else { ' ' };
         let indent = "  ".repeat(row.depth);
-        let value = format_value(row, mode, opts.value_width);
+        let value = format_value(row, mode);
         let relief = row.shade.relief.marker();
         let _ = writeln!(
             out,
@@ -320,14 +312,7 @@ mod tests {
         let e = sample();
         let state = BrowserState::new(&e);
         let plain = render_metric_tree(&e, &state, RenderOptions::default());
-        let ansi = render_metric_tree(
-            &e,
-            &state,
-            RenderOptions {
-                ansi: true,
-                ..Default::default()
-            },
-        );
+        let ansi = render_metric_tree(&e, &state, RenderOptions { ansi: true });
         assert!(!plain.contains('\x1b'));
         assert!(ansi.contains('\x1b'));
     }

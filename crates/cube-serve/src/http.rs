@@ -11,8 +11,9 @@
 //!
 //! Every socket read goes through `TimedRead`, which arms the read
 //! timeout to what is left of a [`Deadline`]: [`read_request`] reads
-//! through it, and `drain` empties a rejected client's socket through it
-//! within 250 ms and 1 MiB.
+//! through it, and `drain` empties the socket of a rejected client, or
+//! of a request refused while it was read, through it within 250 ms and
+//! 1 MiB.
 
 use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
@@ -169,7 +170,8 @@ impl From<io::Error> for HttpError {
 
 /// Reads one request from `stream`: the head under `head_deadline` (the
 /// slow-loris cap) or `total`, whichever is sooner, the body under
-/// `total`.
+/// `total`, or under the socket's own read timeout when `total` is
+/// unlimited.
 pub fn read_request(
     stream: &mut TcpStream,
     max_body: usize,
@@ -183,7 +185,17 @@ pub fn read_request(
         phase,
     };
     let head_budget = head_deadline.sooner(*total);
+    // A body with no deadline reads under the socket's own timeout (the
+    // one `--socket-timeout-ms` set), not under what the head's reads
+    // last armed: note it before them and put it back after.
+    let socket_timeout = match (head_budget.remaining(), total.remaining()) {
+        (Some(_), None) => Some(stream.read_timeout()?),
+        _ => None,
+    };
     let head = read_head(&mut timed(head_budget, "reading request head"), max_body)?;
+    if let Some(timeout) = socket_timeout {
+        stream.set_read_timeout(timeout)?;
+    }
     read_body(&mut timed(*total, "reading request body"), head)
 }
 

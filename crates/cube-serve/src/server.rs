@@ -9,7 +9,10 @@
 //! distinguish "busy" from "hung". It then drains what the rejected
 //! client is still sending (`http::drain`) for at most 250 ms and
 //! 1 MiB in total, so a client that trickles bytes after its 429
-//! delays the next admission by no more than that. Inside a worker,
+//! delays the next admission by no more than that. A worker drains
+//! the same way after answering a request it refused while reading it
+//! (`400`, `413`, or a `504` in the read), so that the close does not
+//! reset the connection under the answer. Inside a worker,
 //! evaluation fans out over the shared `rayon` pool, whose
 //! length-driven splitting keeps every response byte-identical at any
 //! thread count — which is also what makes the result cache sound
@@ -402,7 +405,10 @@ fn serve_connection(shared: &Shared, stream: &mut TcpStream) {
         shared.requests.fetch_add(1, Ordering::Relaxed);
         Ok(api::handle(shared, &request, &total))
     });
-    let response = match catch_unwind(read_and_handle) {
+    let result = catch_unwind(read_and_handle);
+    // A request refused while it was read may still be arriving.
+    let refused = matches!(result, Ok(Err(_)));
+    let response = match result {
         Ok(Ok(response)) => response,
         Err(_) => {
             // The panic hook has already reported the panic itself.
@@ -435,6 +441,11 @@ fn serve_connection(shared: &Shared, stream: &mut TcpStream) {
         shared.deadline_expirations.fetch_add(1, Ordering::Relaxed);
     }
     let _ = write_response(stream, &response);
+    if refused {
+        // Drain the rest, within a bound, so that the close does not
+        // reset the connection and discard the answer in flight.
+        drain(stream);
+    }
 }
 
 static SIGNALED: AtomicBool = AtomicBool::new(false);

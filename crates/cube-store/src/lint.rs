@@ -9,7 +9,7 @@ use cube_model::RuleCode;
 use cube_xml::{LimitKind, ReadLimits};
 
 use crate::error::StoreError;
-use crate::read::read_store_parts;
+use crate::read::{read_file, read_store_parts};
 
 /// Converts a store error into a single diagnostic.
 ///
@@ -32,15 +32,14 @@ fn diagnostic_of_store_error(e: &StoreError) -> Diagnostic {
     Diagnostic::new(code, Location::Experiment, e.to_string())
 }
 
-/// Lints a `.cubec` file on disk. Container-level failures (I/O, bad
-/// magic, checksum mismatches) become single diagnostics; a decodable
-/// file runs the full model rule engine so *all* violations are
-/// reported, exactly like the XML path.
+/// Lints a `.cubec` file on disk, read as the strict reader reads it.
+/// Container-level failures (I/O, the input limit, bad magic, checksum
+/// mismatches) become single diagnostics; a decodable file runs the full
+/// model rule engine so *all* violations are reported, like the XML path.
 pub fn lint_file(path: impl AsRef<Path>) -> Report {
-    let path = path.as_ref();
-    let parts = std::fs::read(path)
-        .map_err(|e| StoreError::io_at(path, e))
-        .and_then(|bytes| read_store_parts(&bytes, &ReadLimits::default()));
+    let limits = ReadLimits::default();
+    let parts =
+        read_file(path.as_ref(), &limits).and_then(|bytes| read_store_parts(&bytes, &limits));
     match parts {
         Ok((md, sev, prov)) => lint_parts(&md, &sev, &prov),
         Err(e) => Report::from_diagnostics(vec![diagnostic_of_store_error(&e)]),

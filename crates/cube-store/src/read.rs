@@ -30,7 +30,7 @@ use cube_algebra::BatchOperand;
 use cube_model::lint::validate_values;
 use cube_model::{Experiment, Metadata, Provenance, Severity};
 use cube_xml::footer::crc32;
-use cube_xml::{FooterStatus, LimitKind, ReadLimits};
+use cube_xml::{FooterStatus, LimitKind, ReadLimits, XmlError};
 
 use crate::error::StoreError;
 use crate::layout::{
@@ -361,22 +361,17 @@ pub(crate) fn read_store_parts(
 /// Reads and strictly decodes a `.cubec` file with default limits.
 pub fn read_store_file(path: impl AsRef<Path>) -> Result<Experiment, StoreError> {
     let limits = ReadLimits::default();
-    read_store(&read_limited(path.as_ref(), &limits)?, &limits)
+    read_store(&read_file(path.as_ref(), &limits)?, &limits)
 }
 
-/// Reads a file after checking its size against the input limit, so an
-/// oversized file is refused before its bytes are pulled in. The bytes
-/// pass through the [`cube_xml::faults`] seam (site `store.file`) so a
-/// fault harness can exercise the strict-read and salvage paths.
-fn read_limited(path: &Path, limits: &ReadLimits) -> Result<Vec<u8>, StoreError> {
-    let err = |e: std::io::Error| StoreError::io_at(path, e);
-    let len = std::fs::metadata(path).map_err(err)?.len();
-    check_input_len(len, "file", limits)?;
-    let mut bytes = std::fs::read(path).map_err(err)?;
-    if let Some(e) = cube_xml::faults::inject("store.file", &mut bytes) {
-        return Err(StoreError::io_at(path, e));
-    }
-    Ok(bytes)
+/// The whole file at `path`, read by [`cube_xml::read_file`] at the
+/// `store.file` fault site, for every reader of whole `.cubec` files.
+pub(crate) fn read_file(path: &Path, limits: &ReadLimits) -> Result<Vec<u8>, StoreError> {
+    cube_xml::read_file(path, limits, "store.file").map_err(|e| match e {
+        XmlError::Io { path, source } => StoreError::Io { path, source },
+        XmlError::Limit { kind, message, .. } => StoreError::Limit { kind, message },
+        other => StoreError::format(other.to_string()), // not returned by read_file
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -582,8 +577,7 @@ pub fn salvage_store_file_as(
     origin: Option<&str>,
     limits: &ReadLimits,
 ) -> Result<(Experiment, StoreReport), StoreError> {
-    let path = path.as_ref();
-    let bytes = read_limited(path, limits)?;
+    let bytes = read_file(path.as_ref(), limits)?;
     let checksum = check_store_footer(&bytes);
     // A truncated file has no trailer to trust, and its severity pages
     // may run past the cut: only the structure must be present.

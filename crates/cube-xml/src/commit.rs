@@ -1,11 +1,16 @@
-//! The one durable commit: every file the workspace keeps reaches its
-//! path through [`commit_file`], and [`is_temp_name`] is the one rule
-//! for the temp names a commit can leave (`docs/FORMAT.md` §10.1).
+//! The one durable commit and the one bounded read: every file the
+//! workspace keeps reaches its path through [`commit_file`], every
+//! whole experiment file is read back through [`read_file`], and
+//! [`is_temp_name`] is the one rule for the temp names a commit can
+//! leave (`docs/FORMAT.md` §10.1).
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::error::{LimitKind, XmlError};
+use crate::reader::ReadLimits;
 
 /// Makes each temp name of this process unique.
 static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -60,6 +65,55 @@ pub fn commit_file(
     sync_dir(dir)
 }
 
+/// Reads the whole file at `path` under `limits.max_input_bytes`: the
+/// one whole-file read of the experiment readers, the read-side twin of
+/// [`commit_file`].
+///
+/// A file whose length is over the limit is refused before any byte is
+/// read. Any other source (a FIFO, `/dev/zero`, a file that grows while
+/// it is read) stops at limit + 1 bytes and is refused there, so the
+/// buffer never holds more. A file that keeps its length is read in one
+/// pass into a buffer sized from it, as [`std::fs::read`] does. The bytes
+/// then pass the [`crate::faults`] seam at `site`.
+///
+/// It fails only with [`XmlError::Io`], which names `path`, or with the
+/// input limit, [`XmlError::Limit`] of kind [`LimitKind::InputBytes`]
+/// (`E200`); the `.cubec` readers turn these into their own.
+pub fn read_file(path: &Path, limits: &ReadLimits, site: &str) -> Result<Vec<u8>, XmlError> {
+    let failed = |source| XmlError::io_at(path, source);
+    let limit = limits.max_input_bytes as u64;
+    let mut file = File::open(path).map_err(failed)?;
+    let len = file.metadata().map_err(failed)?.len();
+    let mut bytes = Vec::new();
+    // Rounds of exactly reserved reads: the first one byte longer than
+    // the file, so a file that keeps its length ends in it, and each
+    // later one doubles the buffer, never past limit + 1 bytes.
+    let mut want = len.saturating_add(1);
+    while len <= limit && bytes.len() as u64 <= limit {
+        want = want.min((limit - bytes.len() as u64).saturating_add(1));
+        bytes
+            .try_reserve_exact(want as usize)
+            .map_err(|_| failed(io::ErrorKind::OutOfMemory.into()))?;
+        let got = (&mut file).take(want).read_to_end(&mut bytes);
+        if got.map_err(failed)? < want as usize {
+            break;
+        }
+        want = bytes.len() as u64;
+    }
+    if len > limit || bytes.len() as u64 > limit {
+        let message = if len > limit {
+            format!("file is {len} bytes, limit is {limit}")
+        } else {
+            format!("file reads past the limit of {limit} bytes")
+        };
+        return Err(XmlError::limit(LimitKind::InputBytes, message));
+    }
+    match crate::faults::inject(site, &mut bytes) {
+        Some(e) => Err(failed(e)),
+        None => Ok(bytes),
+    }
+}
+
 /// Fsyncs the directory `dir`, so the entries made in it are on disk.
 pub fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
@@ -111,6 +165,31 @@ mod tests {
         ] {
             assert!(!is_temp_name(name), "{name}");
         }
+    }
+
+    #[test]
+    fn read_file_reads_a_file_at_the_limit_and_refuses_one_past_it() {
+        let path = std::env::temp_dir().join(format!("cube_xml_read_{}", std::process::id()));
+        std::fs::write(&path, [7u8; 100]).unwrap();
+        let limits = |max_input_bytes| ReadLimits {
+            max_input_bytes,
+            ..ReadLimits::default()
+        };
+        let whole = read_file(&path, &limits(100), "test.site").unwrap();
+        let over = read_file(&path, &limits(99), "test.site");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(whole, [7u8; 100]);
+        assert_eq!((whole.len(), whole.capacity()), (100, 101));
+        match over {
+            Err(XmlError::Limit {
+                kind: LimitKind::InputBytes,
+                message,
+                ..
+            }) => assert_eq!(message, "file is 100 bytes, limit is 99"),
+            other => panic!("expected the input limit, got {other:?}"),
+        }
+        let missing = read_file(&path, &limits(100), "test.site");
+        assert!(matches!(missing, Err(XmlError::Io { path: Some(p), .. }) if p == path));
     }
 
     #[test]

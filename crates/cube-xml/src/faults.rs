@@ -2,13 +2,15 @@
 //!
 //! Crash-safety machinery is only trustworthy when its failure paths
 //! actually run; real disks fail too rarely to exercise them. This
-//! module is the seam a test harness (or `cube serve --faults`, see
-//! `docs/FAULTS.md`) uses to make reads fail *on demand*: the format
-//! readers in `cube-xml` and `cube-store` pass every buffer they pull
-//! off disk through [`inject`], and an installed hook may mutate the
-//! bytes (torn reads, checksum flips — caught downstream by the *real*
-//! CRC machinery) or synthesize an [`std::io::Error`] outright. Each
-//! step of [`crate::commit::commit_file`] offers an empty buffer.
+//! module is the seam a test harness (or `cube serve` under
+//! `CUBE_FAULTS`, see `docs/FAULTS.md`) uses to make reads fail *on
+//! demand*: the format readers in `cube-xml` and `cube-store` pass
+//! every buffer they pull off disk through [`inject`] (whole files
+//! through [`crate::commit::read_file`]), and an installed hook may
+//! mutate the bytes (torn reads, checksum flips — caught downstream by
+//! the *real* CRC machinery) or synthesize an [`std::io::Error`]
+//! outright. Each step of [`crate::commit::commit_file`] offers an
+//! empty buffer.
 //!
 //! The hook is process-global and installed at most once
 //! ([`install`]); whether it currently does anything is the

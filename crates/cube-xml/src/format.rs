@@ -111,14 +111,15 @@ fn verify_footer(input: &str) -> Result<(), XmlError> {
 /// `xml.file`) before decoding, so a fault harness can exercise the
 /// parse-error and checksum paths with real corruption.
 pub fn read_experiment_file(path: impl AsRef<Path>) -> Result<Experiment, XmlError> {
-    let path = path.as_ref();
-    let mut bytes = std::fs::read(path).map_err(|e| XmlError::io_at(path, e))?;
-    if let Some(e) = crate::faults::inject("xml.file", &mut bytes) {
-        return Err(XmlError::io_at(path, e));
-    }
-    let input = String::from_utf8(bytes)
-        .map_err(|_| XmlError::value(format!("{}: file is not UTF-8", path.display())))?;
-    read_experiment(&input)
+    read_experiment(&read_document(path.as_ref())?)
+}
+
+/// The text of the `.cube` file at `path` for the strict reader and
+/// lint: [`read_file`](crate::commit::read_file) at `xml.file`, as UTF-8.
+pub(crate) fn read_document(path: &Path) -> Result<String, XmlError> {
+    let bytes = crate::commit::read_file(path, &ReadLimits::default(), "xml.file")?;
+    String::from_utf8(bytes)
+        .map_err(|_| XmlError::value(format!("{}: file is not UTF-8", path.display())))
 }
 
 // ---------------------------------------------------------------------------
@@ -231,15 +232,11 @@ pub fn read_experiment_salvage_file_as(
     path: impl AsRef<Path>,
     origin: Option<&str>,
 ) -> Result<(Experiment, SalvageReport), XmlError> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path).map_err(|e| XmlError::io_at(path, e))?;
+    let limits = ReadLimits::default();
+    let bytes = crate::commit::read_file(path.as_ref(), &limits, "xml.file")?;
     // Damaged files may be torn mid-UTF-8-sequence; lossy conversion
     // keeps the valid prefix readable.
-    read_experiment_salvage_as(
-        &String::from_utf8_lossy(&bytes),
-        origin,
-        ReadLimits::default(),
-    )
+    read_experiment_salvage_as(&String::from_utf8_lossy(&bytes), origin, limits)
 }
 
 #[cfg(test)]

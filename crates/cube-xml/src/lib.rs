@@ -25,7 +25,8 @@
 //!   and [`format::read_experiment`] convert between
 //!   [`cube_model::Experiment`] and `.cube` files on top of the
 //!   streaming pair;
-//! * [`commit`] — the one atomic, durable file commit every writer uses.
+//! * [`commit`] — the one atomic, durable file commit every writer uses,
+//!   and the one bounded whole-file read every file reader uses.
 //!
 //! A DOM reader and writer survive only in test code, as the
 //! differential oracle the streaming pair is checked against.
@@ -86,7 +87,7 @@ mod oracle;
 pub mod reader;
 pub mod writer;
 
-pub use commit::{commit_file, is_temp_name, sync_dir};
+pub use commit::{commit_file, is_temp_name, read_file, sync_dir};
 pub use error::{LimitKind, XmlError};
 pub use footer::FooterStatus;
 pub use format::{

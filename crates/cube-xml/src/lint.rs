@@ -19,6 +19,7 @@ use cube_model::lint::{diagnostic_of_model_error, lint_parts, Diagnostic, Locati
 use cube_model::{Experiment, RuleCode};
 
 use crate::error::{LimitKind, XmlError};
+use crate::format::read_document;
 use crate::reader::{parse, Parsed, ReadLimits};
 
 /// Converts a parse/IO error into a single diagnostic with the best
@@ -91,16 +92,13 @@ pub fn lint_str(input: &str) -> Report {
     lint_read(input).1
 }
 
-/// Lints a `.cube` file on disk. I/O failures are reported as `E100`
-/// diagnostics rather than a separate error channel, so callers handle
-/// one result shape.
+/// Lints a `.cube` file on disk, read as the strict reader reads it. What
+/// the read refuses (`E100`, `E104`, `E200`) is one diagnostic rather
+/// than a separate error channel, so callers handle one result shape.
 pub fn lint_file(path: impl AsRef<Path>) -> Report {
-    match std::fs::read_to_string(path.as_ref()) {
+    match read_document(path.as_ref()) {
         Ok(text) => lint_str(&text),
-        Err(e) => Report::from_diagnostics(vec![diagnostic_of_xml_error(&XmlError::Io {
-            path: Some(path.as_ref().to_path_buf()),
-            source: e,
-        })]),
+        Err(e) => Report::from_diagnostics(vec![diagnostic_of_xml_error(&e)]),
     }
 }
 
@@ -214,6 +212,21 @@ mod tests {
     fn io_error_reports_e100() {
         let report = lint_file("/nonexistent/definitely/not/here.cube");
         assert_eq!(report.diagnostics()[0].code.as_str(), "E100");
+    }
+
+    #[test]
+    fn a_non_utf8_file_lints_as_the_strict_reader_refuses_it() {
+        let path = std::env::temp_dir().join(format!("cube_xml_lint_{}.cube", std::process::id()));
+        std::fs::write(&path, [&b"\xff"[..], valid_doc().as_bytes()].concat()).unwrap();
+        let strict = crate::read_experiment_file(&path).unwrap_err();
+        let report = lint_file(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(report.diagnostics().len(), 1, "{report}");
+        assert_eq!(
+            report.diagnostics()[0].code,
+            diagnostic_of_xml_error(&strict).code
+        );
+        assert_eq!(report.diagnostics()[0].code.as_str(), "E104");
     }
 
     #[test]

@@ -394,6 +394,80 @@ fn half_closed_body_is_answered_not_hung() {
 }
 
 #[test]
+fn a_refused_request_gets_its_answer_and_then_eof() {
+    let (server, _ids) = boot(
+        "refused",
+        cube_serve::ServeConfig {
+            workers: 2,
+            max_body: 65_536,
+            ..cube_serve::ServeConfig::default()
+        },
+    );
+    let addr = server.local_addr();
+    let within = Duration::from_secs(10);
+
+    // A head past the 16,384-byte limit, sent in one write: about 500
+    // of its bytes are never read by the framing.
+    let path = format!("/healthz?{}", "x".repeat(16_800));
+    let reply =
+        request_within(addr, "GET", &path, b"", within).expect("the 400 arrives whole, then EOF");
+    assert_eq!(reply.status, 400, "{}", reply.text());
+    assert_eq!(
+        json_field(&reply.text(), "code").as_deref(),
+        Some("bad_http")
+    );
+
+    // A body over --max-body, refused after its head.
+    let body = vec![b'x'; 200_000];
+    let reply = request_within(addr, "PUT", "/experiments", &body, within)
+        .expect("the 413 arrives whole, then EOF");
+    assert_eq!(reply.status, 413, "{}", reply.text());
+    assert_eq!(
+        json_field(&reply.text(), "code").as_deref(),
+        Some("body_too_large")
+    );
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn without_a_request_deadline_the_body_reads_under_the_socket_timeout() {
+    use std::io::{Read as _, Write as _};
+
+    let (server, ids) = boot(
+        "nodeadline",
+        cube_serve::ServeConfig {
+            workers: 2,
+            request_deadline_ms: 0,
+            header_deadline_ms: 300,
+            ..cube_serve::ServeConfig::default()
+        },
+    );
+    let expr = format!("diff({},{})", ids[0], ids[1]);
+
+    // The head and 5 body bytes at once, the rest 800 ms later: past
+    // the head's 300 ms, well within the 30 s socket timeout.
+    let mut s = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let head = format!(
+        "POST /eval HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
+        expr.len()
+    );
+    s.write_all(&[head.as_bytes(), &expr.as_bytes()[..5]].concat())
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(800));
+    s.write_all(&expr.as_bytes()[5..]).unwrap();
+    let mut raw = Vec::new();
+    s.read_to_end(&mut raw).expect("the server answers");
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 200 "), "{text}");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn shutdown_drains_admitted_requests() {
     let (server, ids) = boot(
         "drain",
