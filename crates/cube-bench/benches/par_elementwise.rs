@@ -63,12 +63,13 @@ fn bench_operator_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-count scaling of the parallel kernels: the same `mean` and
-/// element-wise subtraction workloads timed with the worker pool pinned
-/// to 1, 2, 4, and 8 threads (`rayon::set_threads`, the facade behind
-/// `cube --threads N`). Results are byte-identical across the sweep —
-/// only the wall clock moves — so this group is the EXPERIMENTS.md
-/// scaling table and the data behind the CI speedup check.
+/// Thread-count scaling of the parallel kernels and the encoder: the
+/// same `mean`, element-wise subtraction and derived-result write
+/// workloads timed with the worker pool pinned to 1, 2, 4, and 8
+/// threads (`rayon::set_threads`, the facade behind `cube --threads
+/// N`). Results are byte-identical across the sweep — only the wall
+/// clock moves — so this group is the EXPERIMENTS.md scaling table and
+/// the data behind the CI speedup check.
 fn bench_pool_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_scaling");
     // The largest metadata_merge shape: 12 × 800 × 16 = 153,600
@@ -82,6 +83,11 @@ fn bench_pool_scaling(c: &mut Criterion) {
         (0..8u64).map(|i| synthetic_experiment(shape, i)).collect();
     let refs: Vec<&cube_model::Experiment> = runs.iter().collect();
     let elems = (shape.metrics * shape.call_nodes * shape.threads) as u64;
+    // A derived `/eval` result of this shape, built like `derived()` in
+    // xml_roundtrip.rs: `scale(mean of four seeds, 1 + 3e-9)`, whose
+    // full-precision values miss the formatter's fixed-micro tier.
+    let derived = ops::scale(&ops::mean(&refs[1..5]).unwrap(), 1.0 + 3e-9);
+    let derived_bytes = cube_xml::write_experiment(&derived).len() as u64;
     for t in [1usize, 2, 4, 8] {
         rayon::set_threads(t);
         group.throughput(Throughput::Elements(elems));
@@ -98,6 +104,15 @@ fn bench_pool_scaling(c: &mut Criterion) {
                     .zip(b.par_iter())
                     .for_each(|(d, s)| *d -= *s);
                 black_box(dst)
+            })
+        });
+        // The `/eval` miss encoder: document and footer into a buffer
+        // sized by the hint, as the server writes a body.
+        group.throughput(Throughput::Bytes(derived_bytes));
+        group.bench_with_input(BenchmarkId::new("write_derived", t), &t, |bench, _| {
+            bench.iter(|| {
+                let buf = Vec::with_capacity(cube_xml::encoded_len_hint(&derived));
+                cube_xml::write_experiment_to(black_box(&derived), buf).unwrap()
             })
         });
     }

@@ -4,7 +4,7 @@
 //! expression, and [`cube_algebra::PlanTables`] keyed by the ordered
 //! operand-id list — share this one implementation. Recency is a
 //! monotone tick, not wall-clock time, so cache behavior is identical
-//! run to run; that and the engine's byte-determinism (docs/THREADS.md)
+//! run to run; that and the engine's byte-determinism (docs/KERNELS.md §5)
 //! are what make serving cached derived experiments safe: a hit returns
 //! exactly the bytes a fresh evaluation would produce.
 

@@ -24,7 +24,7 @@
 //! the workspace `rayon` pool.
 //!
 //! Three caches make repeat analysis cheap, and the engine's
-//! byte-determinism (docs/THREADS.md) makes them *sound*: derived
+//! byte-determinism (docs/KERNELS.md §5) makes them *sound*: derived
 //! results keyed by canonical expression over content ids, plan
 //! tables ([`cube_algebra::PlanTables`]) keyed by the operand-id
 //! list, and open [`cube_store::ColumnarExperiment`] handles keyed by

@@ -608,6 +608,7 @@ fn check_dense_id(e: &Element, expected: usize) -> Result<(), XmlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::footer::{crc32, footer_line};
     use crate::{read_experiment, write_experiment};
     use cube_model::{CartTopology, ExperimentBuilder};
     use proptest::prelude::*;
@@ -862,7 +863,7 @@ mod tests {
     /// The streaming writer formats severities in blocks of whole rows
     /// (up to 4,096 values) and waves of 16 blocks on the pool; every
     /// block and wave edge must give the oracle's bytes at any thread
-    /// count.
+    /// count, and `write_experiment_to` those bytes and their footer.
     #[test]
     fn writers_agree_across_block_and_wave_edges_at_every_thread_count() {
         // Full-precision values, a few quantized ones and zeros inside
@@ -890,17 +891,34 @@ mod tests {
             }),
             // All zero.
             dense(2, 5, 3, |_, _, _| 0.0),
+            // An `/eval` miss result: 12 × 800 × 16, so blocks of
+            // 256/256/256/32 rows in 3 waves. Metric 1's second block
+            // is all zero between two non-zero ones, and so is metric
+            // 4's first, the first block of the second wave.
+            dense(12, 800, 16, |m, c, t| match (m, c / 256) {
+                (1, 1) | (4, 0) => 0.0,
+                _ => value((m * 800 + c) * 16 + t + 1),
+            }),
         ];
+        let first_difference = |a: &[u8], b: &[u8]| a.iter().zip(b).position(|(x, y)| x != y);
         let prev = rayon::current_num_threads();
         for (i, e) in cases.iter().enumerate() {
             let want = write_experiment_dom(e);
             for threads in [1, 2, 8] {
                 rayon::set_threads(threads);
                 let got = write_experiment(e);
-                let at = got.bytes().zip(want.bytes()).position(|(a, b)| a != b);
+                let at = first_difference(got.as_bytes(), want.as_bytes());
                 assert!(
                     got == want,
                     "case {i} at {threads} threads: first difference at byte {at:?}"
+                );
+                let file = crate::write_experiment_to(e, Vec::new()).unwrap();
+                let footer = footer_line(crc32(got.as_bytes()), got.len() as u64);
+                let want_file = [got.as_bytes(), footer.as_bytes()].concat();
+                let at = first_difference(&file, &want_file);
+                assert!(
+                    file == want_file,
+                    "case {i} at {threads} threads: write_experiment_to differs at byte {at:?}"
                 );
             }
         }

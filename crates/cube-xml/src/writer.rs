@@ -9,12 +9,13 @@
 //! The severity section is formatted in blocks of whole rows of one
 //! metric, up to 4,096 values each (one `.cubec` page, the kernel's
 //! block) unless a single row is longer. A wave of 16 blocks is
-//! formatted on the `rayon` pool into reused buffers, then written in
-//! order, so the bytes are the same at every thread count and the
-//! writer's transient memory is one wave of text (~1.4 MB of
-//! full-precision values) whatever the experiment's size. Wrap the
-//! sink in a [`std::io::BufWriter`] when writing to a file; the
-//! metadata sections issue many small `write_all` calls.
+//! formatted on the `rayon` pool, each task into a reused buffer it
+//! owns while it runs, then written in order, so the bytes are the
+//! same at every thread count and the writer's transient memory is one
+//! wave of text (~1.4 MB of full-precision values) whatever the
+//! experiment's size. Wrap the sink in a [`std::io::BufWriter`] when
+//! writing to a file; the metadata sections issue many small
+//! `write_all` calls.
 
 use std::io;
 
@@ -436,15 +437,21 @@ impl<W: io::Write> CubeWriter<W> {
 
 /// Formats the `<row>` lines of `rows` — consecutive whole rows of one
 /// metric, `nt` values each, the first for call node `first_cnode` —
-/// into `text`, skipping rows that are all zero.
-fn format_block(text: &mut String, rows: &[f64], nt: usize, first_cnode: usize) {
+/// into `slot`, skipping rows that are all zero.
+///
+/// The text grows in a `String` this task owns, moved out of `slot` and
+/// stored back once. The wave's slots sit 24 bytes apart in one `Vec`;
+/// pushing into `slot` itself would make tasks on neighbouring blocks
+/// write one cache line on every push, and the pool would not scale.
+fn format_block(slot: &mut String, rows: &[f64], nt: usize, first_cnode: usize) {
+    let mut text = std::mem::take(slot);
     text.clear();
     for (i, row) in rows.chunks_exact(nt.max(1)).enumerate() {
         if row.iter().all(|&v| v == 0.0) {
             continue;
         }
         text.push_str("      <row cnode=\"");
-        crate::fmt64::push_u64(text, (first_cnode + i) as u64);
+        crate::fmt64::push_u64(&mut text, (first_cnode + i) as u64);
         text.push_str("\">");
         for (j, &v) in row.iter().enumerate() {
             if j > 0 {
@@ -452,10 +459,11 @@ fn format_block(text: &mut String, rows: &[f64], nt: usize, first_cnode: usize) 
             }
             // Shortest representation, byte-identical to `{}`, keeps
             // the f64 round-trip exact.
-            crate::fmt64::push_f64(text, v);
+            crate::fmt64::push_f64(&mut text, v);
         }
         text.push_str("</row>\n");
     }
+    *slot = text;
 }
 
 fn join_u32(values: &[u32]) -> String {
