@@ -30,6 +30,15 @@
 #          appear only in crates/cube-xml/src/commit.rs: every whole
 #          experiment file is read through `cube_xml::read_file`, under
 #          the input limit
+#   SL009  under crates/*/src, non-test code outside comment lines holds
+#          no `"[EWAP][0-9]{3}"` literal except in
+#          crates/cube-model/src/lint.rs: every finding code the tools
+#          print is declared once, with its level, in `RuleCode`'s table
+#   SL010  every error code cube-serve's non-test code passes to a
+#          `ServeError` constructor has a row `| `code` | status |` in
+#          the error-code table of docs/SERVE.md, with the status the
+#          code is constructed with (`bad_request` 400, `not_found` 404,
+#          `unavailable` 503, otherwise the literal status)
 #
 # Everything from the first `#[cfg(test)]` line to the end of a file
 # is test code and exempt: tests may unwrap freely. Files under
@@ -95,6 +104,38 @@ for f in $(find crates/cube-xml/src crates/cube-store/src crates/cube-cli/src \
         fail=1
     fi
 done
+
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    [ "$f" = crates/cube-model/src/lint.rs ] && continue
+    if out="$(nontest "$f" | grep -E '"[EWAP][0-9]{3}"' |
+        grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')"; then
+        echo "SL009: finding-code literal outside RuleCode's table:" >&2
+        echo "$out" >&2
+        fail=1
+    fi
+done
+
+# (status, code) of every ServeError construction with a literal code,
+# read from the non-test code joined into one line, so that calls split
+# over several lines are seen whole.
+serve_codes="$(for f in crates/cube-serve/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"
+done | tr '\n' ' ' | tr -s ' ' |
+    grep -oE '(bad_request|not_found|unavailable)\( ?"[a-z_]+"|with_status\( ?[0-9]{3}, ?"[a-z_]+"|\([0-9]{3}, ?"[a-z_]+"\)' |
+    sed -E 's/^bad_request\( ?/400 /; s/^not_found\( ?/404 /; s/^unavailable\( ?/503 /;
+        s/^with_status\( ?//; s/^\(//; s/\)$//; s/, ?/ /; s/"//g' | sort -u)"
+if [ -z "$serve_codes" ]; then
+    echo "SL010: found no ServeError codes in cube-serve (pattern rot?)" >&2
+    fail=1
+fi
+missing="$(echo "$serve_codes" | while read -r status code; do
+    grep -qF "| \`$code\` | $status |" docs/SERVE.md || echo "  $code ($status)"
+done)"
+if [ -n "$missing" ]; then
+    echo "SL010: error codes without their row in docs/SERVE.md:" >&2
+    echo "$missing" >&2
+    fail=1
+fi
 
 for f in crates/cube-serve/src/cache.rs crates/cube-serve/src/repo.rs; do
     if ! grep -q 'LOCK ORDER' "$f"; then

@@ -12,27 +12,12 @@
 //!
 //! # Diagnostic codes
 //!
-//! Codes are stable (pinned by the golden corpus in
-//! `tests/fixtures/check/`) and documented in `docs/CHECK.md`:
-//!
-//! | code | level | meaning |
-//! |---|---|---|
-//! | `A001` | error | unresolved operand: no experiment behind the name |
-//! | `A002` | error | empty reduction (programmatic trees only) |
-//! | `A003` | error | operand index out of range (programmatic trees only) |
-//! | `A004` | warning | duplicate operand skews a non-idempotent reduction |
-//! | `A005` | warning | dead operand: provided but never referenced |
-//! | `A006` | warning | operands share no metrics (pure zero-extension; not for `merge`) |
-//! | `A007` | warning | thread-topology mismatch between operands |
-//! | `A008` | warning | statically zero result: `diff` of identical subtrees |
-//! | `A009` | warning | degenerate statistic: `variance`/`stddev` of one operand |
-//! | `A010` | warning | identity operation: single-operand reduction, `scale(e,1)` |
-//! | `A011` | warning | removable operand of `min`/`max`/`merge`: a duplicate, or a `merge` operand every metric of which an earlier operand provides |
-//! | `A012` | warning | `scale` by 0 zeroes every finite value |
-//!
-//! Errors mean evaluation cannot produce a meaningful result and the
-//! server's `/eval` pre-flight refuses the request; warnings are
-//! advisory (deniable with `--deny warnings`, mirroring `cube lint`).
+//! The `A0xx` codes and their levels are declared in [`RuleCode`]'s
+//! table, documented in `docs/CHECK.md` and pinned by the golden
+//! corpus in `tests/fixtures/check/`. Errors mean evaluation cannot
+//! produce a meaningful result and the server's `/eval` pre-flight
+//! refuses the request; warnings are advisory (deniable with
+//! `--deny warnings`, mirroring `cube lint`).
 //!
 //! # The rewrite pass
 //!
@@ -52,46 +37,20 @@ use std::fmt::Write as _;
 
 use crate::batch::{Expr, Reduction};
 use crate::parse::{render_expr, ParsedExpr, Span, SpanNode};
-use cube_model::{Metadata, Unit};
+use cube_model::lint::plural;
+use cube_model::{json_string, Level, Metadata, RuleCode, Unit};
 
 /// Severity values per `.cubec` store page (32 KiB of `f64`), the
 /// granularity of [`CostEstimate::pages`]. Matches the columnar
 /// store's chunk size (`docs/STORE.md`).
 pub const PAGE_VALUES: u64 = 4096;
 
-/// Severity of one diagnostic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckLevel {
-    /// Evaluation cannot produce a meaningful result.
-    Error,
-    /// Legal but almost certainly not what was meant.
-    Warning,
-}
-
-impl CheckLevel {
-    /// The lowercase wire name (`"error"` / `"warning"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Error => "error",
-            Self::Warning => "warning",
-        }
-    }
-}
-
-impl fmt::Display for CheckLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One finding: stable code, severity, byte span into the source
-/// expression, human message.
+/// One finding: stable code, byte span into the source expression,
+/// human message. Its level is `code.level()`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckDiagnostic {
-    /// Stable code `A001`–`A012` (module table).
-    pub code: &'static str,
-    /// Error or warning.
-    pub level: CheckLevel,
+    /// Stable code `A001`–`A012`.
+    pub code: RuleCode,
     /// Byte offset of the offending token in the source expression
     /// (0 for findings without a source anchor, e.g. dead operands).
     pub offset: usize,
@@ -106,7 +65,10 @@ impl fmt::Display for CheckDiagnostic {
         write!(
             f,
             "{} {} @{}: {}",
-            self.code, self.level, self.offset, self.message
+            self.code,
+            self.code.level(),
+            self.offset,
+            self.message
         )
     }
 }
@@ -224,7 +186,7 @@ impl CheckReport {
     pub fn num_errors(&self) -> usize {
         self.diagnostics
             .iter()
-            .filter(|d| d.level == CheckLevel::Error)
+            .filter(|d| d.code.level() == Level::Error)
             .count()
     }
 
@@ -232,7 +194,7 @@ impl CheckReport {
     pub fn num_warnings(&self) -> usize {
         self.diagnostics
             .iter()
-            .filter(|d| d.level == CheckLevel::Warning)
+            .filter(|d| d.code.level() == Level::Warning)
             .count()
     }
 
@@ -253,7 +215,7 @@ impl CheckReport {
     pub fn first_error(&self) -> Option<&CheckDiagnostic> {
         self.diagnostics
             .iter()
-            .find(|d| d.level == CheckLevel::Error)
+            .find(|d| d.code.level() == Level::Error)
     }
 
     /// Renders the diagnostics as a JSON array fragment
@@ -269,10 +231,10 @@ impl CheckReport {
                 s,
                 "{{\"code\":\"{}\",\"level\":\"{}\",\"offset\":{},\"len\":{},\"message\":{}}}",
                 d.code,
-                d.level,
+                d.code.level(),
                 d.offset,
                 d.len,
-                json_str(&d.message)
+                json_string(&d.message)
             );
         }
         s.push(']');
@@ -286,9 +248,9 @@ impl CheckReport {
     pub fn to_json(&self, source: &str) -> String {
         let mut s = format!(
             "{{\"expr\":{},\"canonical\":{},\"rewritten\":{},\"diagnostics\":{}",
-            json_str(source),
-            json_str(&self.canonical),
-            json_str(&self.rewritten_text),
+            json_string(source),
+            json_string(&self.canonical),
+            json_string(&self.rewritten_text),
             self.diagnostics_json(),
         );
         let _ = write!(
@@ -306,7 +268,7 @@ impl CheckReport {
                 s,
                 "{{\"rule\":\"{}\",\"detail\":{}}}",
                 n.rule,
-                json_str(&n.detail)
+                json_string(&n.detail)
             );
         }
         let c = &self.cost;
@@ -321,7 +283,7 @@ impl CheckReport {
             c.values,
             c.bytes,
             c.pages,
-            json_str(&c.plan_key)
+            json_string(&c.plan_key)
         );
         match &c.fused {
             Some(f) => {
@@ -338,28 +300,6 @@ impl CheckReport {
     }
 }
 
-/// JSON string literal with the escapes the grammar requires. Local
-/// copy so the analyzer's wire rendering has no service dependency.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Checks a parsed expression against operand facts.
 ///
 /// `facts` is the operand environment: entries are matched to
@@ -372,8 +312,8 @@ fn json_str(s: &str) -> String {
 /// use cube_algebra::parse_expr;
 /// let parsed = parse_expr("mean(A,A)").unwrap();
 /// let report = check(&parsed, &[OperandFacts::unknown("A", "no such file")]);
-/// assert_eq!(report.diagnostics[0].code, "A001"); // unresolved, reported once
-/// assert_eq!(report.diagnostics[1].code, "A004"); // duplicate skews the mean
+/// assert_eq!(report.diagnostics[0].code.as_str(), "A001"); // unresolved, reported once
+/// assert_eq!(report.diagnostics[1].code.as_str(), "A004"); // duplicate skews the mean
 /// assert!(!report.ok());
 /// ```
 pub fn check(parsed: &ParsedExpr, facts: &[OperandFacts<'_>]) -> CheckReport {
@@ -453,10 +393,9 @@ impl<'a, 'f> Checker<'a, 'f> {
         }
     }
 
-    fn emit(&mut self, code: &'static str, level: CheckLevel, span: Span, message: String) {
+    fn emit(&mut self, code: RuleCode, span: Span, message: String) {
         self.diagnostics.push(CheckDiagnostic {
             code,
-            level,
             offset: span.start,
             len: span.len(),
             message,
@@ -472,13 +411,11 @@ impl<'a, 'f> Checker<'a, 'f> {
     fn check_operand(&mut self, i: usize, span: Span) -> bool {
         if i >= self.operands.len() {
             self.emit(
-                "A003",
-                CheckLevel::Error,
+                RuleCode::OperandOutOfRange,
                 span,
                 format!(
-                    "operand index {i} is out of range for {} named operand{}",
-                    self.operands.len(),
-                    if self.operands.len() == 1 { "" } else { "s" }
+                    "operand index {i} is out of range for {}",
+                    plural(self.operands.len(), "named operand")
                 ),
             );
             return false;
@@ -493,7 +430,7 @@ impl<'a, 'f> Checker<'a, 'f> {
             if let Some(note) = self.notes[i] {
                 let _ = write!(message, ": {note}");
             }
-            self.emit("A001", CheckLevel::Error, span, message);
+            self.emit(RuleCode::UnresolvedOperand, span, message);
         }
         true
     }
@@ -515,8 +452,7 @@ impl<'a, 'f> Checker<'a, 'f> {
                 self.walk(b, sb);
                 if a == b {
                     self.emit(
-                        "A008",
-                        CheckLevel::Warning,
+                        RuleCode::StaticallyZero,
                         span,
                         "both sides of this diff are the same expression; \
                          the result is statically zero"
@@ -534,15 +470,13 @@ impl<'a, 'f> Checker<'a, 'f> {
                 self.walk(inner, si);
                 if *factor == 1.0 {
                     self.emit(
-                        "A010",
-                        CheckLevel::Warning,
+                        RuleCode::IdentityOperation,
                         span,
                         "scaling by 1 is the identity".to_string(),
                     );
                 } else if *factor == 0.0 {
                     self.emit(
-                        "A012",
-                        CheckLevel::Warning,
+                        RuleCode::ScaleByZero,
                         sf.unwrap_or(span),
                         "scale factor 0 zeroes every finite severity value".to_string(),
                     );
@@ -559,8 +493,7 @@ impl<'a, 'f> Checker<'a, 'f> {
         let arg_span = |k: usize| arg_spans.get(k).copied().unwrap_or(span);
         if idxs.is_empty() {
             self.emit(
-                "A002",
-                CheckLevel::Error,
+                RuleCode::EmptyReduction,
                 span,
                 format!("{} over an empty operand list", r.name()),
             );
@@ -583,7 +516,7 @@ impl<'a, 'f> Checker<'a, 'f> {
                 let idempotent = matches!(r, Reduction::Min | Reduction::Max | Reduction::Merge);
                 let (code, message) = if idempotent {
                     (
-                        "A011",
+                        RuleCode::RemovableOperand,
                         format!(
                             "duplicate operand '{}' in {} is removable \
                              (idempotent reduction)",
@@ -593,7 +526,7 @@ impl<'a, 'f> Checker<'a, 'f> {
                     )
                 } else {
                     (
-                        "A004",
+                        RuleCode::DuplicateOperand,
                         format!(
                             "operand '{}' appears more than once in {}, \
                              which skews the statistic",
@@ -602,7 +535,7 @@ impl<'a, 'f> Checker<'a, 'f> {
                         ),
                     )
                 };
-                self.emit(code, CheckLevel::Warning, arg_span(k), message);
+                self.emit(code, arg_span(k), message);
             } else {
                 seen.push(i);
             }
@@ -611,14 +544,12 @@ impl<'a, 'f> Checker<'a, 'f> {
         if idxs.len() == 1 {
             match r {
                 Reduction::Variance | Reduction::Stddev => self.emit(
-                    "A009",
-                    CheckLevel::Warning,
+                    RuleCode::DegenerateStatistic,
                     span,
                     format!("{} of a single operand is identically zero", r.name()),
                 ),
                 _ => self.emit(
-                    "A010",
-                    CheckLevel::Warning,
+                    RuleCode::IdentityOperation,
                     span,
                     format!("{} of a single operand is the identity", r.name()),
                 ),
@@ -661,7 +592,7 @@ impl<'a, 'f> Checker<'a, 'f> {
                         self.name_of(i),
                         r.name()
                     );
-                    self.emit("A006", CheckLevel::Warning, arg_span(k), message);
+                    self.emit(RuleCode::NoSharedMetrics, arg_span(k), message);
                 }
             }
             let threads: Vec<(usize, usize)> = known
@@ -672,8 +603,7 @@ impl<'a, 'f> Checker<'a, 'f> {
             let max = threads.iter().map(|&(_, t)| t).max().unwrap_or(0);
             if min != max {
                 self.emit(
-                    "A007",
-                    CheckLevel::Warning,
+                    RuleCode::TopologyMismatch,
                     span,
                     format!(
                         "operands of {} have different thread topologies \
@@ -705,7 +635,7 @@ impl<'a, 'f> Checker<'a, 'f> {
                      of merge; none of its values are used",
                     self.name_of(i)
                 );
-                self.emit("A011", CheckLevel::Warning, arg_span(k), message);
+                self.emit(RuleCode::RemovableOperand, arg_span(k), message);
             }
             provided.extend(mine);
         }
@@ -761,8 +691,7 @@ impl<'a, 'f> Checker<'a, 'f> {
         };
         if ma.is_disjoint(&mb) {
             self.emit(
-                "A006",
-                CheckLevel::Warning,
+                RuleCode::NoSharedMetrics,
                 span,
                 "the two sides of this diff share no metrics; every value \
                  is compared against zero"
@@ -771,8 +700,7 @@ impl<'a, 'f> Checker<'a, 'f> {
         }
         if ta != tb {
             self.emit(
-                "A007",
-                CheckLevel::Warning,
+                RuleCode::TopologyMismatch,
                 span,
                 format!(
                     "the two sides of this diff have different thread \
@@ -794,8 +722,7 @@ impl<'a, 'f> Checker<'a, 'f> {
                 .any(|(name, &r)| r && name == &fact.name);
             if !used {
                 self.diagnostics.push(CheckDiagnostic {
-                    code: "A005",
-                    level: CheckLevel::Warning,
+                    code: RuleCode::DeadOperand,
                     offset: 0,
                     len: 0,
                     message: format!(
@@ -854,9 +781,8 @@ fn rw(expr: &Expr, notes: &mut Vec<RewriteNote>) -> Expr {
                     notes.push(RewriteNote {
                         rule: "idempotent-dedup",
                         detail: format!(
-                            "removed {} duplicate operand{} from {}",
-                            before - list.len(),
-                            if before - list.len() == 1 { "" } else { "s" },
+                            "removed {} from {}",
+                            plural(before - list.len(), "duplicate operand"),
                             r.name()
                         ),
                     });
@@ -990,7 +916,7 @@ mod tests {
     }
 
     fn codes(report: &CheckReport) -> Vec<&'static str> {
-        report.diagnostics.iter().map(|d| d.code).collect()
+        report.diagnostics.iter().map(|d| d.code.as_str()).collect()
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod stats;
 
 pub use batch::{BatchOperand, BatchPlan, Expr, PlanTables, Reduction};
 pub use check::{
-    check, check_expr, rewrite, CheckDiagnostic, CheckLevel, CheckReport, CostEstimate, FusedCost,
+    check, check_expr, rewrite, CheckDiagnostic, CheckReport, CostEstimate, FusedCost,
     OperandFacts, RewriteNote,
 };
 pub use error::AlgebraError;

@@ -29,26 +29,16 @@
 //! # Errors
 //!
 //! Every rejection is an [`ExprParseError`] with a **stable code**
-//! (`P001`–`P009`, table below) and the byte offset of the offending
+//! (`P001`–`P009`, declared in [`RuleCode`]'s table and documented in
+//! `docs/SERVE.md` §Expressions) and the byte offset of the offending
 //! token — the contract fuzzed by `tests/fuzz_parse.rs` and pinned by
 //! the golden corpus in `tests/fixtures/expr/`. The parser never
 //! panics on any input.
-//!
-//! | code | meaning |
-//! |---|---|
-//! | `P001` | unexpected end of input |
-//! | `P002` | unexpected character |
-//! | `P003` | expected `(` after a function name |
-//! | `P004` | expected `,` or `)` in an argument list |
-//! | `P005` | reducer argument must be an operand name |
-//! | `P006` | trailing input after the expression |
-//! | `P007` | invalid scale factor |
-//! | `P008` | expression nested too deeply |
-//! | `P009` | empty operand name or argument list |
 
 use std::fmt;
 
 use crate::batch::{Expr, Reduction};
+use cube_model::RuleCode;
 
 /// Nesting cap for `diff`/`scale`: deep enough for any real composite,
 /// shallow enough that parsing and evaluation never recurse unboundedly
@@ -58,8 +48,8 @@ pub const MAX_DEPTH: usize = 64;
 /// A parse rejection: stable code, byte offset, human message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExprParseError {
-    /// Stable error code `P001`–`P009` (see the module table).
-    pub code: &'static str,
+    /// Stable error code `P001`–`P009`.
+    pub code: RuleCode,
     /// Byte offset into the input where the problem was detected.
     pub offset: usize,
     /// Human-readable description.
@@ -67,7 +57,7 @@ pub struct ExprParseError {
 }
 
 impl ExprParseError {
-    fn new(code: &'static str, offset: usize, message: impl Into<String>) -> Self {
+    fn new(code: RuleCode, offset: usize, message: impl Into<String>) -> Self {
         Self {
             code,
             offset,
@@ -232,11 +222,15 @@ impl<'s> Parser<'s> {
     }
 
     fn eof(&self, what: &str) -> ExprParseError {
-        ExprParseError::new("P001", self.pos, format!("unexpected end of input, {what}"))
+        ExprParseError::new(
+            RuleCode::UnexpectedEnd,
+            self.pos,
+            format!("unexpected end of input, {what}"),
+        )
     }
 
     /// Consumes one expected punctuation byte.
-    fn expect(&mut self, byte: u8, code: &'static str, what: &str) -> Result<(), ExprParseError> {
+    fn expect(&mut self, byte: u8, code: RuleCode, what: &str) -> Result<(), ExprParseError> {
         self.skip_ws();
         match self.peek() {
             Some(b) if b == byte => {
@@ -262,7 +256,7 @@ impl<'s> Parser<'s> {
         if self.pos == start {
             return match self.peek() {
                 Some(b) => Err(ExprParseError::new(
-                    "P002",
+                    RuleCode::UnexpectedCharacter,
                     start,
                     format!("expected an operand name, found '{}'", printable(b)),
                 )),
@@ -291,7 +285,7 @@ impl<'s> Parser<'s> {
     fn expr(&mut self, depth: usize) -> Result<(Expr, SpanNode), ExprParseError> {
         if depth > MAX_DEPTH {
             return Err(ExprParseError::new(
-                "P008",
+                RuleCode::ExprTooDeep,
                 self.pos,
                 format!("expression nested deeper than {MAX_DEPTH} levels"),
             ));
@@ -306,7 +300,7 @@ impl<'s> Parser<'s> {
         if !is_function_word(&word) {
             if self.peek() == Some(b'(') {
                 return Err(ExprParseError::new(
-                    "P005",
+                    RuleCode::NotAnOperandName,
                     word_at,
                     format!(
                         "unknown function '{word}' (expected diff, scale, \
@@ -323,11 +317,11 @@ impl<'s> Parser<'s> {
         }
         match word.as_str() {
             "diff" => {
-                self.expect(b'(', "P003", "'('")?;
+                self.expect(b'(', RuleCode::ExpectedOpenParen, "'('")?;
                 let (a, sa) = self.expr(depth + 1)?;
-                self.expect(b',', "P004", "','")?;
+                self.expect(b',', RuleCode::ExpectedCommaOrClose, "','")?;
                 let (b, sb) = self.expr(depth + 1)?;
-                self.expect(b')', "P004", "')'")?;
+                self.expect(b')', RuleCode::ExpectedCommaOrClose, "')'")?;
                 let span = Span {
                     start: word_at,
                     end: self.pos,
@@ -338,11 +332,11 @@ impl<'s> Parser<'s> {
                 ))
             }
             "scale" => {
-                self.expect(b'(', "P003", "'('")?;
+                self.expect(b'(', RuleCode::ExpectedOpenParen, "'('")?;
                 let (inner, si) = self.expr(depth + 1)?;
-                self.expect(b',', "P004", "','")?;
+                self.expect(b',', RuleCode::ExpectedCommaOrClose, "','")?;
                 let (factor, sf) = self.number()?;
-                self.expect(b')', "P004", "')'")?;
+                self.expect(b')', RuleCode::ExpectedCommaOrClose, "')'")?;
                 let span = Span {
                     start: word_at,
                     end: self.pos,
@@ -355,7 +349,7 @@ impl<'s> Parser<'s> {
             _ => {
                 let r = Reduction::from_name(&word)
                     .expect("function words are diff, scale, or reducers");
-                self.expect(b'(', "P003", "'('")?;
+                self.expect(b'(', RuleCode::ExpectedOpenParen, "'('")?;
                 let (idxs, arg_spans) = self.name_list()?;
                 let span = Span {
                     start: word_at,
@@ -372,7 +366,7 @@ impl<'s> Parser<'s> {
         self.skip_ws();
         if self.peek() == Some(b')') {
             return Err(ExprParseError::new(
-                "P009",
+                RuleCode::EmptyArgumentList,
                 self.pos,
                 "reducer needs at least one operand name",
             ));
@@ -385,7 +379,7 @@ impl<'s> Parser<'s> {
             self.skip_ws();
             if self.peek() == Some(b'(') {
                 return Err(ExprParseError::new(
-                    "P005",
+                    RuleCode::NotAnOperandName,
                     at,
                     format!(
                         "reducer arguments are operand names, but '{name}' \
@@ -408,7 +402,7 @@ impl<'s> Parser<'s> {
                 }
                 Some(b) => {
                     return Err(ExprParseError::new(
-                        "P004",
+                        RuleCode::ExpectedCommaOrClose,
                         self.pos,
                         format!("expected ',' or ')', found '{}'", printable(b)),
                     ))
@@ -439,7 +433,7 @@ impl<'s> Parser<'s> {
         match text.parse::<f64>() {
             Ok(f) if f.is_finite() => Ok((f, span)),
             _ => Err(ExprParseError::new(
-                "P007",
+                RuleCode::BadScaleFactor,
                 start,
                 if text.is_empty() {
                     "expected a scale factor".to_string()
@@ -468,7 +462,7 @@ fn printable(b: u8) -> String {
 /// assert_eq!(p.canonical(), "diff(mean(A,B),mean(C,D))");
 ///
 /// let e = parse_expr("median(A)").unwrap_err();
-/// assert_eq!(e.code, "P005");
+/// assert_eq!(e.code.as_str(), "P005");
 /// ```
 pub fn parse_expr(input: &str) -> Result<ParsedExpr, ExprParseError> {
     let mut p = Parser {
@@ -480,7 +474,7 @@ pub fn parse_expr(input: &str) -> Result<ParsedExpr, ExprParseError> {
     p.skip_ws();
     if p.pos != p.input.len() {
         return Err(ExprParseError::new(
-            "P006",
+            RuleCode::TrailingInput,
             p.pos,
             "trailing input after the expression",
         ));
@@ -499,7 +493,7 @@ mod tests {
     fn codes(inputs: &[&str]) -> Vec<&'static str> {
         inputs
             .iter()
-            .map(|s| parse_expr(s).unwrap_err().code)
+            .map(|s| parse_expr(s).unwrap_err().code.as_str())
             .collect()
     }
 
@@ -578,7 +572,7 @@ mod tests {
             ]
         );
         let deep = format!("{}a{}", "scale(".repeat(70), ",2)".repeat(70));
-        assert_eq!(parse_expr(&deep).unwrap_err().code, "P008");
+        assert_eq!(parse_expr(&deep).unwrap_err().code, RuleCode::ExprTooDeep);
         let e = parse_expr("diff(a b)").unwrap_err();
         assert_eq!(e.offset, 7);
         assert!(e.to_string().starts_with("P004:"));

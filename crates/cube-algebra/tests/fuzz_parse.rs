@@ -81,7 +81,7 @@ fn check(input: &str) {
         Err(e) => {
             assert!(
                 matches!(
-                    e.code,
+                    e.code.as_str(),
                     "P001" | "P002" | "P003" | "P004" | "P005" | "P006" | "P007" | "P008" | "P009"
                 ),
                 "unknown error code {:?} for input {input:?}",
@@ -95,7 +95,7 @@ fn check(input: &str) {
             );
             // The rendered message is the API's error body; it must
             // carry the code and never panic while formatting.
-            assert!(e.to_string().starts_with(e.code));
+            assert!(e.to_string().starts_with(e.code.as_str()));
         }
     }
 }
@@ -149,7 +149,7 @@ fn pathological_depth_is_rejected_not_overflowed() {
     // a stack overflow.
     let deep = format!("{}a{}", "scale(".repeat(10_000), ",2)".repeat(10_000));
     let e = parse_expr(&deep).unwrap_err();
-    assert_eq!(e.code, "P008");
+    assert_eq!(e.code.as_str(), "P008");
 
     // And exactly at the boundary the parser still works.
     let depth = cube_algebra::parse::MAX_DEPTH;

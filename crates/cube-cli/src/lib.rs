@@ -66,8 +66,8 @@ use std::fmt::Write as _;
 use cube_algebra::{BatchPlan, CallSiteEq, Expr, MergeOptions, Reduction, SystemMergeMode};
 use cube_display::{BrowserState, NormalizationRef, ProgramView, RenderOptions, ValueMode};
 use cube_model::aggregate::{metric_total, MetricSelection};
-use cube_model::Experiment;
-use cube_serve::json::{json_string, lint_diagnostics};
+use cube_model::lint::{counts, plural};
+use cube_model::{json_string, Experiment, Level};
 use cube_store::{ColumnarExperiment, StoreError};
 use cube_xml::{read_experiment_file, write_experiment_file, ReadLimits, XmlError};
 use rayon::prelude::*;
@@ -131,10 +131,10 @@ fn usage() -> String {
 /// the remaining arguments.
 ///
 /// `--threads N` retargets the worker pool and wins over the
-/// `CUBE_THREADS` / `RAYON_NUM_THREADS` environment variables
-/// ([`rayon::set_threads`]). Results never depend on it — the pool size
-/// changes only wall-clock time (docs/KERNELS.md) — which is exactly
-/// what the CI determinism and kernel gates assert.
+/// `CUBE_THREADS` environment variable ([`rayon::set_threads`]).
+/// Results never depend on it — the pool size changes only wall-clock
+/// time (docs/KERNELS.md) — which is exactly what the CI determinism
+/// and kernel gates assert.
 fn apply_global_flags(args: &[String]) -> Result<Vec<String>, String> {
     let mut out = Vec::with_capacity(args.len());
     let mut it = args.iter();
@@ -210,10 +210,8 @@ fn parse(
     if !positional.contains(&n) {
         let (least, most) = (*positional.start(), *positional.end());
         let bound = if most == MANY { "at least " } else { "" };
-        let plural = if least == 1 { "" } else { "s" };
-        return Err(format!(
-            "cube {cmd} takes {bound}{least} argument{plural}, got {n}"
-        ));
+        let least = plural(least, "argument");
+        return Err(format!("cube {cmd} takes {bound}{least}, got {n}"));
     }
     Ok(p)
 }
@@ -729,7 +727,7 @@ fn lint_cmd(args: &[String]) -> Result<Outcome, String> {
                 s,
                 "{{\"path\":{},\"diagnostics\":{},\"errors\":{},\"warnings\":{}}}",
                 json_string(path),
-                lint_diagnostics(report),
+                report.diagnostics_json(),
                 report.num_errors(),
                 report.num_warnings()
             );
@@ -753,11 +751,9 @@ fn lint_cmd(args: &[String]) -> Result<Outcome, String> {
         }
         let _ = writeln!(
             s,
-            "{} file{} checked: {total_errors} error{}, {total_warnings} warning{}",
-            reports.len(),
-            if reports.len() == 1 { "" } else { "s" },
-            if total_errors == 1 { "" } else { "s" },
-            if total_warnings == 1 { "" } else { "s" },
+            "{} checked: {}",
+            plural(reports.len(), "file"),
+            counts(total_errors, total_warnings)
         );
     }
     Ok(Outcome {
@@ -818,11 +814,12 @@ fn check_cmd(args: &[String]) -> Result<Outcome, String> {
             // render it in the requested format with its stable P-code.
             let s = if json {
                 format!(
-                    "{{\"expr\":{},\"diagnostics\":[{{\"code\":\"{}\",\"level\":\"error\",\
+                    "{{\"expr\":{},\"diagnostics\":[{{\"code\":\"{}\",\"level\":\"{}\",\
                      \"offset\":{},\"len\":0,\"message\":{}}}],\
                      \"errors\":1,\"warnings\":0,\"ok\":false}}\n",
                     json_string(expr_src),
                     e.code,
+                    e.code.level(),
                     e.offset,
                     json_string(&e.message)
                 )
@@ -891,14 +888,8 @@ fn check_cmd(args: &[String]) -> Result<Outcome, String> {
         if report.diagnostics.is_empty() {
             let _ = writeln!(s, "{expr_src}: clean");
         } else {
-            let _ = writeln!(
-                s,
-                "{expr_src}: {} error{}, {} warning{}",
-                report.num_errors(),
-                if report.num_errors() == 1 { "" } else { "s" },
-                report.num_warnings(),
-                if report.num_warnings() == 1 { "" } else { "s" },
-            );
+            let counts = counts(report.num_errors(), report.num_warnings());
+            let _ = writeln!(s, "{expr_src}: {counts}");
             for d in &report.diagnostics {
                 let _ = writeln!(s, "  {d}");
             }
@@ -925,14 +916,8 @@ fn check_cmd(args: &[String]) -> Result<Outcome, String> {
                 f.instrs, f.regs, f.loads
             );
         }
-        let _ = writeln!(
-            s,
-            "1 expression checked: {} error{}, {} warning{}",
-            report.num_errors(),
-            if report.num_errors() == 1 { "" } else { "s" },
-            report.num_warnings(),
-            if report.num_warnings() == 1 { "" } else { "s" },
-        );
+        let counts = counts(report.num_errors(), report.num_warnings());
+        let _ = writeln!(s, "1 expression checked: {counts}");
     }
     Ok(Outcome {
         code: i32::from(denied),
@@ -1065,15 +1050,16 @@ fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
             (verdict, rel, detail)
         })
         .collect();
-    // The level follows from the verdict, so the renderings agree.
+    // The level follows from the verdict, so the renderings agree;
+    // `ok` has none.
     let level = |verdict: &str| match verdict {
-        "ok" => "ok",
-        "stray" | "temp" => "warning",
-        _ => "error",
+        "ok" => None,
+        "stray" | "temp" => Some(Level::Warning),
+        _ => Some(Level::Error),
     };
-    let count = |l: &str| entries.iter().filter(|(v, _, _)| level(v) == l).count();
-    let (errors, warnings) = (count("error"), count("warning"));
-    let checked = count("ok") + errors;
+    let count = |l| entries.iter().filter(|(v, _, _)| level(v) == l).count();
+    let (errors, warnings) = (count(Some(Level::Error)), count(Some(Level::Warning)));
+    let checked = count(None) + errors;
     let code = if errors > 0 {
         2
     } else {
@@ -1088,7 +1074,7 @@ fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
                 format!(
                     "{{\"path\":{},\"verdict\":\"{verdict}\",\"level\":\"{}\",\"detail\":{}}}",
                     json_string(path),
-                    level(verdict),
+                    level(verdict).map_or("ok".to_string(), |l| l.to_string()),
                     json_string(detail)
                 )
             })
@@ -1107,10 +1093,9 @@ fn fsck_cmd(args: &[String]) -> Result<Outcome, String> {
         }
         let _ = writeln!(
             s,
-            "{checked} object{} checked: {errors} error{}, {warnings} warning{}",
-            if checked == 1 { "" } else { "s" },
-            if errors == 1 { "" } else { "s" },
-            if warnings == 1 { "" } else { "s" },
+            "{} checked: {}",
+            plural(checked, "object"),
+            counts(errors, warnings)
         );
     }
     Ok(Outcome { code, stdout: s })

@@ -75,7 +75,7 @@ pub use experiment::Experiment;
 pub use ids::{
     CallNodeId, CallSiteId, MachineId, MetricId, ModuleId, NodeId, ProcessId, RegionId, ThreadId,
 };
-pub use lint::{lint, Diagnostic, Level, Location, Report, RuleCode};
+pub use lint::{json_string, lint, Diagnostic, Level, Location, Report, RuleCode};
 pub use metadata::Metadata;
 pub use metric::{Metric, Unit};
 pub use program::{CallNode, CallSite, Module, Region, RegionKind};

@@ -26,6 +26,10 @@
 //! * `W0xx` — semantic **warnings**: constructs that are legal but
 //!   almost certainly wrong (an unreferenced region, a gap in thread
 //!   numbers, a negative severity in an *original* experiment).
+//! * `A0xx` and `P00x` — never produced by [`lint`]: the findings of
+//!   `cube-algebra`'s static checker and expression parser. They sit
+//!   in the same table, so every code the tools print is declared once,
+//!   with its level.
 //!
 //! ## Rule order
 //!
@@ -59,6 +63,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::fmt::Write as _;
 
 use crate::error::ModelError;
 use crate::experiment::Experiment;
@@ -90,123 +95,113 @@ impl fmt::Display for Level {
     }
 }
 
-/// Declares [`RuleCode`] and [`RULES`] from one table: each rule's
-/// variant and its doc comment, then its textual code and one-line
-/// description. Adding a code means adding one entry.
+/// Declares [`RuleCode`] and [`RULES`] from one table: each code's
+/// variant, textual code, level and one-line description. The
+/// description is also the variant's doc, followed by any doc comment
+/// the entry carries. Adding a code means adding one entry.
 macro_rules! rule_codes {
-    ($($(#[$doc:meta])* $variant:ident => $code:literal, $description:literal;)*) => {
-        /// Stable identifier of one lint rule.
+    ($($(#[$doc:meta])* $variant:ident => $code:literal, $level:ident, $description:literal;)*) => {
+        /// Stable identifier of one finding the tools print: a lint rule
+        /// (`E`, `W`), a static-checker diagnostic (`A`) or an expression
+        /// parse error (`P`).
         ///
         /// Codes are append-only: a code, once published, keeps its meaning
         /// forever (CI configurations reference them textually).
         #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub enum RuleCode {
-            $($(#[$doc])* $variant,)*
+            $(#[doc = $description] #[doc = ""] $(#[$doc])* $variant,)*
         }
 
-        /// Every rule's variant, code and description, in variant order.
-        const RULES: &[(RuleCode, &str, &str)] =
-            &[$((RuleCode::$variant, $code, $description),)*];
+        /// Every code's variant, text, level and description, in variant
+        /// order.
+        const RULES: &[(RuleCode, &str, Level, &str)] =
+            &[$((RuleCode::$variant, $code, Level::$level, $description),)*];
     };
 }
 
 rule_codes! {
     // -- E0xx: data-model violations (the rules of Experiment::validate) --
-    /// A metric's parent identifier does not exist.
-    DanglingMetricParent => "E001", "metric refers to a nonexistent parent";
-    /// The metric parent chain contains a cycle.
-    MetricCycle => "E002", "metric parent chain contains a cycle";
-    /// A metric's unit differs from its tree root's unit.
-    MixedUnitsInMetricTree => "E003", "metric unit differs from its tree root's unit";
-    /// A region's module does not exist.
-    DanglingRegionModule => "E004", "region refers to a nonexistent module";
-    /// A region's begin line is after its end line.
-    InvertedRegionLines => "E005", "region begin line is after its end line";
-    /// A call site's callee region does not exist.
-    DanglingCallSiteCallee => "E006", "call site refers to a nonexistent callee region";
-    /// A call-tree node's call site does not exist.
-    DanglingCallNodeSite => "E007", "call-tree node refers to a nonexistent call site";
-    /// A call-tree node's parent does not exist.
-    DanglingCallNodeParent => "E008", "call-tree node refers to a nonexistent parent";
-    /// The call-tree parent chain contains a cycle.
-    CallNodeCycle => "E009", "call-tree parent chain contains a cycle";
-    /// A system node's machine does not exist.
-    DanglingNodeMachine => "E010", "system node refers to a nonexistent machine";
-    /// A process's system node does not exist.
-    DanglingProcessNode => "E011", "process refers to a nonexistent system node";
-    /// A thread's process does not exist.
-    DanglingThreadProcess => "E012", "thread refers to a nonexistent process";
-    /// Two processes share one application-level rank.
-    DuplicateRank => "E013", "two processes share one application-level rank";
-    /// Two threads of one process share one thread number.
-    DuplicateThreadNumber => "E014", "two threads of one process share one thread number";
-    /// Severity store shape disagrees with the metadata tables.
-    SeverityShapeMismatch => "E015", "severity store shape disagrees with the metadata";
-    /// A severity value is NaN.
-    SeverityNan => "E016", "severity value is NaN";
-    /// The experiment defines no thread.
-    NoThreads => "E017", "experiment defines no thread";
-    /// A Cartesian topology violates its structural constraints.
-    BadTopology => "E018", "Cartesian topology violates its structural constraints";
+    DanglingMetricParent => "E001", Error, "metric refers to a nonexistent parent";
+    MetricCycle => "E002", Error, "metric parent chain contains a cycle";
+    MixedUnitsInMetricTree => "E003", Error, "metric unit differs from its tree root's unit";
+    DanglingRegionModule => "E004", Error, "region refers to a nonexistent module";
+    InvertedRegionLines => "E005", Error, "region begin line is after its end line";
+    DanglingCallSiteCallee => "E006", Error, "call site refers to a nonexistent callee region";
+    DanglingCallNodeSite => "E007", Error, "call-tree node refers to a nonexistent call site";
+    DanglingCallNodeParent => "E008", Error, "call-tree node refers to a nonexistent parent";
+    CallNodeCycle => "E009", Error, "call-tree parent chain contains a cycle";
+    DanglingNodeMachine => "E010", Error, "system node refers to a nonexistent machine";
+    DanglingProcessNode => "E011", Error, "process refers to a nonexistent system node";
+    DanglingThreadProcess => "E012", Error, "thread refers to a nonexistent process";
+    DuplicateRank => "E013", Error, "two processes share one application-level rank";
+    DuplicateThreadNumber => "E014", Error, "two threads of one process share one thread number";
+    SeverityShapeMismatch => "E015", Error, "severity store shape disagrees with the metadata";
+    SeverityNan => "E016", Error, "severity value is NaN";
+    NoThreads => "E017", Error, "experiment defines no thread";
+    BadTopology => "E018", Error, "Cartesian topology violates its structural constraints";
 
     // -- E1xx: parse-level errors (produced by cube-xml) --
-    /// The file could not be read (I/O failure).
-    Io => "E100", "file could not be read";
+    Io => "E100", Error, "file could not be read";
     /// The lexer met a character it cannot interpret.
-    XmlSyntax => "E101", "XML syntax error";
-    /// XML well-formedness violation (mismatched tags, two roots, ...).
-    XmlMalformed => "E102", "XML well-formedness violation";
-    /// Valid XML, but not a valid CUBE document (missing sections,
-    /// missing attributes, non-dense identifiers).
-    FormatViolation => "E103", "valid XML but not a valid CUBE document";
-    /// An attribute or severity value failed to parse or referenced an
-    /// out-of-range identifier.
-    BadValue => "E104", "attribute or severity value failed to parse or is out of range";
+    XmlSyntax => "E101", Error, "XML syntax error";
+    /// Mismatched tags, two roots, ...
+    XmlMalformed => "E102", Error, "XML well-formedness violation";
+    /// Missing sections, missing attributes, non-dense identifiers.
+    FormatViolation => "E103", Error, "valid XML but not a valid CUBE document";
+    BadValue => "E104", Error, "attribute or severity value failed to parse or is out of range";
 
     // -- E2xx: resource limits and integrity (produced by cube-xml) --
-    /// The document exceeds the configured maximum input size.
-    InputTooLarge => "E200", "document exceeds the maximum input size";
-    /// Element nesting exceeds the configured maximum depth.
-    NestingTooDeep => "E201", "element nesting exceeds the maximum depth";
-    /// A metadata dimension defines more entities than the configured
-    /// maximum.
-    TooManyEntities => "E202", "a metadata dimension defines too many entities";
-    /// A severity row's text exceeds the configured maximum length.
-    RowTooLong => "E203", "severity row text exceeds the maximum length";
-    /// The document's checksum footer does not match its bytes.
-    ChecksumMismatch => "E204", "checksum footer does not match the document bytes";
+    InputTooLarge => "E200", Error, "document exceeds the maximum input size";
+    NestingTooDeep => "E201", Error, "element nesting exceeds the maximum depth";
+    TooManyEntities => "E202", Error, "a metadata dimension defines too many entities";
+    RowTooLong => "E203", Error, "severity row text exceeds the maximum length";
+    ChecksumMismatch => "E204", Error, "checksum footer does not match the document bytes";
 
     // -- W0xx: semantic warnings --
-    /// Two sibling metrics share name and unit; metadata integration
-    /// matches metrics by `(name, unit)` under their parent, so such
-    /// siblings can never both survive a merge as distinct metrics.
-    DuplicateSiblingMetric => "W001", "two sibling metrics share name and unit";
-    /// A region is not the callee of any call site.
-    UnreferencedRegion => "W002", "region is not the callee of any call site";
-    /// A module contains no region.
-    EmptyModule => "W003", "module contains no region";
-    /// A severity value is infinite.
-    InfiniteSeverity => "W004", "severity value is infinite";
-    /// A severity value is negative although the experiment's
-    /// provenance is *original*: measurement tools accumulate
-    /// non-negative quantities, only derived (difference) experiments
-    /// may legitimately go negative.
-    NegativeOriginalSeverity => "W005", "negative severity in an original experiment";
-    /// A process's thread numbers are not contiguous from 0.
-    ThreadNumberGap => "W006", "thread numbers of a process are not contiguous from 0";
-    /// Process ranks are not contiguous from 0.
-    RankGap => "W007", "process ranks are not contiguous from 0";
-    /// A machine without nodes, a node without processes, or a process
-    /// without threads.
-    EmptySystemBranch => "W008", "machine, node, or process without children";
-    /// A topology declares a grid but places no process on it.
-    EmptyTopology => "W009", "topology declares a grid but places no process";
-    /// A call site is not used by any call-tree node.
-    UnreferencedCallSite => "W010", "call site is not used by any call-tree node";
+    /// Metadata integration matches metrics by `(name, unit)` under
+    /// their parent, so such siblings can never both survive a merge as
+    /// distinct metrics.
+    DuplicateSiblingMetric => "W001", Warning, "two sibling metrics share name and unit";
+    UnreferencedRegion => "W002", Warning, "region is not the callee of any call site";
+    EmptyModule => "W003", Warning, "module contains no region";
+    InfiniteSeverity => "W004", Warning, "severity value is infinite";
+    /// Measurement tools accumulate non-negative quantities; only
+    /// derived (difference) experiments may legitimately go negative.
+    NegativeOriginalSeverity => "W005", Warning, "negative severity in an original experiment";
+    ThreadNumberGap => "W006", Warning, "thread numbers of a process are not contiguous from 0";
+    RankGap => "W007", Warning, "process ranks are not contiguous from 0";
+    EmptySystemBranch => "W008", Warning, "machine, node, or process without children";
+    EmptyTopology => "W009", Warning, "topology declares a grid but places no process";
+    UnreferencedCallSite => "W010", Warning, "call site is not used by any call-tree node";
+
+    // -- A0xx: static-checker diagnostics (produced by cube-algebra) --
+    UnresolvedOperand => "A001", Error, "unresolved operand: no experiment behind the name";
+    EmptyReduction => "A002", Error, "reduction over an empty operand list";
+    OperandOutOfRange => "A003", Error, "operand index out of range";
+    DuplicateOperand => "A004", Warning, "duplicate operand skews a non-idempotent reduction";
+    DeadOperand => "A005", Warning, "dead operand: provided but never referenced";
+    NoSharedMetrics => "A006", Warning, "operands share no metrics: the result only zero-extends";
+    TopologyMismatch => "A007", Warning, "thread-topology mismatch between operands";
+    StaticallyZero => "A008", Warning, "statically zero result: diff of identical subtrees";
+    DegenerateStatistic => "A009", Warning, "degenerate statistic: variance or stddev of one operand";
+    IdentityOperation => "A010", Warning, "identity operation: single-operand reduction or scale by 1";
+    RemovableOperand => "A011", Warning, "removable operand of min, max or merge";
+    ScaleByZero => "A012", Warning, "scale by 0 zeroes every finite value";
+
+    // -- P00x: expression parse errors (produced by cube-algebra) --
+    UnexpectedEnd => "P001", Error, "unexpected end of input";
+    UnexpectedCharacter => "P002", Error, "unexpected character";
+    ExpectedOpenParen => "P003", Error, "expected `(` after a function name";
+    ExpectedCommaOrClose => "P004", Error, "expected `,` or `)` in an argument list";
+    NotAnOperandName => "P005", Error, "reducer argument must be an operand name";
+    TrailingInput => "P006", Error, "trailing input after the expression";
+    BadScaleFactor => "P007", Error, "invalid scale factor";
+    ExprTooDeep => "P008", Error, "expression nested too deeply";
+    EmptyArgumentList => "P009", Error, "empty argument list";
 }
 
 impl RuleCode {
-    /// The stable textual code, e.g. `"E016"` or `"W004"`.
+    /// The stable textual code, e.g. `"E016"` or `"A001"`.
     pub fn as_str(self) -> &'static str {
         RULES[self as usize].1
     }
@@ -216,21 +211,17 @@ impl RuleCode {
         RULES.iter().find(|rule| rule.1 == s).map(|rule| rule.0)
     }
 
-    /// The severity level of this rule.
+    /// The level of every finding with this code.
     pub fn level(self) -> Level {
-        if self.as_str().starts_with('E') {
-            Level::Error
-        } else {
-            Level::Warning
-        }
-    }
-
-    /// One-line description of what the rule checks.
-    pub fn description(self) -> &'static str {
         RULES[self as usize].2
     }
 
-    /// Every rule code, in code order (for documentation and tests).
+    /// One-line description of what the code reports.
+    pub fn description(self) -> &'static str {
+        RULES[self as usize].3
+    }
+
+    /// Every code, in table order (for documentation and tests).
     pub const ALL: [RuleCode; RULES.len()] = {
         let mut all = [RuleCode::Io; RULES.len()];
         let mut i = 0;
@@ -417,14 +408,29 @@ impl Report {
 
     /// `"2 errors, 1 warning"`-style summary.
     pub fn summary(&self) -> String {
-        fn count(n: usize, what: &str) -> String {
-            format!("{n} {what}{}", if n == 1 { "" } else { "s" })
+        counts(self.num_errors(), self.num_warnings())
+    }
+
+    /// The diagnostics as a JSON array of `code`, `level`, `location`
+    /// and `message` objects, the form `cube lint --format json` and
+    /// `GET /experiments/{id}/lint` both print.
+    pub fn diagnostics_json(&self) -> String {
+        let mut s = String::from("[");
+        for (i, d) in self.diagnostics.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            let _ = write!(
+                s,
+                "{{\"code\":\"{}\",\"level\":\"{}\",\"location\":{},\"message\":{}}}",
+                d.code,
+                d.level(),
+                json_string(&d.location.to_string()),
+                json_string(&d.message)
+            );
         }
-        format!(
-            "{}, {}",
-            count(self.num_errors(), "error"),
-            count(self.num_warnings(), "warning")
-        )
+        s.push(']');
+        s
     }
 }
 
@@ -435,6 +441,43 @@ impl fmt::Display for Report {
         }
         write!(f, "{}", self.summary())
     }
+}
+
+/// `n` and `noun`, plural unless `n` is 1: `"1 error"`, `"3 files"`.
+pub fn plural(n: usize, noun: &str) -> String {
+    format!("{n} {noun}{}", if n == 1 { "" } else { "s" })
+}
+
+/// The count line of every report: `"2 errors, 1 warning"`.
+pub fn counts(errors: usize, warnings: usize) -> String {
+    format!(
+        "{}, {}",
+        plural(errors, "error"),
+        plural(warnings, "warning")
+    )
+}
+
+/// Renders `s` as a JSON string literal with the escapes the grammar
+/// requires (quote, backslash, control characters). Every JSON report
+/// the tools print escapes its strings here.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Collects lint findings while enforcing the per-rule cap. A finding
@@ -1487,14 +1530,26 @@ mod tests {
 
     #[test]
     fn code_table_is_consistent() {
+        let check_md = include_str!("../../../docs/CHECK.md");
         let mut seen = std::collections::HashSet::new();
         for (i, code) in RuleCode::ALL.into_iter().enumerate() {
-            // `as_str` and `description` index the table by variant.
+            // `as_str`, `level` and `description` index the table by
+            // variant.
             assert_eq!(code as usize, i);
             assert!(seen.insert(code.as_str()), "duplicate code {code}");
             assert_eq!(RuleCode::from_str_opt(code.as_str()), Some(code));
-            let is_error = code.as_str().starts_with('E');
-            assert_eq!(code.level() == Level::Error, is_error);
+            // The level column: `E` and `P` are errors, `W` warnings,
+            // and `A` as the table in docs/CHECK.md says.
+            let row = format!("| `{code}` | ");
+            let level = match &code.as_str()[..1] {
+                "E" | "P" => "error",
+                "W" => "warning",
+                _ => check_md
+                    .lines()
+                    .find_map(|line| line.strip_prefix(&row)?.split(" |").next())
+                    .unwrap_or_else(|| panic!("{code} has no row in docs/CHECK.md")),
+            };
+            assert_eq!(code.level().to_string(), level, "{code}");
             assert!(!code.description().is_empty());
         }
         assert_eq!(RuleCode::from_str_opt("E999"), None);

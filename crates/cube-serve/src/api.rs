@@ -39,13 +39,13 @@
 use crate::cache::lock_recover;
 use crate::error::ServeError;
 use crate::http::{Deadline, Request, Response};
-use crate::json::{extract_string_field, json_string, lint_diagnostics};
+use crate::json::{extract_string_field, json_string};
 use crate::server::Shared;
 use cube_algebra::{
     check, parse_expr, render_expr, BatchOperand, BatchPlan, MergeOptions, OperandFacts,
     ParsedExpr, PlanTables,
 };
-use cube_model::Provenance;
+use cube_model::{Provenance, RuleCode};
 use cube_store::ColumnarExperiment;
 use cube_xml::{encoded_len_hint, write_experiment_to};
 use std::fmt::Write as _;
@@ -162,7 +162,7 @@ fn experiment_lint(shared: &Shared, id: &str) -> Result<Response, ServeError> {
         200,
         format!(
             "{{\"id\":\"{id}\",\"diagnostics\":{},\"errors\":{},\"warnings\":{},\"ok\":{}}}",
-            lint_diagnostics(&report),
+            report.diagnostics_json(),
             report.num_errors(),
             report.num_warnings(),
             !report.has_errors()
@@ -289,18 +289,19 @@ fn facts_of<'a>(names: &[String], opened: &'a [Opened]) -> Vec<OperandFacts<'a>>
 /// evaluation, or cache insertion.
 fn preflight(parsed: &ParsedExpr, opened: &[Opened]) -> Result<(), ServeError> {
     let report = check(parsed, &facts_of(&parsed.operands, opened));
-    if report.num_errors() == 0 {
+    let Some(first) = report.first_error() else {
         return Ok(());
-    }
-    let unresolved = report.diagnostics.iter().any(|d| d.code == "A001");
-    let (code, message) = report.first_error().map_or_else(
-        || ("A000", "static check failed".to_string()),
-        |d| (d.code, format!("static check failed: {}", d.message)),
-    );
-    Err(
-        ServeError::with_status(if unresolved { 404 } else { 422 }, code, message)
-            .with_details(report.diagnostics_json()),
+    };
+    let unresolved = report
+        .diagnostics
+        .iter()
+        .any(|d| d.code == RuleCode::UnresolvedOperand);
+    Err(ServeError::with_status(
+        if unresolved { 404 } else { 422 },
+        first.code.as_str(),
+        format!("static check failed: {}", first.message),
     )
+    .with_details(report.diagnostics_json()))
 }
 
 /// Fails with `504 deadline_exceeded` if the request budget is gone.

@@ -113,7 +113,7 @@ impl From<XmlError> for ServeError {
 
 impl From<ExprParseError> for ServeError {
     fn from(e: ExprParseError) -> Self {
-        Self::with_status(400, e.code, e.to_string())
+        Self::with_status(400, e.code.as_str(), e.to_string())
     }
 }
 

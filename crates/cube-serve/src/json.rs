@@ -1,53 +1,10 @@
-//! Just enough JSON for the API: string escaping for responses, and a
-//! scanner that pulls one string field out of a flat request object
-//! (`{"expr": "..."}`). The server never needs a general JSON parser,
-//! and not having one keeps the request path free of recursion.
+//! Just enough JSON for the API: a scanner that pulls one string field
+//! out of a flat request object (`{"expr": "..."}`), and the string
+//! escaper every response uses (one copy, in `cube-model`). The server
+//! never needs a general JSON parser, and not having one keeps the
+//! request path free of recursion.
 
-use std::fmt::Write as _;
-
-/// Renders `s` as a JSON string literal with the escapes the grammar
-/// requires (quote, backslash, control characters).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A lint report's diagnostics as a JSON array of `code`, `level`,
-/// `location` and `message` objects, the form `cube lint --format json`
-/// and `GET /experiments/{id}/lint` both print.
-pub fn lint_diagnostics(report: &cube_model::Report) -> String {
-    let mut s = String::from("[");
-    for (i, d) in report.diagnostics().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"code\":\"{}\",\"level\":\"{}\",\"location\":{},\"message\":{}}}",
-            d.code,
-            d.level(),
-            json_string(&d.location.to_string()),
-            json_string(&d.message)
-        );
-    }
-    s.push(']');
-    s
-}
+pub use cube_model::json_string;
 
 /// Extracts the string value of `field` from a flat JSON object,
 /// decoding the standard escapes. Returns `None` when the field is

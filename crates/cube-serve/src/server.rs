@@ -74,9 +74,6 @@ pub struct ServeConfig {
     /// Maximum request-body size in bytes; also caps the parse limits
     /// applied to uploaded documents.
     pub max_body: usize,
-    /// Test hook: sleep this long at the start of every request, so
-    /// the stress harness can fill the queue deterministically.
-    pub delay_ms: u64,
     /// Total per-request deadline in milliseconds (read + handle);
     /// expiry answers `504 deadline_exceeded`. `0` disables.
     pub request_deadline_ms: u64,
@@ -112,7 +109,6 @@ impl Default for ServeConfig {
             plan_cache: 16,
             handle_cache: 64,
             max_body: 256 << 20,
-            delay_ms: 0,
             request_deadline_ms: 30_000,
             header_deadline_ms: 5_000,
             socket_timeout_ms: 30_000,
@@ -389,9 +385,6 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn serve_connection(shared: &Shared, stream: &mut TcpStream) {
-    if shared.config.delay_ms > 0 {
-        std::thread::sleep(Duration::from_millis(shared.config.delay_ms));
-    }
     // The total budget starts when a worker picks the connection up,
     // so queue wait does not eat into it; the header budget is the
     // tighter slow-loris cap.

@@ -12,9 +12,9 @@
 //!
 //! # Sizing
 //!
-//! The pool starts lazily with `CUBE_THREADS`, else `RAYON_NUM_THREADS`,
-//! else [`std::thread::available_parallelism`] threads (the caller
-//! counts as one of them). [`set_threads`] retargets it at runtime —
+//! The pool starts lazily with `CUBE_THREADS`, else
+//! [`std::thread::available_parallelism`] threads (the caller counts as
+//! one of them). [`set_threads`] retargets it at runtime —
 //! this is a facade extension used by `cube --threads N`; upstream
 //! `rayon` sizes its global pool with `ThreadPoolBuilder` instead. At
 //! an effective count of 1 every entry point runs inline with zero

@@ -290,22 +290,20 @@ impl Pool {
     }
 }
 
-/// Thread count from the environment: `CUBE_THREADS`, then
-/// `RAYON_NUM_THREADS`, then [`std::thread::available_parallelism`].
+/// Thread count from the environment: `CUBE_THREADS`, else
+/// [`std::thread::available_parallelism`].
 fn threads_from_env() -> usize {
-    for var in ["CUBE_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(raw) = std::env::var(var) {
-            if let Some(n) = parse_thread_var(&raw) {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    std::env::var("CUBE_THREADS")
+        .ok()
+        .and_then(|raw| parse_thread_var(&raw))
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
 }
 
-/// Parses one thread-count variable; `0` clamps to 1 (inline), garbage
+/// Parses the thread-count variable; `0` clamps to 1 (inline), garbage
 /// is ignored so the next source applies.
 fn parse_thread_var(raw: &str) -> Option<usize> {
     raw.trim().parse::<usize>().ok().map(|n| n.max(1))

@@ -60,6 +60,38 @@ fn boot(tag: &str, config: cube_serve::ServeConfig) -> (cube_serve::RunningServe
     (server, ids)
 }
 
+/// A client that has sent the start of an `/eval` head: a worker that
+/// takes the connection reads it until the rest arrives, so it holds
+/// that worker, or a queue slot while every worker is busy.
+struct HalfSentHead(std::net::TcpStream);
+
+impl HalfSentHead {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        use std::io::Write as _;
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        s.write_all(b"POST /eval HTTP/1.1\r\nhost: t").unwrap();
+        // Let the server take this connection before the next arrives.
+        std::thread::sleep(Duration::from_millis(200));
+        Self(s)
+    }
+
+    /// Sends the rest of the request and returns the answer's status.
+    fn release(mut self, expr: &str) -> u16 {
+        use std::io::{Read as _, Write as _};
+        let rest = format!("\r\ncontent-length: {}\r\n\r\n{expr}", expr.len());
+        self.0.write_all(rest.as_bytes()).unwrap();
+        let mut raw = Vec::new();
+        self.0
+            .read_to_end(&mut raw)
+            .expect("the held request is answered");
+        let text = String::from_utf8_lossy(&raw);
+        text.split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0)
+    }
+}
+
 /// The deterministic LCG the fuzz harnesses use (`fuzz_lint.rs`).
 struct Lcg(u64);
 
@@ -152,16 +184,19 @@ fn full_queue_answers_429_immediately_never_hangs() {
         cube_serve::ServeConfig {
             workers: 1,
             queue_depth: 1,
-            delay_ms: 400,
+            header_deadline_ms: 30_000,
             ..cube_serve::ServeConfig::default()
         },
     );
     let addr = server.local_addr();
     let expr = format!("mean({},{})", ids[0], ids[1]);
 
+    // The first client holds the one worker for at least 400 ms; the
+    // other seven arrive meanwhile.
     const CLIENTS: usize = 8;
     let started = Instant::now();
-    let handles: Vec<_> = (0..CLIENTS)
+    let held = HalfSentHead::connect(addr);
+    let handles: Vec<_> = (1..CLIENTS)
         .map(|_| {
             let expr = expr.clone();
             std::thread::spawn(move || {
@@ -172,7 +207,9 @@ fn full_queue_answers_429_immediately_never_hangs() {
         })
         .collect();
 
-    let mut ok = 0usize;
+    std::thread::sleep(Duration::from_millis(400));
+    assert_eq!(held.release(&expr), 200);
+    let mut ok = 1usize;
     let mut rejected = 0usize;
     for handle in handles {
         let (reply, elapsed): (Reply, Duration) =
@@ -185,8 +222,8 @@ fn full_queue_answers_429_immediately_never_hangs() {
                     json_field(&reply.text(), "code").as_deref(),
                     Some("queue_full")
                 );
-                // A rejection is immediate — it must not wait out the
-                // worker's 400 ms stall even once.
+                // A rejection is immediate — it must not wait for the
+                // held worker even once.
                 assert!(
                     elapsed < Duration::from_millis(350),
                     "429 took {elapsed:?}; overload must shed instantly"
@@ -195,8 +232,8 @@ fn full_queue_answers_429_immediately_never_hangs() {
             other => panic!("unexpected status {other}: {}", reply.text()),
         }
     }
-    // One in service + one queued are guaranteed to succeed; with all
-    // eight fired into a 400 ms stall, at least one must bounce.
+    // One in service + one queued are guaranteed to succeed; with
+    // seven fired at a worker held for 400 ms, at least one must bounce.
     assert!(ok >= 2, "expected at least two successes, got {ok}");
     assert!(rejected >= 1, "expected at least one 429, got {rejected}");
     assert_eq!(ok + rejected, CLIENTS);
@@ -234,14 +271,8 @@ fn a_trickling_rejected_client_does_not_hold_the_acceptor() {
 
     // A's half-sent head holds the only worker; B's waits in the
     // queue, which is then full.
-    let half_head = || {
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(b"POST /eval HTTP/1.1\r\nhost: t").unwrap();
-        s
-    };
-    let a = half_head();
-    std::thread::sleep(Duration::from_millis(200));
-    let b = half_head();
+    let a = HalfSentHead::connect(addr);
+    let b = HalfSentHead::connect(addr);
 
     // C is refused, reads its 429, and then sends one byte every
     // 100 ms for 3 s into the drain.
@@ -474,13 +505,14 @@ fn shutdown_drains_admitted_requests() {
         cube_serve::ServeConfig {
             workers: 1,
             queue_depth: 16,
-            delay_ms: 200,
+            header_deadline_ms: 30_000,
             ..cube_serve::ServeConfig::default()
         },
     );
     let addr = server.local_addr();
     let expr = format!("sum({},{},{})", ids[0], ids[1], ids[2]);
 
+    let held = HalfSentHead::connect(addr);
     let handles: Vec<_> = (0..4)
         .map(|_| {
             let expr = expr.clone();
@@ -488,9 +520,10 @@ fn shutdown_drains_admitted_requests() {
         })
         .collect();
     // Give the acceptor time to admit all four, then stop the server
-    // while three are still queued behind the 200 ms stalls.
+    // while they are queued behind the held worker, and release it.
     std::thread::sleep(Duration::from_millis(100));
     server.shutdown();
+    assert_eq!(held.release(&expr), 200);
     server.join();
 
     // Every admitted request was still answered — drained, not dropped.
